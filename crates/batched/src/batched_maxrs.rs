@@ -2,13 +2,12 @@
 //!
 //! Given `n` weighted points and `m` interval lengths, solve the MaxRS problem
 //! for every length.  The solver here sorts the points once and answers each
-//! length with a linear two-pointer sweep, for a total of `O(n log n + m·n)` —
+//! length with the linear sorted-line sweep, for a total of `O(n log n + m·n)` —
 //! the upper bound that Theorem 1.3's conditional Ω(mn) lower bound (proved
 //! via the (min,+)-convolution reduction in `mrs-hardness`) shows is
 //! essentially the best possible.
 
 use mrs_core::exact::interval1d::{IntervalPlacement, LinePoint, SortedLine};
-use mrs_geom::Interval;
 
 /// A batched MaxRS solver over a fixed 1-D point set.
 ///
@@ -29,8 +28,6 @@ use mrs_geom::Interval;
 ///
 #[derive(Clone, Debug)]
 pub struct BatchedMaxRS1D {
-    xs: Vec<f64>,
-    prefix: Vec<f64>,
     line: SortedLine,
 }
 
@@ -40,80 +37,34 @@ impl BatchedMaxRS1D {
         Self::from_sorted(SortedLine::new(points))
     }
 
-    /// Adopts an already-sorted line in `O(n)`, skipping the sort — the path
-    /// the batch executor takes when its shared index has built the sorted
-    /// event list once for the whole batch.
+    /// Adopts an already-sorted line in `O(1)`, skipping the sort.
     pub fn from_sorted(line: SortedLine) -> Self {
-        let xs = line.xs().to_vec();
-        let prefix = line.prefix().to_vec();
-        Self { xs, prefix, line }
+        Self { line }
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.line.len()
     }
 
     /// Returns `true` if there are no points.
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.line.is_empty()
     }
 
-    /// Solves MaxRS for a single interval length in `O(n)` with a two-pointer
-    /// sweep over the candidate left endpoints (each point, and each point
-    /// shifted left by the length).
+    /// Solves MaxRS for a single interval length in `O(n)`: the sorted-line
+    /// sweep of [`SortedLine::max_interval`].
+    ///
+    /// # Panics
+    /// Panics if `len` is negative or not finite.
     pub fn solve_one(&self, len: f64) -> IntervalPlacement {
-        assert!(len.is_finite() && len >= 0.0, "interval length must be non-negative");
-        let n = self.xs.len();
-        if n == 0 {
-            return IntervalPlacement { interval: Interval::from_start(0.0, len), value: 0.0 };
-        }
-        // Candidate left endpoints in increasing order: merge of xs[i] - len and xs[i].
-        let mut best = IntervalPlacement {
-            interval: Interval::from_start(self.xs[0] - 2.0 * len - 2.0, len),
-            value: 0.0,
-        };
-        let mut lo = 0usize; // first index with xs[lo] >= start - tol
-        let mut hi = 0usize; // first index with xs[hi] > start + len + tol
-        let mut a = 0usize; // cursor into the shifted candidate list
-        let mut b = 0usize; // cursor into the direct candidate list
-        let evaluate =
-            |start: f64, lo: &mut usize, hi: &mut usize, best: &mut IntervalPlacement| {
-                while *lo < n && self.xs[*lo] < start - 1e-12 {
-                    *lo += 1;
-                }
-                while *hi < n && self.xs[*hi] <= start + len + 1e-12 {
-                    *hi += 1;
-                }
-                let value = self.prefix[*hi] - self.prefix[(*lo).min(*hi)];
-                if value > best.value + 1e-15 {
-                    *best = IntervalPlacement { interval: Interval::from_start(start, len), value };
-                }
-            };
-        while a < n || b < n {
-            let next_shifted = if a < n { self.xs[a] - len } else { f64::INFINITY };
-            let next_direct = if b < n { self.xs[b] } else { f64::INFINITY };
-            if next_shifted <= next_direct {
-                evaluate(next_shifted, &mut lo, &mut hi, &mut best);
-                a += 1;
-            } else {
-                evaluate(next_direct, &mut lo, &mut hi, &mut best);
-                b += 1;
-            }
-        }
-        best
+        self.line.max_interval(len)
     }
 
     /// Solves MaxRS for every length in `lengths`, in `O(m·n)` after the
     /// `O(n log n)` build.
     pub fn solve(&self, lengths: &[f64]) -> Vec<IntervalPlacement> {
         lengths.iter().map(|&len| self.solve_one(len)).collect()
-    }
-
-    /// The `O(m·n log n)` reference implementation (per-length binary-search
-    /// solver), kept for cross-checking and for the benchmark comparison.
-    pub fn solve_logarithmic(&self, lengths: &[f64]) -> Vec<IntervalPlacement> {
-        lengths.iter().map(|&len| self.line.max_interval(len)).collect()
     }
 }
 
@@ -125,6 +76,8 @@ pub fn batched_maxrs_1d(points: &[LinePoint], lengths: &[f64]) -> Vec<IntervalPl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrs_geom::interval::covered_weight;
+    use mrs_geom::Interval;
     use proptest::prelude::*;
     use rand::prelude::*;
 
@@ -138,24 +91,27 @@ mod tests {
     }
 
     #[test]
-    fn matches_single_length_solver() {
+    fn matches_brute_force_covered_weight() {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..30 {
             let n = rng.gen_range(1..60);
             let points: Vec<LinePoint> = (0..n)
                 .map(|_| LinePoint::new(rng.gen_range(-20.0..20.0), rng.gen_range(-2.0..5.0)))
                 .collect();
+            let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+            let ws: Vec<f64> = points.iter().map(|p| p.weight).collect();
             let lengths: Vec<f64> = (0..10).map(|_| rng.gen_range(0.0..15.0)).collect();
             let solver = BatchedMaxRS1D::new(&points);
-            let fast = solver.solve(&lengths);
-            let slow = solver.solve_logarithmic(&lengths);
-            for (f, s) in fast.iter().zip(&slow) {
-                assert!(
-                    (f.value - s.value).abs() < 1e-9,
-                    "two-pointer {} vs binary-search {}",
-                    f.value,
-                    s.value
-                );
+            for (&len, got) in lengths.iter().zip(solver.solve(&lengths)) {
+                // Every placement with an endpoint on a point, and the empty one.
+                let want = xs
+                    .iter()
+                    .flat_map(|&x| [x, x - len])
+                    .map(|start| covered_weight(&xs, &ws, &Interval::from_start(start, len)))
+                    .fold(0.0, f64::max);
+                assert!((got.value - want).abs() < 1e-9, "len {len}: {} vs {want}", got.value);
+                let covered = covered_weight(&xs, &ws, &got.interval);
+                assert!((covered - got.value).abs() < 1e-9, "len {len}: interval covers {covered}");
             }
         }
     }

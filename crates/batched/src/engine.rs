@@ -3,7 +3,8 @@
 //!
 //! [`BatchedIntervalSolver`] wraps [`BatchedMaxRS1D`]: one engine `solve`
 //! builds the sorted structure and answers the instance's single interval
-//! length with the `O(n)` two-pointer sweep.  For genuinely batched
+//! length with the `O(n)` sorted-line sweep — the one `exact-interval-1d`
+//! runs, so both solvers return identical placements.  For genuinely batched
 //! workloads (many lengths over one point set) use
 //! [`BatchedIntervalSolver::solve_lengths`] or [`BatchedMaxRS1D`] directly —
 //! the per-length cost then drops to `O(n)` with the `O(n log n)` build paid
@@ -17,12 +18,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mrs_core::engine::{
-    BatchCapability, DimSupport, EngineResult, Guarantee, GuaranteeClass, ProblemKind, RangeShape,
-    Registry, ShapeClass, SharedIndex, SolveStats, SolverDescriptor, SolverReport,
+    interval_length, interval_report, BatchCapability, DimSupport, EngineResult, GuaranteeClass,
+    ProblemKind, RangeShape, Registry, ShapeClass, SharedIndex, SolverDescriptor, SolverReport,
     WeightedInstance, WeightedSolver,
 };
 use mrs_core::input::Placement;
-use mrs_geom::Point;
 
 use crate::batched_maxrs::BatchedMaxRS1D;
 use crate::LinePoint;
@@ -48,6 +48,9 @@ impl BatchedIntervalSolver {
 
     /// Answers many interval lengths over one instance, sharing the
     /// `O(n log n)` build: the batched setting of Theorem 1.3.
+    ///
+    /// # Panics
+    /// Panics if a length is negative or not finite.
     pub fn solve_lengths(
         &self,
         instance: &WeightedInstance<1>,
@@ -60,15 +63,7 @@ impl BatchedIntervalSolver {
                 // Per-length timing only; the shared O(n log n) build above is
                 // amortized across the batch and not charged to any report.
                 let start = Instant::now();
-                let best = solver.solve_one(len);
-                let mut center = Point::<1>::origin();
-                center[0] = 0.5 * (best.interval.lo + best.interval.hi);
-                SolverReport {
-                    solver: Self::DESCRIPTOR.name,
-                    placement: Placement { center, value: best.value },
-                    guarantee: Guarantee::Exact,
-                    stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-                }
+                interval_report(Self::DESCRIPTOR.name, solver.solve_one(len), start.elapsed())
             })
             .collect()
     }
@@ -85,30 +80,16 @@ impl WeightedSolver<1> for BatchedIntervalSolver {
 
     fn solve(&self, instance: &WeightedInstance<1>) -> EngineResult<SolverReport<Placement<1>>> {
         let name = Self::DESCRIPTOR.name;
-        let radius = instance.shape().ball_radius().ok_or(
-            mrs_core::engine::EngineError::UnsupportedShape {
-                solver: name,
-                shape: instance.shape().class(),
-            },
-        )?;
+        let len = interval_length(name, instance.shape())?;
         let start = Instant::now();
         let solver = BatchedMaxRS1D::new(&to_line_points(instance));
-        let best = solver.solve_one(2.0 * radius);
-        let mut center = Point::<1>::origin();
-        center[0] = 0.5 * (best.interval.lo + best.interval.hi);
-        Ok(SolverReport {
-            solver: name,
-            placement: Placement { center, value: best.value },
-            guarantee: Guarantee::Exact,
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-        })
+        Ok(interval_report(name, solver.solve_one(len), start.elapsed()))
     }
 
     /// The index-sharing batch path (the reference `IndexShared`
-    /// implementation): adopt the executor's shared sorted event list in
-    /// `O(n)` — built once per batch — and answer every ball query with the
-    /// `O(n)` two-pointer sweep, so a batch of `m` queries costs
-    /// `O(n log n + m·n)` total instead of `m` independent
+    /// implementation): sweep the executor's shared sorted event list in
+    /// place — built once per batch, never copied — so a batch of `m`
+    /// queries costs `O(n log n + m·n)` total instead of `m` independent
     /// `O(n log n)` builds.
     fn solve_all(
         &self,
@@ -118,25 +99,13 @@ impl WeightedSolver<1> for BatchedIntervalSolver {
         _threads: usize,
     ) -> Vec<EngineResult<SolverReport<Placement<1>>>> {
         let name = Self::DESCRIPTOR.name;
-        let solver = BatchedMaxRS1D::from_sorted(index.sorted_line().clone());
+        let line = index.sorted_line();
         shapes
             .iter()
             .map(|shape| {
-                let radius =
-                    shape.ball_radius().ok_or(mrs_core::engine::EngineError::UnsupportedShape {
-                        solver: name,
-                        shape: shape.class(),
-                    })?;
+                let len = interval_length(name, shape)?;
                 let start = Instant::now();
-                let best = solver.solve_one(2.0 * radius);
-                let mut center = Point::<1>::origin();
-                center[0] = 0.5 * (best.interval.lo + best.interval.hi);
-                Ok(SolverReport {
-                    solver: name,
-                    placement: Placement { center, value: best.value },
-                    guarantee: Guarantee::Exact,
-                    stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-                })
+                Ok(interval_report(name, line.max_interval(len), start.elapsed()))
             })
             .collect()
     }
@@ -162,8 +131,8 @@ pub fn full_registry(config: mrs_core::engine::EngineConfig) -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrs_core::engine::{registry, RangeShape};
-    use mrs_geom::WeightedPoint;
+    use mrs_core::engine::{registry, EngineError, RangeShape};
+    use mrs_geom::{Point, WeightedPoint};
 
     fn line_instance() -> WeightedInstance<1> {
         let points = [0.0, 0.4, 0.9, 3.0, 3.2, 9.0]
@@ -180,11 +149,24 @@ mod tests {
         register(&mut reg);
         let batched = reg.weighted::<1>("batched-interval-1d").unwrap();
         let exact = reg.weighted::<1>("exact-interval-1d").unwrap();
-        let a = batched.solve(&instance).unwrap();
-        let b = exact.solve(&instance).unwrap();
-        assert_eq!(a.placement.value, b.placement.value);
-        assert_eq!(instance.value_at(&a.placement.center), a.placement.value);
+        for len in [0.1, 0.45, 1.0, 2.5, 10.0] {
+            let instance = instance.with_shape(RangeShape::interval(len));
+            let a = batched.solve(&instance).unwrap();
+            let b = exact.solve(&instance).unwrap();
+            assert_eq!(a.placement, b.placement, "len {len}");
+            assert_eq!(instance.value_at(&a.placement.center), a.placement.value);
+        }
         assert!(reg.descriptors().iter().any(|d| d.name == "batched-interval-1d"));
+    }
+
+    #[test]
+    fn overflowing_lengths_are_typed_errors() {
+        let instance = line_instance().with_shape(RangeShape::ball(1e308));
+        let index = SharedIndex::<1>::new(instance.shared_points(), Vec::new().into());
+        let want = EngineError::RangeTooLarge { solver: "batched-interval-1d" };
+        assert_eq!(BatchedIntervalSolver.solve(&instance).unwrap_err(), want);
+        let all = BatchedIntervalSolver.solve_all(&instance, &[*instance.shape()], &index, 1);
+        assert_eq!(all[0].as_ref().unwrap_err(), &want);
     }
 
     #[test]

@@ -26,11 +26,8 @@ fn bench_batched(c: &mut Criterion) {
     for &m in &[16usize, 128, 1024] {
         let lengths: Vec<f64> = (0..m).map(|_| rng.gen_range(1.0..500.0)).collect();
         group.throughput(Throughput::Elements((m * n) as u64));
-        group.bench_with_input(BenchmarkId::new("two_pointer", m), &m, |b, _| {
+        group.bench_with_input(BenchmarkId::new("sorted_sweep", m), &m, |b, _| {
             b.iter(|| black_box(solver.solve(&lengths).len()));
-        });
-        group.bench_with_input(BenchmarkId::new("per_length_logn", m), &m, |b, _| {
-            b.iter(|| black_box(solver.solve_logarithmic(&lengths).len()));
         });
     }
     group.finish();

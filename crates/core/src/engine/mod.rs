@@ -74,7 +74,8 @@ pub use versioned::{
     VersionedDataset, VersionedView,
 };
 pub use weighted::{
-    DynamicBallSolver, ExactDiskSolver, ExactIntervalSolver, ExactRectSolver, StaticBallSolver,
+    interval_length, interval_report, DynamicBallSolver, ExactDiskSolver, ExactIntervalSolver,
+    ExactRectSolver, StaticBallSolver,
 };
 
 use crate::input::{ColoredPlacement, Placement};
@@ -102,6 +103,12 @@ pub enum EngineError {
     /// The instance carries negative weights and the solver requires
     /// non-negative ones.
     NegativeWeights {
+        /// The refusing solver.
+        solver: &'static str,
+    },
+    /// The range is too large for the solver's arithmetic: on the line, a
+    /// ball's length `2·radius` overflows `f64`.
+    RangeTooLarge {
         /// The refusing solver.
         solver: &'static str,
     },
@@ -148,6 +155,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::NegativeWeights { solver } => {
                 write!(f, "solver `{solver}` requires non-negative weights")
+            }
+            EngineError::RangeTooLarge { solver } => {
+                write!(f, "solver `{solver}` cannot place a range this large: its length overflows")
             }
             EngineError::UnknownSolver { name } => {
                 write!(f, "no registered solver answers `{name}` for this query")

@@ -2,7 +2,7 @@
 //! entry points: the exact 1-D interval sweep, the planar rectangle and disk
 //! sweeps, and the Technique 1 static and dynamic samplers.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mrs_geom::Point;
 
@@ -16,7 +16,7 @@ use super::report::{Guarantee, SolveStats, SolverReport};
 use super::{EngineError, EngineResult, WeightedSolver};
 use crate::config::SamplingConfig;
 use crate::exact::disk2d::max_disk_placement_chunked;
-use crate::exact::interval1d::{max_interval_placement, LinePoint};
+use crate::exact::interval1d::{max_interval_placement, IntervalPlacement, LinePoint};
 use crate::exact::rect2d::max_rect_placement_presorted;
 use crate::exact::{max_disk_placement, max_rect_placement};
 use crate::input::{ball_coverage_weight, Placement};
@@ -83,19 +83,11 @@ impl<const D: usize> WeightedSolver<D> for ExactIntervalSolver {
     fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
         let name = Self::DESCRIPTOR.name;
         require_dim::<D>(name, 1)?;
-        let radius = require_ball(name, instance.shape())?;
+        let len = interval_length(name, instance.shape())?;
         let start = Instant::now();
         let line: Vec<LinePoint> =
             instance.points().iter().map(|wp| LinePoint::new(wp.point[0], wp.weight)).collect();
-        let best = max_interval_placement(&line, 2.0 * radius);
-        let mut center = Point::<D>::origin();
-        center[0] = 0.5 * (best.interval.lo + best.interval.hi);
-        Ok(SolverReport {
-            solver: name,
-            placement: Placement { center, value: best.value },
-            guarantee: Guarantee::Exact,
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-        })
+        Ok(interval_report(name, max_interval_placement(&line, len), start.elapsed()))
     }
 
     /// The index-shared batch path: answer every interval length off the
@@ -105,7 +97,7 @@ impl<const D: usize> WeightedSolver<D> for ExactIntervalSolver {
     /// a fresh solve runs, so answers are identical.
     fn solve_all(
         &self,
-        base: &WeightedInstance<D>,
+        _base: &WeightedInstance<D>,
         shapes: &[RangeShape<D>],
         index: &SharedIndex<D>,
         _threads: usize,
@@ -114,24 +106,46 @@ impl<const D: usize> WeightedSolver<D> for ExactIntervalSolver {
         if let Err(error) = require_dim::<D>(name, 1) {
             return shapes.iter().map(|_| Err(error.clone())).collect();
         }
-        let _ = base;
         let line = index.sorted_line();
         shapes
             .iter()
             .map(|shape| {
-                let radius = require_ball(name, shape)?;
+                let len = interval_length(name, shape)?;
                 let start = Instant::now();
-                let best = line.max_interval(2.0 * radius);
-                let mut center = Point::<D>::origin();
-                center[0] = 0.5 * (best.interval.lo + best.interval.hi);
-                Ok(SolverReport {
-                    solver: name,
-                    placement: Placement { center, value: best.value },
-                    guarantee: Guarantee::Exact,
-                    stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-                })
+                Ok(interval_report(name, line.max_interval(len), start.elapsed()))
             })
             .collect()
+    }
+}
+
+/// The interval length `2·radius` of a ball query on the line, refused with
+/// [`EngineError::RangeTooLarge`] when it overflows `f64`.
+pub fn interval_length<const D: usize>(
+    solver: &'static str,
+    shape: &RangeShape<D>,
+) -> EngineResult<f64> {
+    let len = 2.0 * require_ball(solver, shape)?;
+    if len.is_finite() {
+        Ok(len)
+    } else {
+        Err(EngineError::RangeTooLarge { solver })
+    }
+}
+
+/// The report of an exact 1-D placement: the interval's midpoint, its value,
+/// and the time the sweep took.
+pub fn interval_report<const D: usize>(
+    solver: &'static str,
+    best: IntervalPlacement,
+    elapsed: Duration,
+) -> SolverReport<Placement<D>> {
+    let mut center = Point::<D>::origin();
+    center[0] = 0.5 * (best.interval.lo + best.interval.hi);
+    SolverReport {
+        solver,
+        placement: Placement { center, value: best.value },
+        guarantee: Guarantee::Exact,
+        stats: SolveStats { elapsed, ..SolveStats::default() },
     }
 }
 

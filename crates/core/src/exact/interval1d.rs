@@ -7,7 +7,7 @@
 //! must accept *negative* weights, because the reduction plants negative
 //! "guard" points.
 
-use mrs_geom::Interval;
+use mrs_geom::{kernels, Interval};
 
 /// A weighted point on the real line.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,7 +134,12 @@ impl SortedLine {
     /// both candidate families are required.  Each family's endpoints ascend
     /// with the sorted coordinates, so four monotone pointers replace the
     /// per-candidate binary searches (same tolerances, same candidate order,
-    /// identical results).
+    /// identical results).  The pointers move by the counted blocks of
+    /// [`kernels::advance_lt`] / [`kernels::advance_le`], which stop exactly
+    /// where a one-step loop would.
+    ///
+    /// When no placement beats the empty one, the answer is an interval
+    /// covering no point, with a finite midpoint wherever `f64` holds one.
     ///
     /// # Panics
     /// Panics if `len` is negative or not finite.
@@ -143,36 +148,63 @@ impl SortedLine {
         if self.is_empty() {
             return IntervalPlacement { interval: Interval::from_start(0.0, len), value: 0.0 };
         }
-        let n = self.xs.len();
-        let mut best = IntervalPlacement {
-            // The empty placement (covering nothing) is always available; put
-            // it far to the left of every point.
-            interval: Interval::from_start(self.xs[0] - 2.0 * len - 2.0, len),
-            value: 0.0,
-        };
+        // The best non-empty placement, as a start and a value; the empty
+        // placement (value 0) wins unless beaten.
+        let (mut best_start, mut best_value) = (f64::NAN, 0.0);
         // Family A: left endpoint on a point (`start = x`); family B: right
-        // endpoint on a point (`start = x - len`).  `a_* = lower_bound(start)`
-        // and `b_* = upper_bound(start + len)`, advanced monotonically.
-        let (mut a_left, mut b_left) = (0usize, 0usize);
-        let (mut a_right, mut b_right) = (0usize, 0usize);
-        let consider = |start: f64, a: &mut usize, b: &mut usize, best: &mut IntervalPlacement| {
-            while *a < n && self.xs[*a] < start - 1e-12 {
-                *a += 1;
+        // endpoint on a point (`start = x - len`).  Each keeps its own pair
+        // `(lower_bound(start), upper_bound(start + len))`, advanced
+        // monotonically.
+        let (mut left, mut right) = ((0usize, 0usize), (0usize, 0usize));
+        for &x in &self.xs {
+            for (start, window) in [(x, &mut left), (x - len, &mut right)] {
+                let value = self.slide(window, start, len);
+                if value > best_value + 1e-15 {
+                    (best_start, best_value) = (start, value);
+                }
             }
-            while *b < n && self.xs[*b] <= start + len + 1e-12 {
-                *b += 1;
-            }
-            let value = self.prefix[*b] - self.prefix[*a];
-            if value > best.value + 1e-15 {
-                *best = IntervalPlacement { interval: Interval::from_start(start, len), value };
-            }
-        };
-        for i in 0..n {
-            let x = self.xs[i];
-            consider(x, &mut a_left, &mut b_left, &mut best); // left endpoint on a point
-            consider(x - len, &mut a_right, &mut b_right, &mut best); // right endpoint on a point
         }
-        best
+        if best_value > 0.0 {
+            IntervalPlacement { interval: Interval::from_start(best_start, len), value: best_value }
+        } else {
+            IntervalPlacement { interval: self.empty_placement(len), value: 0.0 }
+        }
+    }
+
+    /// Advances `(a, b)` to `(lower_bound(start), upper_bound(start + len))`
+    /// from below and returns the weight between them.  A function, not a
+    /// closure, so that it can be forced inline: as a closure called twice
+    /// per point it compiles out of line, a call per candidate.
+    #[inline(always)]
+    fn slide(&self, (a, b): &mut (usize, usize), start: f64, len: f64) -> f64 {
+        *a = kernels::advance_lt(&self.xs, *a, start - 1e-12);
+        *b = kernels::advance_le(&self.xs, *b, start + len + 1e-12);
+        self.prefix[*b] - self.prefix[*a]
+    }
+
+    /// An interval of length `len` that covers no point and has a finite
+    /// midpoint: the placement of value 0, which is always available.
+    ///
+    /// It starts at `x₀ − 2·len − 2`, far left of the first point `x₀`.
+    /// Where that leaves the `f64` range or still covers `x₀` (lengths near
+    /// `f64::MAX / 4`, or coordinates whose ulp exceeds the gap), it ends
+    /// just left of the first point, or else starts just right of the last.
+    /// Only when neither fits in `f64` does it fall back to the interval
+    /// centered at 0, which may cover points.
+    fn empty_placement(&self, len: f64) -> Interval {
+        let (first, last) = (self.xs[0], self.xs[self.xs.len() - 1]);
+        // Clear of the nearest point by more than the certifier's slack and
+        // the rounding of `start + len` at these magnitudes.
+        let clear = 2.0 + 1e-6 * len + 1e-6 * first.abs().max(last.abs());
+        [first - 2.0 * len - 2.0, first - len - clear, last + clear]
+            .into_iter()
+            .map(|start| Interval::from_start(start, len))
+            .find(|iv| {
+                // Covers no point under `Interval::contains`' tolerance.
+                let empty = first > iv.hi + 1e-12 || last < iv.lo - 1e-12;
+                empty && (iv.lo + iv.hi).is_finite()
+            })
+            .unwrap_or_else(|| Interval::from_start(-0.5 * len, len))
     }
 }
 
@@ -187,6 +219,39 @@ mod tests {
     use mrs_geom::interval::covered_weight;
     use proptest::prelude::*;
     use rand::prelude::*;
+
+    /// The four-pointer sweep with one-step pointer loops: the reference the
+    /// counted-block sweep must match bit for bit.
+    fn scalar_reference(line: &SortedLine, len: f64) -> IntervalPlacement {
+        if line.is_empty() {
+            return IntervalPlacement { interval: Interval::from_start(0.0, len), value: 0.0 };
+        }
+        let (xs, n) = (&line.xs, line.xs.len());
+        let mut best = IntervalPlacement { interval: line.empty_placement(len), value: 0.0 };
+        let (mut a_left, mut b_left) = (0usize, 0usize);
+        let (mut a_right, mut b_right) = (0usize, 0usize);
+        let consider = |start: f64, a: &mut usize, b: &mut usize, best: &mut IntervalPlacement| {
+            while *a < n && xs[*a] < start - 1e-12 {
+                *a += 1;
+            }
+            while *b < n && xs[*b] <= start + len + 1e-12 {
+                *b += 1;
+            }
+            let value = line.prefix[*b] - line.prefix[*a];
+            if value > best.value + 1e-15 {
+                *best = IntervalPlacement { interval: Interval::from_start(start, len), value };
+            }
+        };
+        for &x in xs {
+            consider(x, &mut a_left, &mut b_left, &mut best);
+            consider(x - len, &mut a_right, &mut b_right, &mut best);
+        }
+        best
+    }
+
+    fn bits(p: &IntervalPlacement) -> [u64; 3] {
+        [p.value.to_bits(), p.interval.lo.to_bits(), p.interval.hi.to_bits()]
+    }
 
     fn brute(points: &[LinePoint], len: f64) -> f64 {
         // Evaluate every candidate placement with either endpoint at a point,
@@ -264,6 +329,28 @@ mod tests {
     }
 
     #[test]
+    fn empty_placement_keeps_a_finite_center_at_any_length() {
+        let zero = |xs: &[f64]| xs.iter().map(|&x| LinePoint::new(x, 0.0)).collect::<Vec<_>>();
+        for xs in [vec![0.0], vec![-1e308, 0.0], vec![0.0, 1e308], vec![3.0, 4.0, 1e300]] {
+            let line = SortedLine::new(&zero(&xs));
+            for len in [0.0, 1.0, 1e100, 4e307, 1e308, f64::MAX / 2.0] {
+                let res = line.max_interval(len);
+                assert_eq!(res.value, 0.0);
+                let center = 0.5 * (res.interval.lo + res.interval.hi);
+                assert!(center.is_finite(), "xs={xs:?} len={len}: {:?}", res.interval);
+                assert!(xs.iter().all(|&x| !res.interval.contains(x)), "xs={xs:?} len={len}");
+            }
+        }
+        // Where it fits, the empty placement is the far-left one.
+        let res = max_interval_placement(&[LinePoint::new(1.0, -1.0)], 3.0);
+        assert_eq!(res.interval, Interval::from_start(1.0 - 2.0 * 3.0 - 2.0, 3.0));
+        // No interval of length f64::MAX avoids a point at 0 inside f64: the
+        // fallback is centered at 0.
+        let res = SortedLine::new(&zero(&[0.0])).max_interval(f64::MAX);
+        assert_eq!(0.5 * (res.interval.lo + res.interval.hi), 0.0);
+    }
+
+    #[test]
     fn randomized_against_brute_force() {
         let mut rng = StdRng::seed_from_u64(41);
         for _ in 0..50 {
@@ -284,6 +371,46 @@ mod tests {
     }
 
     proptest! {
+        /// The counted-block sweep stops every pointer where the one-step
+        /// loop does, so value and interval match the reference bit for bit.
+        /// Coordinates sit on a coarse grid (duplicates, and runs of equal
+        /// or near-equal points longer than a block), nudged by up to 1e-12
+        /// (inside the tolerance) or moved freely; lengths include 0, grid
+        /// multiples (endpoints landing on points) and one covering every
+        /// point.  Prefixes of 1 to 5 points exercise the sub-block tail.
+        #[test]
+        fn block_sweep_is_bit_identical_to_the_scalar_reference(
+            raw in proptest::collection::vec((0u32..12, 0u8..4, -3.0f64..5.0), 1..80),
+            len_kind in 0u8..4,
+            len_raw in 0.0f64..8.0,
+        ) {
+            let pts: Vec<LinePoint> = raw
+                .iter()
+                .map(|&(cell, nudge, w)| {
+                    let x = 0.5 * f64::from(cell);
+                    let x = match nudge {
+                        0 => x,
+                        1 => x + 4e-13,
+                        2 => x - 1e-12,
+                        _ => x + w.abs() * 0.1,
+                    };
+                    LinePoint::new(x, w)
+                })
+                .collect();
+            let len = match len_kind {
+                0 => 0.0,
+                1 => 100.0,
+                2 => 0.5 * len_raw.floor(),
+                _ => len_raw,
+            };
+            for take in [1, 2, 3, 4, 5, pts.len()] {
+                let line = SortedLine::new(&pts[..take.min(pts.len())]);
+                let fast = line.max_interval(len);
+                let want = scalar_reference(&line, len);
+                prop_assert_eq!(bits(&fast), bits(&want), "len={} take={} {:?}", len, take, fast);
+            }
+        }
+
         #[test]
         fn value_is_never_below_single_best_point(
             coords in proptest::collection::vec(-50.0f64..50.0, 1..30),

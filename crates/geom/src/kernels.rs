@@ -50,6 +50,16 @@
 //! where intermediate squares overflow), [`sieve_supported`] reports `false`
 //! and callers fall back to the laned f64 kernel.
 //!
+//! ## Counted advance
+//!
+//! [`advance_lt`] / [`advance_le`] move a monotone pointer over ascending
+//! coordinates (the 1-D sweep's four pointers): compare the next
+//! [`ADVANCE_BLOCK`] values against the bound, add how many passed, and go on
+//! only if all did.  On sorted input the passing values are a prefix of the
+//! block, so the pointer stops exactly where the one-step loop stops, and the
+//! one branch per block is predictable where the one-step loop's exit, taken
+//! after a data-dependent number of steps, is not.
+//!
 //! ## Adding a laned kernel
 //!
 //! 1. Write the scalar expression once, per slot, exactly as the reference
@@ -333,6 +343,43 @@ pub fn filter_in_band<F: FnMut(usize)>(vals: &[f64], lo_val: f64, hi_val: f64, m
     }
 }
 
+/// Coordinates compared per counted block by [`advance_lt`] and
+/// [`advance_le`].  Chosen by measurement on the 1-D sweep, where a pointer
+/// moves about one slot per step: over 200k clustered points (2 shared
+/// x86-64 vCPUs) one length took 4.7 ms with blocks of 2, 4.2 ms with 4 and
+/// 5.7 ms with 8.
+pub const ADVANCE_BLOCK: usize = 4;
+
+/// Counted-block pointer advance over ascending `xs` (see the module docs):
+/// the first index `j >= from` with `!(xs[j] < bound)`, or `xs.len()` —
+/// exactly where `while j < xs.len() && xs[j] < bound { j += 1 }` stops.
+#[inline(always)]
+pub fn advance_lt(xs: &[f64], from: usize, bound: f64) -> usize {
+    advance_while(xs, from, |v| v < bound)
+}
+
+/// [`advance_lt`] with `<=`: the first index `j >= from` with
+/// `!(xs[j] <= bound)`, or `xs.len()`.
+#[inline(always)]
+pub fn advance_le(xs: &[f64], from: usize, bound: f64) -> usize {
+    advance_while(xs, from, |v| v <= bound)
+}
+
+#[inline(always)]
+fn advance_while(xs: &[f64], mut i: usize, pass: impl Fn(f64) -> bool) -> usize {
+    while let Some(block) = xs.get(i..).and_then(<[f64]>::first_chunk::<ADVANCE_BLOCK>) {
+        let passed: usize = block.iter().map(|&v| usize::from(pass(v))).sum();
+        i += passed;
+        if passed < ADVANCE_BLOCK {
+            return i;
+        }
+    }
+    while i < xs.len() && pass(xs[i]) {
+        i += 1;
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +483,29 @@ mod tests {
             let mut got = Vec::new();
             filter_in_band(&vals, lo, hi, |i| got.push(i));
             assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn counted_advance_stops_where_the_one_step_loop_does() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..500 {
+            let n = rng.gen_range(0..40);
+            // Few distinct values, so runs of equal values outgrow a block.
+            let mut xs: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..6u8))).collect();
+            xs.sort_by(f64::total_cmp);
+            let from = rng.gen_range(0..=n);
+            let bound = f64::from(rng.gen_range(0..14u8)) * 0.5 - 0.5;
+            let mut lt = from;
+            while lt < n && xs[lt] < bound {
+                lt += 1;
+            }
+            let mut le = from;
+            while le < n && xs[le] <= bound {
+                le += 1;
+            }
+            assert_eq!(advance_lt(&xs, from, bound), lt, "{xs:?} from {from} < {bound}");
+            assert_eq!(advance_le(&xs, from, bound), le, "{xs:?} from {from} <= {bound}");
         }
     }
 

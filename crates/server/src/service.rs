@@ -806,7 +806,11 @@ impl Service {
             }
         };
         let shape = if let Some(radius) = shape.get("ball").and_then(Json::as_f64) {
-            ShapeSpec::Ball(positive("ball radius", radius)?)
+            let radius = positive("ball radius", radius)?;
+            if !(2.0 * radius).is_finite() {
+                return Err(format!("ball radius {radius} is too large: its diameter overflows"));
+            }
+            ShapeSpec::Ball(radius)
         } else if let Some(length) = shape.get("interval").and_then(Json::as_f64) {
             ShapeSpec::Ball(positive("interval length", length)? / 2.0)
         } else if let Some(extents) = shape.get("box").and_then(Json::as_arr) {

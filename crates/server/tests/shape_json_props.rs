@@ -1,8 +1,9 @@
 //! Property tests for the server's shape JSON dialect: every positive finite
 //! `{"ball": R}` / `{"box": [W, H]}` / `{"interval": L}` round-trips through
 //! the std-only JSON layer and dispatches, `{"interval": L}` is exactly the
-//! `{"ball": L/2}` sugar, and non-positive, non-finite, or malformed shapes
-//! come back as clean 400s instead of reaching a solver.
+//! `{"ball": L/2}` sugar, and non-positive, non-finite, overflowing or
+//! malformed shapes come back as clean 400s instead of reaching a solver.
+//! Every 200 answer renders a finite center.
 
 use mrs_server::http::{Request, Response};
 use mrs_server::{Json, ServerConfig, Service};
@@ -31,8 +32,11 @@ fn body_json(response: &Response) -> Json {
 }
 
 /// The semantic part of a query answer: everything except the timing field.
+/// Asserts the answer renders a finite center.
 fn semantic_answer(response: &Response) -> Json {
     let answer = body_json(response).get("answer").expect("answer object").clone();
+    let center = answer.get("center").and_then(Json::as_arr).expect("center array");
+    assert!(center.iter().all(|c| c.as_f64().is_some_and(f64::is_finite)), "center {center:?}");
     match answer {
         Json::Obj(pairs) => Json::Obj(pairs.into_iter().filter(|(k, _)| k != "solve_us").collect()),
         other => other,
@@ -128,6 +132,74 @@ proptest! {
             prop_assert!(message.contains("a finite number"), "unexpected error: {}", message);
         }
     }
+}
+
+/// The solvers a 1-D ball query can name.
+const LINE_SOLVERS: [&str; 3] = ["exact-interval-1d", "batched-interval-1d", "auto"];
+
+fn line_service(csv: &str) -> Service {
+    let service = Service::new(ServerConfig { seed: Some(42), ..ServerConfig::default() });
+    assert_eq!(service.handle(&post("/datasets/ticks?dim=1", csv)).status, 200);
+    service
+}
+
+fn panics(service: &Service) -> Option<f64> {
+    let stats = service.handle(&Request { method: "GET".into(), ..post("/stats", "") });
+    body_json(&stats).get("overload")?.get("panics")?.as_f64()
+}
+
+proptest! {
+    /// A finite radius whose diameter overflows `f64` is refused where the
+    /// shape enters, whatever the dataset: no solver sees it, and no worker
+    /// panics.
+    #[test]
+    fn radii_with_overflowing_diameters_are_rejected(m in 1u64..1000) {
+        let radius = f64::MAX / 2.0 * (1.0 + m as f64 / 1000.0);
+        let service = line_service("0,1\n0.5,2\n3,1\n");
+        for solver in LINE_SOLVERS {
+            let body = format!(
+                r#"{{"dataset":"ticks","solver":"{solver}","shape":{{"ball":{radius}}}}}"#
+            );
+            let response = service.handle(&post("/query", &body));
+            prop_assert_eq!(response.status, 400, "{} accepted radius {}", solver, radius);
+            let message = body_json(&response).get("error").unwrap().as_str().unwrap().to_string();
+            prop_assert!(message.contains("too large"), "unexpected error: {}", message);
+        }
+        prop_assert_eq!(panics(&service), Some(0.0));
+    }
+}
+
+/// The round probe `{"ball": 1e308}` (diameter 2e308) on a line dataset: a
+/// 400 for every 1-D solver, and no worker panics.
+#[test]
+fn a_huge_ball_on_a_line_dataset_is_a_typed_400() {
+    let service = line_service("0,1\n0.5,2\n3,1\n");
+    for solver in LINE_SOLVERS {
+        let body = format!(r#"{{"dataset":"ticks","solver":"{solver}","shape":{{"ball":1e308}}}}"#);
+        assert_eq!(service.handle(&post("/query", &body)).status, 400, "{solver}");
+    }
+    assert_eq!(panics(&service), Some(0.0));
+}
+
+/// When nothing beats the empty placement (all weights 0), the answer is an
+/// interval covering no point, and its center stays finite even where
+/// twice the length leaves the `f64` range.
+#[test]
+fn empty_placements_render_finite_centers_at_any_length() {
+    let service = line_service("-3,0\n0,0\n2.5,0\n");
+    for len in ["1", "1e100", "1e308", "1.7e308"] {
+        for solver in LINE_SOLVERS {
+            let body = format!(
+                r#"{{"dataset":"ticks","solver":"{solver}","shape":{{"interval":{len}}},"cache":false}}"#
+            );
+            let response = service.handle(&post("/query", &body));
+            assert_eq!(response.status, 200, "{solver} length {len}");
+            let answer = semantic_answer(&response);
+            assert_eq!(answer.get("value").and_then(Json::as_f64), Some(0.0));
+            assert_eq!(answer.get("certified").and_then(Json::as_bool), Some(true));
+        }
+    }
+    assert_eq!(panics(&service), Some(0.0));
 }
 
 /// Textual NaN/infinity spellings are not JSON and malformed shape objects
