@@ -18,11 +18,11 @@
 //!   `/query`, `/batch`, `/healthz`, `/stats`, `/metrics`, `/debug/traces`,
 //!   `/shutdown`) over the hand-rolled [`http`] + [`json`] layers (std-only,
 //!   no dependencies);
-//! * **[`runtime`]** — connection I/O and graceful shutdown, in two
-//!   flavors selected by [`ServerConfig::runtime`](service::ServerConfig):
-//!   an edge-triggered epoll reactor with pipelined keep-alive (the Linux
-//!   default) and a portable blocking worker-pool fallback — both hand
-//!   compute to the same worker pool via [`Service::handle`](service::Service::handle);
+//! * **[`runtime`]** — connection I/O and graceful shutdown: an
+//!   edge-triggered epoll reactor with pipelined keep-alive hands parsed
+//!   requests to a worker pool that runs
+//!   [`Service::handle`](service::Service::handle).  It needs epoll, so
+//!   the server runs on Linux only;
 //! * **[`stats`]**, **[`metrics`]**, **[`trace`]** — the observability
 //!   layer: lock-free latency histograms per endpoint/solver/dataset, a
 //!   Prometheus text renderer for `GET /metrics`, and a bounded ring of
@@ -70,5 +70,5 @@ pub use catalog::{Catalog, CatalogError, Dataset};
 pub use client::{Client, PipelineRequest, RetryCounters, RetryPolicy, RetryingClient};
 pub use json::Json;
 pub use runtime::{serve, serve_with, ServerHandle};
-pub use service::{full_registry, RuntimeKind, ServerConfig, Service};
+pub use service::{full_registry, ServerConfig, Service};
 pub use trace::TraceRing;

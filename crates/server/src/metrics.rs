@@ -268,7 +268,7 @@ pub fn render_metrics(stats: &ServerStats, catalog: &Catalog, cache: &CacheCount
     );
     let _ = writeln!(out, "maxrs_inflight {}", stats.inflight());
 
-    // -- reactor counters (all zero under the threaded runtime) -----------
+    // -- reactor counters -------------------------------------------------
     let reactor = stats.reactor();
     header(
         &mut out,

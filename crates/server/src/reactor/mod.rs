@@ -17,35 +17,36 @@
 //! `write_ready`) and cleared only on `WouldBlock`, as edge-triggered epoll
 //! requires.  Parsed requests are batched into **jobs** (at most one in
 //! flight per connection, so responses come back in request order) and
-//! handed to the same worker pool the blocking runtime uses —
-//! [`Service::handle`] still does admission, deadlines, panic isolation,
-//! and stats, so every PR-9 invariant holds unchanged.  Workers serialize
+//! handed to a fixed worker pool, where [`Service::handle`] does
+//! admission, deadlines, panic isolation, and stats.  Workers serialize
 //! their responses into one byte batch; the reactor writes it with a single
 //! coalesced `write` per readiness edge.
 //!
 //! Backpressure and protection:
 //!
 //! * **accept-time shed** — at [`ServerConfig::queue_capacity`] live
-//!   connections, new arrivals get the same well-formed `503` +
-//!   `Retry-After` the blocking runtime sheds with;
+//!   connections, new arrivals get a well-formed `503` + `Retry-After`;
 //! * **pipeline cap** — a connection with [`MAX_PIPELINE`] unanswered
 //!   requests stops being read until responses drain;
+//! * **output cap** — a connection holding more than [`MAX_UNFLUSHED`]
+//!   bytes of unsent responses stops being read and dispatched until the
+//!   peer reads them;
 //! * **sweeps** — every [`TICK`] the reactor evicts idle keep-alives past
-//!   [`ServerConfig::keep_alive`] and drops slow-loris connections whose
-//!   partial request stalled past [`MID_REQUEST_PATIENCE`];
+//!   [`ServerConfig::keep_alive`], and drops slow-loris connections whose
+//!   partial request stalled, and peers that stopped reading their
+//!   responses, past [`MID_REQUEST_PATIENCE`];
 //! * **deferred errors** — a malformed pipelined frame is answered *after*
 //!   the well-formed requests before it, so their responses arrive in
 //!   order before the connection closes.
 //!
-//! Shutdown mirrors the blocking runtime: the flag is observed on every
-//! loop pass (the `POST /shutdown` poke connection wakes `epoll_wait`),
-//! accepts drain and drop, idle connections close, in-flight jobs complete
-//! and flush, and the job sender is dropped so workers exit.
+//! Shutdown: the flag is observed on every loop pass (the
+//! `POST /shutdown` poke connection wakes `epoll_wait`), accepts drain and
+//! drop, idle connections close, in-flight jobs complete and flush, and the
+//! job sender is dropped so workers exit.
 //!
 //! [`Service::handle`]: crate::service::Service::handle
 //! [`ServerConfig::queue_capacity`]: crate::service::ServerConfig::queue_capacity
 //! [`ServerConfig::keep_alive`]: crate::service::ServerConfig::keep_alive
-//! [`MID_REQUEST_PATIENCE`]: crate::http::MID_REQUEST_PATIENCE
 
 pub(crate) mod sys;
 
@@ -59,9 +60,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::http::{
-    write_response, EofOutcome, ParseStep, Parser, Request, MAX_BODY, MID_REQUEST_PATIENCE,
+    write_response, EofOutcome, ParseError, ParseStep, Parser, Request, Response, MAX_BODY,
 };
-use crate::runtime::bad_frame_response;
 use crate::service::Service;
 use crate::stats::ServerStats;
 use sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -74,12 +74,20 @@ const WAKER_TOKEN: u64 = u64::MAX - 1;
 /// Unanswered pipelined requests a connection may accumulate before the
 /// reactor stops reading from it (resumed as responses drain).
 const MAX_PIPELINE: usize = 256;
+/// Unsent response bytes a connection may hold before the reactor stops
+/// reading and dispatching it (resumed as the peer reads): a client that
+/// never reads its responses cannot make the server buffer them without
+/// bound.
+const MAX_UNFLUSHED: usize = 1 << 20;
 /// Most requests dispatched to a worker as one job: bounds per-job latency
 /// while amortizing channel traffic under deep pipelining.
 const JOB_BATCH: usize = 64;
 /// Reactor heartbeat: `epoll_wait` timeout, which also paces the
 /// keep-alive and slow-loris sweeps and the shutdown-flag check.
 const TICK: Duration = Duration::from_millis(100);
+/// How long a partially transferred request, or a response the peer is not
+/// reading, may stall before the sweep drops the connection.
+const MID_REQUEST_PATIENCE: Duration = Duration::from_secs(30);
 /// Bytes per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
 /// Read-buffer ceiling: one maximal request (head + [`MAX_BODY`]) plus
@@ -95,8 +103,14 @@ const EVENTS_CAP: usize = 1024;
 /// accept-error livelock; the next SYN re-arms the edge).
 const ACCEPT_BURST: usize = 4096;
 /// The interim response owed after an `Expect: 100-continue` head passes
-/// the body-size check — byte-identical to the blocking reader's.
+/// the body-size check.
 const INTERIM_CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
+/// The response a malformed frame is answered with before the connection
+/// closes (the message is a literal, so quoting via `{:?}` is valid JSON).
+fn bad_frame_response(error: &ParseError) -> Response {
+    Response::json(error.status, format!("{{\"error\":{:?}}}", error.message))
+}
 
 /// Packs a slot index and its generation into an epoll token.  The
 /// generation makes tokens (and worker completions) from a closed
@@ -163,10 +177,12 @@ struct Conn {
     close_after_drain: bool,
     /// A malformed frame's error, answered only after the well-formed
     /// pipelined requests before it have been answered.
-    trailing_error: Option<crate::http::ParseError>,
+    trailing_error: Option<ParseError>,
     /// Interim `100 Continue`s owed once earlier requests are answered.
     deferred_continues: u32,
     last_activity: Instant,
+    /// The last time a write made progress (the stalled-reader sweep).
+    last_write: Instant,
 }
 
 impl Conn {
@@ -187,6 +203,7 @@ impl Conn {
             trailing_error: None,
             deferred_continues: 0,
             last_activity: Instant::now(),
+            last_write: Instant::now(),
         }
     }
 
@@ -196,6 +213,11 @@ impl Conn {
 
     fn flushed(&self) -> bool {
         self.out_pos >= self.out.len()
+    }
+
+    /// More than [`MAX_UNFLUSHED`] response bytes await the peer.
+    fn backlogged(&self) -> bool {
+        self.out.len() - self.out_pos > MAX_UNFLUSHED
     }
 }
 
@@ -248,9 +270,17 @@ fn flush_out(conn: &mut Conn) -> FlushStep {
             Ok(n) => {
                 conn.out_pos += n;
                 conn.last_activity = Instant::now();
+                conn.last_write = conn.last_activity;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 conn.write_ready = false;
+                // Drop the sent prefix once it outweighs the rest, so a
+                // peer that reads slower than it pipelines cannot grow
+                // `out` by everything ever sent to it.
+                if conn.out_pos >= conn.out.len() - conn.out_pos {
+                    conn.out.drain(..conn.out_pos);
+                    conn.out_pos = 0;
+                }
                 return FlushStep::Blocked;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -324,8 +354,8 @@ impl Reactor {
     }
 
     /// Drains the listener's accept backlog (edge-triggered: must go to
-    /// `WouldBlock`).  At capacity, arrivals are shed with the same 503 +
-    /// `Retry-After` the blocking runtime's full queue sheds with.
+    /// `WouldBlock`).  At capacity, arrivals are shed with a 503 +
+    /// `Retry-After`.
     fn accept_ready(&mut self) {
         for _ in 0..ACCEPT_BURST {
             match self.listener.accept() {
@@ -468,7 +498,7 @@ impl Reactor {
 
             // EOF classification, once parsing has consumed all it can:
             // clean between requests, a typed 400 mid-head, a silent drop
-            // mid-body — exactly the blocking reader's behavior.
+            // mid-body.
             if conn.peer_eof && conn.trailing_error.is_none() && !conn.close_after_drain {
                 match conn.parser.eof_outcome(conn.buf.len()) {
                     EofOutcome::Clean | EofOutcome::Drop => conn.close_after_drain = true,
@@ -478,8 +508,9 @@ impl Reactor {
             }
 
             // DISPATCH at most one job: sequential handling by one worker
-            // keeps pipelined responses in request order.
-            if conn.inflight == 0 && !conn.pending.is_empty() {
+            // keeps pipelined responses in request order.  A backlogged
+            // connection waits until the peer reads.
+            if conn.inflight == 0 && !conn.pending.is_empty() && !conn.backlogged() {
                 let batch = conn.pending.len().min(JOB_BATCH);
                 let requests: Vec<Request> = conn.pending.drain(..batch).collect();
                 conn.inflight = requests.len();
@@ -514,6 +545,7 @@ impl Reactor {
                 && !conn.close_after_drain
                 && conn.unanswered() < MAX_PIPELINE
                 && conn.buf.len() < MAX_BUF
+                && !conn.backlogged()
             {
                 match read_chunk(conn) {
                     ReadStep::Data => progressed = true,
@@ -567,7 +599,7 @@ impl Reactor {
                 conn.out.extend_from_slice(&completion.bytes);
                 if completion.close {
                     // `Connection: close` (or shutdown): later pipelined
-                    // bytes are discarded, same as the blocking runtime.
+                    // bytes are discarded.
                     conn.close_after_drain = true;
                     conn.pending.clear();
                     conn.buf.clear();
@@ -580,15 +612,25 @@ impl Reactor {
     }
 
     /// The periodic sweep: evict idle keep-alives past the configured
-    /// window and drop slow-loris connections stalled mid-request.
+    /// window, and drop slow-loris connections stalled mid-request and
+    /// peers whose unsent responses made no write progress.
     fn sweep(&mut self) {
         let keep_alive = self.service.config().keep_alive;
         let now = Instant::now();
         let mut doomed = Vec::new();
         for (idx, slot) in self.slots.iter().enumerate() {
             let Some(conn) = slot else { continue };
-            if conn.unanswered() > 0 || !conn.flushed() {
+            if conn.inflight > 0 {
                 continue; // actively being served
+            }
+            if !conn.flushed() {
+                if now.duration_since(conn.last_write) >= MID_REQUEST_PATIENCE {
+                    doomed.push(idx); // the peer stopped reading
+                }
+                continue;
+            }
+            if !conn.pending.is_empty() {
+                continue;
             }
             let idle = now.duration_since(conn.last_activity);
             let limit = if conn.parser.mid_request(conn.buf.len()) {
@@ -707,4 +749,44 @@ pub(crate) fn spawn(
         })
         .expect("spawning the reactor thread");
     Ok((reactor_thread, workers))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flushing_to_a_slow_reader_drops_the_sent_prefix_and_keeps_the_stream() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
+        let sent: Vec<u8> = (0..16usize << 20).map(|i| (i % 251) as u8).collect();
+        conn.out = sent.clone();
+        // The peer reads at most 1 MiB per blocked flush, so the sent
+        // prefix grows past half of `out` unless the flush drops it.
+        let mut received = Vec::with_capacity(sent.len());
+        let mut chunk = vec![0u8; 1 << 20];
+        loop {
+            match flush_out(&mut conn) {
+                FlushStep::Done => break,
+                FlushStep::Failed => panic!("a loopback write failed"),
+                FlushStep::Blocked => assert!(
+                    conn.out_pos <= conn.out.len() - conn.out_pos,
+                    "{} sent bytes kept beside {} unsent",
+                    conn.out_pos,
+                    conn.out.len() - conn.out_pos
+                ),
+            }
+            let n = peer.read(&mut chunk).unwrap();
+            received.extend_from_slice(&chunk[..n]);
+        }
+        while received.len() < sent.len() {
+            let n = peer.read(&mut chunk).unwrap();
+            assert!(n > 0, "the stream ended after {} bytes", received.len());
+            received.extend_from_slice(&chunk[..n]);
+        }
+        assert!(received == sent, "the peer must receive the bytes in order, once");
+    }
 }

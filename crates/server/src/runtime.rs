@@ -1,100 +1,35 @@
 //! The serving runtime: bind, drive connection I/O, and shut down
-//! gracefully.  Two runtimes share this entry point, selected by
-//! [`ServerConfig::runtime`]:
+//! gracefully.
 //!
-//! * **epoll** (Linux default) — the event-driven reactor in
-//!   `crate::reactor`: one event-loop thread drives every connection
-//!   with edge-triggered nonblocking sockets, incremental in-place
-//!   parsing, HTTP/1.1 pipelining, and coalesced writes, handing parsed
-//!   requests to the worker pool;
-//! * **threaded** (portable fallback, and the only runtime off Linux) —
-//!   the blocking worker pool documented below.
-//!
-//! Both call [`Service::handle`](crate::service::Service::handle) for
-//! compute, so admission control, deadlines, panic isolation, and stats
-//! are identical; only the I/O strategy differs.
-//!
-//! ## The threaded runtime
-//!
-//! ```text
-//!   TcpListener ──accept──▶ mpsc channel ──▶ worker 0 ─┐
-//!        (one accept thread)     ▲         ──▶ worker 1 ─┼─▶ Service::handle
-//!                                │         ──▶ worker N ─┘
-//!                                └──── idle connections PARKED back ────┘
-//! ```
-//!
-//! A worker serves a connection's requests back to back, but the moment one
-//! idle poll (`IDLE_POLL`, 200 ms) expires with no next request, the
-//! connection is **parked back into the queue** (with its accumulated idle
-//! budget) and the worker moves on.  Idle kept-alive connections therefore
-//! cost one poll per pass through the pool — they cannot pin workers, so
-//! `N` idle clients can never starve the service for the keep-alive
-//! window.  A connection whose total idle exceeds the configured
-//! keep-alive window ([`ServerConfig::keep_alive`], default 30 s) is
-//! dropped.
-//!
-//! **Admission at the door**: the connection queue is *bounded*
-//! ([`ServerConfig::queue_capacity`]).  When a connection flood fills it,
-//! the accept loop sheds new arrivals with a well-formed `503` +
-//! `Retry-After` (written best-effort, then the socket is dropped) rather
-//! than queueing unboundedly; parked idle connections that no longer fit
-//! are simply closed.  Every shed increments the `/stats` and `/metrics`
-//! shed counter.
+//! Connection I/O runs on the epoll reactor in `crate::reactor`: one
+//! event-loop thread drives every connection with edge-triggered
+//! nonblocking sockets, incremental in-place parsing
+//! ([`Parser`](crate::http::Parser)), HTTP/1.1 pipelining, and coalesced
+//! writes, and hands parsed requests to a fixed worker pool that calls
+//! [`Service::handle`](crate::service::Service::handle) for admission,
+//! deadlines, panic isolation, stats, and compute.  The reactor needs
+//! epoll, so the server runs on Linux only: elsewhere [`serve_with`]
+//! returns [`io::ErrorKind::Unsupported`].  The solvers, the batch
+//! executor, and the rest of the workspace stay portable.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] (or `POST /shutdown`) flips the
-//! service's flag and pokes the listener with a throwaway connection so the
-//! blocking `accept` observes it.  Workers poll the flag between
-//! connections (and on every idle poll); in-flight requests always
-//! complete, parked connections are dropped.
+//! service's flag and pokes the listener with a throwaway connection so
+//! `epoll_wait` returns at once.  In-flight requests complete and flush;
+//! idle connections are closed.
 
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::http::{read_request, write_response, ParseError, ReadOutcome, Response};
-#[cfg(target_os = "linux")]
-use crate::service::RuntimeKind;
 use crate::service::{ServerConfig, Service};
-
-/// The response both runtimes answer a malformed frame with before closing
-/// the connection (the message is a literal, so quoting via `{:?}` is
-/// valid JSON).
-pub(crate) fn bad_frame_response(error: &ParseError) -> Response {
-    Response::json(error.status, format!("{{\"error\":{:?}}}", error.message))
-}
-
-/// Granularity of the keep-alive wait: the socket read timeout is short so
-/// an idle connection costs one such poll per pass through the pool (and so
-/// idle workers re-check the shutdown flag often).
-const IDLE_POLL: Duration = Duration::from_millis(200);
-
-/// One unit of worker work: a connection, either fresh off the listener or
-/// parked by a worker after an idle poll, carrying its idle budget so far.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    idle: Duration,
-}
-
-impl Conn {
-    fn fresh(stream: TcpStream) -> io::Result<Self> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(IDLE_POLL))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { reader, writer: stream, idle: Duration::ZERO })
-    }
-}
 
 /// A running server: its bound address, its shared service state, and the
 /// threads behind it.
 pub struct ServerHandle {
     addr: SocketAddr,
     service: Arc<Service>,
-    /// The accept thread (threaded runtime) or the reactor thread (epoll).
-    driver: Option<JoinHandle<()>>,
+    reactor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -111,202 +46,66 @@ impl ServerHandle {
 
     /// Requests shutdown and waits for every thread to finish.  In-flight
     /// requests complete; idle kept-alive connections are abandoned.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.service.request_shutdown();
-        if let Some(handle) = self.driver.take() {
-            let _ = handle.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.join();
     }
 
     /// Blocks until every server thread exits (e.g. after a remote
     /// `POST /shutdown`).  This is what `maxrs serve` parks on.
-    pub fn join(mut self) {
-        if let Some(handle) = self.driver.take() {
-            let _ = handle.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn join(self) {
+        let _ = self.reactor.join();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
 }
 
-/// Binds the configured address and starts the accept loop plus worker
-/// pool.  Returns once the socket is bound and the service is ready; the
-/// returned handle owns the threads.
+/// Binds the configured address and starts the reactor plus worker pool.
+/// Returns once the socket is bound and the service is ready; the returned
+/// handle owns the threads.
 pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     serve_with(Arc::new(Service::new(config)))
 }
 
 /// Like [`serve`], over an externally constructed (possibly pre-loaded)
-/// service.  Dispatches to the configured runtime; requesting `epoll` off
-/// Linux silently falls back to the threaded runtime.
+/// service.
+#[cfg(target_os = "linux")]
 pub fn serve_with(service: Arc<Service>) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&service.config().addr)?;
+    let listener = std::net::TcpListener::bind(&service.config().addr)?;
     let addr = listener.local_addr()?;
     service.set_local_addr(addr);
-    #[cfg(target_os = "linux")]
-    if service.config().runtime == RuntimeKind::Epoll {
-        let (driver, workers) = crate::reactor::spawn(listener, Arc::clone(&service))?;
-        return Ok(ServerHandle { addr, service, driver: Some(driver), workers });
-    }
-    serve_threaded(listener, service, addr)
+    let (reactor, workers) = crate::reactor::spawn(listener, Arc::clone(&service))?;
+    Ok(ServerHandle { addr, service, reactor, workers })
 }
 
-/// The blocking worker-pool runtime (see the module docs).
-fn serve_threaded(
-    listener: TcpListener,
-    service: Arc<Service>,
-    addr: SocketAddr,
-) -> io::Result<ServerHandle> {
-    let (sender, receiver) = mpsc::sync_channel::<Conn>(service.config().queue_capacity.max(1));
-    let receiver = Arc::new(Mutex::new(receiver));
-    let threads = service.config().resolved_threads();
-    let workers: Vec<JoinHandle<()>> = (0..threads)
-        .map(|i| {
-            let service = Arc::clone(&service);
-            let receiver = Arc::clone(&receiver);
-            let sender = sender.clone();
-            std::thread::Builder::new()
-                .name(format!("mrs-worker-{i}"))
-                .spawn(move || worker_loop(&service, &receiver, &sender))
-                .expect("spawning a worker thread")
-        })
-        .collect();
-
-    let accept_service = Arc::clone(&service);
-    let accept_thread = std::thread::Builder::new()
-        .name("mrs-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_service, sender))
-        .expect("spawning the accept thread");
-
-    Ok(ServerHandle { addr, service, driver: Some(accept_thread), workers })
+/// Like [`serve`], over an externally constructed (possibly pre-loaded)
+/// service.  Off Linux there is no epoll reactor, so this always fails.
+#[cfg(not(target_os = "linux"))]
+pub fn serve_with(_service: Arc<Service>) -> io::Result<ServerHandle> {
+    Err(io::Error::new(io::ErrorKind::Unsupported, "the server needs Linux epoll"))
 }
 
-fn accept_loop(listener: &TcpListener, service: &Service, sender: SyncSender<Conn>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if service.is_shutting_down() {
-                    // The poke connection (or a raced client) lands here.
-                    break;
-                }
-                let Ok(conn) = Conn::fresh(stream) else { continue };
-                match sender.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut conn)) => {
-                        // The bounded queue is full: shed at the door with a
-                        // well-formed 503 + Retry-After (best-effort write —
-                        // a flood peer may already be gone) and move on, so
-                        // the accept loop itself never stalls.
-                        service.stats().record_shed();
-                        let response = service.shed_response("server connection queue is full");
-                        let _ = write_response(&mut conn.writer, &response, false);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(_) if service.is_shutting_down() => break,
-            Err(_) => continue, // transient accept errors (EMFILE, resets)
-        }
-    }
-}
-
-fn worker_loop(
-    service: &Service,
-    receiver: &Arc<Mutex<Receiver<Conn>>>,
-    sender: &SyncSender<Conn>,
-) {
-    loop {
-        // Workers hold a sender clone (to park idle connections), so the
-        // channel can never disconnect; shutdown is observed by polling the
-        // flag between receives.  A worker that panicked mid-receive leaves
-        // only the (stateless) lock behind, so poison is recovered rather
-        // than cascading worker deaths across the pool.
-        let next = receiver
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .recv_timeout(IDLE_POLL);
-        if service.is_shutting_down() {
-            break;
-        }
-        match next {
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-            Ok(conn) => {
-                if let Some(parked) = handle_connection(service, conn) {
-                    // An idle connection that no longer fits the bounded
-                    // queue is dropped: under flood, idle keep-alives are
-                    // the cheapest load to shed.
-                    let _ = sender.try_send(parked);
-                }
-            }
-        }
-    }
-}
-
-/// Serves a connection's requests back to back.  Returns `Some(conn)` when
-/// an idle poll expired and the connection should be parked back into the
-/// queue (its idle budget not yet exhausted); `None` when it was closed.
-fn handle_connection(service: &Service, mut conn: Conn) -> Option<Conn> {
-    loop {
-        match read_request(&mut conn.reader, &mut conn.writer) {
-            // An idle poll expired before any byte of a request arrived
-            // (mid-request stalls fail with a different error kind inside
-            // `read_request`): park the connection instead of pinning this
-            // worker on it.
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                conn.idle += IDLE_POLL;
-                if service.is_shutting_down() || conn.idle >= service.config().keep_alive {
-                    break;
-                }
-                return Some(conn);
-            }
-            Err(_) => break, // reset, desync, or mid-request stall: drop
-            Ok(ReadOutcome::Closed) => break,
-            Ok(ReadOutcome::Bad(e)) => {
-                let _ = write_response(&mut conn.writer, &bad_frame_response(&e), false);
-                break;
-            }
-            Ok(ReadOutcome::Request(request)) => {
-                conn.idle = Duration::ZERO;
-                let response = service.handle(&request);
-                let keep_alive = !request.wants_close() && !service.is_shutting_down();
-                if write_response(&mut conn.writer, &response, keep_alive).is_err() || !keep_alive {
-                    break;
-                }
-            }
-        }
-    }
-    let _ = conn.writer.flush();
-    None
-}
-
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::service::RuntimeKind;
+    use crate::stats::Endpoint;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
 
-    /// Every behavioral test runs against both runtimes (off Linux, the
-    /// epoll entry falls back to threaded and the pass is trivial).
-    const RUNTIMES: [RuntimeKind; 2] = [RuntimeKind::Threaded, RuntimeKind::Epoll];
-
-    fn start(runtime: RuntimeKind) -> ServerHandle {
+    fn start() -> ServerHandle {
         serve(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 2,
             seed: Some(7),
-            runtime,
             ..ServerConfig::default()
         })
         .expect("bind an ephemeral port")
     }
 
     fn read_to_string_until(stream: &mut TcpStream, done: impl Fn(&str) -> bool) -> String {
-        use std::io::Read;
         let mut text = String::new();
         let mut buf = [0u8; 4096];
         loop {
@@ -325,129 +124,127 @@ mod tests {
 
     #[test]
     fn round_trips_requests_over_tcp() {
-        for runtime in RUNTIMES {
-            let server = start(runtime);
-            let mut client = Client::connect(server.addr()).unwrap();
-            let (status, body) = client.get("/healthz").unwrap();
-            assert_eq!(status, 200);
-            assert!(body.contains("\"ok\""), "{body}");
-            // Keep-alive: the same connection serves a second request.
-            let (status, body) = client.get("/solvers").unwrap();
-            assert_eq!(status, 200);
-            assert!(body.contains("exact-disk-2d"), "{body}");
-            let (status, _) = client.get("/no-such-route").unwrap();
-            assert_eq!(status, 404);
-            server.shutdown();
-        }
+        let server = start();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let (status, body) = client.get("/healthz").unwrap();
+        assert_eq!(status, 200);
+        assert!(body.contains("\"ok\""), "{body}");
+        // Keep-alive: the same connection serves a second request.
+        let (status, body) = client.get("/solvers").unwrap();
+        assert_eq!(status, 200);
+        assert!(body.contains("exact-disk-2d"), "{body}");
+        let (status, _) = client.get("/no-such-route").unwrap();
+        assert_eq!(status, 404);
+        server.shutdown();
     }
 
     #[test]
     fn idle_connections_do_not_starve_new_clients() {
         // Open as many idle connections as there are workers; a fresh
-        // client must still be served promptly (the threaded runtime parks
-        // idle connections; the reactor never pins a thread on one).
-        for runtime in RUNTIMES {
-            let server = start(runtime); // 2 workers
-            let _idle_a = std::net::TcpStream::connect(server.addr()).unwrap();
-            let _idle_b = std::net::TcpStream::connect(server.addr()).unwrap();
-            std::thread::sleep(Duration::from_millis(300)); // runtimes pick them up
-            let started = std::time::Instant::now();
-            let mut client = Client::connect(server.addr()).unwrap();
-            let (status, _) = client.get("/healthz").unwrap();
-            assert_eq!(status, 200);
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "a new client waited {:?} behind idle connections",
-                started.elapsed()
-            );
-            server.shutdown();
-        }
+        // client must still be served promptly (the reactor never pins a
+        // thread on an idle connection).
+        let server = start(); // 2 workers
+        let _idle_a = TcpStream::connect(server.addr()).unwrap();
+        let _idle_b = TcpStream::connect(server.addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(300)); // the reactor registers them
+        let started = Instant::now();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let (status, _) = client.get("/healthz").unwrap();
+        assert_eq!(status, 200);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a new client waited {:?} behind idle connections",
+            started.elapsed()
+        );
+        server.shutdown();
     }
 
     #[test]
     fn idle_connections_are_evicted_at_the_keep_alive_window() {
-        use std::io::Read;
-        for runtime in RUNTIMES {
-            let server = serve(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                threads: 2,
-                seed: Some(7),
-                keep_alive: Duration::from_millis(400),
-                runtime,
-                ..ServerConfig::default()
-            })
-            .expect("bind an ephemeral port");
-            // A connection that stays within the window keeps serving...
-            let mut client = Client::connect(server.addr()).unwrap();
-            assert_eq!(client.get("/healthz").unwrap().0, 200);
-            std::thread::sleep(Duration::from_millis(250));
-            assert_eq!(client.get("/healthz").unwrap().0, 200, "idle resets on every request");
-            // ...while one idle past it is dropped by the server.
-            let mut idle = TcpStream::connect(server.addr()).unwrap();
-            idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            std::thread::sleep(Duration::from_millis(1500));
-            let mut buf = [0u8; 16];
-            let dead = match idle.read(&mut buf) {
-                Ok(0) => true,  // clean EOF
-                Ok(_) => false, // the server sent data?!
-                // A reset is fine; a read timeout means it was never dropped.
-                Err(e) => !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
-            };
-            assert!(
-                dead,
-                "an idle connection past the keep-alive window must be dropped ({})",
-                runtime.name()
-            );
-            server.shutdown();
-        }
+        let server = serve(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 2,
+            seed: Some(7),
+            keep_alive: Duration::from_millis(400),
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        // A connection that stays within the window keeps serving...
+        let mut client = Client::connect(server.addr()).unwrap();
+        assert_eq!(client.get("/healthz").unwrap().0, 200);
+        std::thread::sleep(Duration::from_millis(250));
+        assert_eq!(client.get("/healthz").unwrap().0, 200, "idle resets on every request");
+        // ...while one idle past it is dropped by the server.
+        let mut idle = TcpStream::connect(server.addr()).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        std::thread::sleep(Duration::from_millis(1500));
+        let mut buf = [0u8; 16];
+        let dead = match idle.read(&mut buf) {
+            Ok(0) => true,  // clean EOF
+            Ok(_) => false, // the server sent data?!
+            // A reset is fine; a read timeout means it was never dropped.
+            Err(e) => !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+        };
+        assert!(dead, "an idle connection past the keep-alive window must be dropped");
+        server.shutdown();
     }
 
     #[test]
     fn oversized_bodies_are_rejected_before_the_body_is_read() {
-        for runtime in RUNTIMES {
-            let server = start(runtime);
-            // Announce a body far past MAX_BODY with `Expect: 100-continue`
-            // and send none of it: the server must answer 413 *without*
-            // inviting the upload with an interim `100 Continue`.
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            stream
-                .write_all(
-                    b"POST /datasets/x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 999999999999\r\n\r\n",
-                )
-                .unwrap();
-            let response = read_to_string_until(&mut stream, |text| text.contains("\r\n\r\n"));
-            assert!(response.starts_with("HTTP/1.1 413"), "{response}");
-            assert!(!response.contains("100 Continue"), "no interim response invites the body");
-            server.shutdown();
-        }
+        let server = start();
+        // Announce a body far past MAX_BODY with `Expect: 100-continue`
+        // and send none of it: the server must answer 413 *without*
+        // inviting the upload with an interim `100 Continue`.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .write_all(
+                b"POST /datasets/x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 999999999999\r\n\r\n",
+            )
+            .unwrap();
+        let response = read_to_string_until(&mut stream, |text| text.contains("\r\n\r\n"));
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+        assert!(!response.contains("100 Continue"), "no interim response invites the body");
+        server.shutdown();
     }
 
     #[test]
     fn expect_continue_is_answered_with_an_interim_response() {
-        for runtime in RUNTIMES {
-            let server = start(runtime);
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            stream
-                .write_all(
-                    b"POST /datasets/t HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 8\r\n\r\n",
-                )
-                .unwrap();
-            let interim =
-                read_to_string_until(&mut stream, |text| text.contains("100 Continue\r\n\r\n"));
-            assert!(interim.starts_with("HTTP/1.1 100 Continue"), "{interim}");
-            stream.write_all(b"0,0\n1,1\n").unwrap();
-            let rest = read_to_string_until(&mut stream, |text| text.contains("HTTP/1.1 2"));
-            assert!(rest.contains("HTTP/1.1 200"), "{rest}");
-            server.shutdown();
-        }
+        let server = start();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .write_all(
+                b"POST /datasets/t HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 8\r\n\r\n",
+            )
+            .unwrap();
+        let interim =
+            read_to_string_until(&mut stream, |text| text.contains("100 Continue\r\n\r\n"));
+        assert!(interim.starts_with("HTTP/1.1 100 Continue"), "{interim}");
+        stream.write_all(b"0,0\n1,1\n").unwrap();
+        let rest = read_to_string_until(&mut stream, |text| text.contains("HTTP/1.1 2"));
+        assert!(rest.contains("HTTP/1.1 200"), "{rest}");
+        // Behind a pipelined request, the interim waits for that request's
+        // response so responses stay in order.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\n\r\n\
+                  POST /datasets/u HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 8\r\n\r\n",
+            )
+            .unwrap();
+        let text = read_to_string_until(&mut stream, |text| text.contains("100 Continue\r\n\r\n"));
+        assert!(text.starts_with("HTTP/1.1 200"), "the earlier response comes first: {text}");
+        stream.write_all(b"0,0\n1,1\n").unwrap();
+        let rest = read_to_string_until(&mut stream, |text| text.contains("HTTP/1.1 2"));
+        assert!(rest.contains("HTTP/1.1 200"), "{rest}");
+        server.shutdown();
     }
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn pipelined_requests_are_answered_in_order() {
-        let server = start(RuntimeKind::Epoll);
+        let server = start();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         stream
@@ -477,21 +274,56 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_os = "linux")]
+    fn a_client_that_never_reads_stops_being_served() {
+        // Pipeline `GET /solvers` without ever reading a response.  Once
+        // the server's unflushed output passes its cap it must stop reading
+        // and dispatching this connection, so the client's writes end up
+        // blocked for good and the request count stops growing.
+        let server = start();
+        let solvers = || server.service().stats().endpoint_histogram(Endpoint::Solvers).count();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let burst = b"GET /solvers HTTP/1.1\r\n\r\n".repeat(64);
+        let deadline = Instant::now() + Duration::from_secs(15);
+        let mut blocked_since: Option<Instant> = None;
+        // A second of blocked writes: the server stopped reading, so any
+        // job it had in flight has long since finished.
+        while blocked_since.is_none_or(|since| since.elapsed() < Duration::from_secs(1)) {
+            assert!(
+                Instant::now() < deadline,
+                "the client's writes never stayed blocked: the server kept reading \
+                 ({} responses handled)",
+                solvers()
+            );
+            match stream.write(&burst) {
+                Ok(_) => blocked_since = None,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    blocked_since.get_or_insert_with(Instant::now);
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("the server dropped the connection early: {e}"),
+            }
+        }
+        let before = solvers();
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(solvers(), before, "the server kept dispatching for a client that never reads");
+        server.shutdown();
+    }
+
+    #[test]
     fn at_capacity_arrivals_are_shed_with_retry_after() {
         let server = serve(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 2,
             seed: Some(7),
             queue_capacity: 1,
-            runtime: RuntimeKind::Epoll,
             ..ServerConfig::default()
         })
         .expect("bind an ephemeral port");
         let mut first = Client::connect(server.addr()).unwrap();
         assert_eq!(first.get("/healthz").unwrap().0, 200);
         // The only slot is held by a live keep-alive: the next arrival is
-        // shed at the door, exactly like the threaded runtime's full queue.
+        // shed at the door.
         let mut second = TcpStream::connect(server.addr()).unwrap();
         second.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let text = read_to_string_until(&mut second, |_| false);
@@ -504,24 +336,21 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_stops_the_server() {
-        for runtime in RUNTIMES {
-            let server = start(runtime);
-            let addr = server.addr();
-            let mut client = Client::connect(addr).unwrap();
-            let (status, _) = client.post("/shutdown", "").unwrap();
-            assert_eq!(status, 200);
-            // join() returns because the runtime observed the flag.
-            server.join();
-            assert!(
-                Client::connect(addr).is_err() || {
-                    // The OS may accept into the backlog of the closed
-                    // listener briefly; a request must at least fail.
-                    let mut c = Client::connect(addr).unwrap();
-                    c.get("/healthz").is_err()
-                },
-                "a shut-down server must not answer ({})",
-                runtime.name()
-            );
-        }
+        let server = start();
+        let addr = server.addr();
+        let mut client = Client::connect(addr).unwrap();
+        let (status, _) = client.post("/shutdown", "").unwrap();
+        assert_eq!(status, 200);
+        // join() returns because the reactor observed the flag.
+        server.join();
+        assert!(
+            Client::connect(addr).is_err() || {
+                // The OS may accept into the backlog of the closed
+                // listener briefly; a request must at least fail.
+                let mut c = Client::connect(addr).unwrap();
+                c.get("/healthz").is_err()
+            },
+            "a shut-down server must not answer"
+        );
     }
 }

@@ -6,11 +6,11 @@
 //! 1. resolve the dataset in the [`Catalog`] (404 if absent);
 //! 2. look each query up in the [`AnswerCache`] under
 //!    `(epoch, solver, shape)` — hits return the stored rendered answer;
-//! 3. misses become one [`BatchRequest`](mrs_core::engine::BatchRequest)
-//!    over the dataset's shared `Arc`s, answered by
-//!    [`BatchExecutor::execute_with_index`] against the
-//!    catalog-resident [`SharedIndex`](mrs_core::engine::SharedIndex), so
-//!    index structures are built at most once per dataset lifetime;
+//! 3. misses become one all-query script over the dataset's current
+//!    version, answered by [`BatchExecutor::execute_script_traced`] against
+//!    the catalog-resident [`SharedIndex`](mrs_core::engine::SharedIndex)
+//!    and delta overlay, so index structures are built at most once per
+//!    dataset generation;
 //! 4. computed answers are rendered to JSON once, stored in the cache, and
 //!    merged with the hits in request order.
 
@@ -34,51 +34,6 @@ use crate::json::Json;
 use crate::metrics::render_metrics;
 use crate::stats::ServerStats;
 use crate::trace::{trace_json, TraceRing};
-
-/// Which runtime drives connection I/O (compute always goes through the
-/// same worker pool and [`Service::handle`], so admission, deadlines, and
-/// panic isolation are identical under either).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// The epoll reactor (Linux only): one event-loop thread drives every
-    /// connection with edge-triggered nonblocking sockets, incremental
-    /// in-place parsing, HTTP/1.1 pipelining, and coalesced writes.  On
-    /// other platforms this falls back to [`RuntimeKind::Threaded`].
-    Epoll,
-    /// The portable blocking runtime: an accept thread feeds a bounded
-    /// queue; workers do blocking reads/writes and park idle keep-alives.
-    Threaded,
-}
-
-impl Default for RuntimeKind {
-    /// `Epoll` where it exists, `Threaded` elsewhere.
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            RuntimeKind::Epoll
-        } else {
-            RuntimeKind::Threaded
-        }
-    }
-}
-
-impl RuntimeKind {
-    /// Parses a `--runtime` flag value.
-    pub fn parse(text: &str) -> Option<Self> {
-        match text {
-            "epoll" => Some(RuntimeKind::Epoll),
-            "threaded" => Some(RuntimeKind::Threaded),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this runtime.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeKind::Epoll => "epoll",
-            RuntimeKind::Threaded => "threaded",
-        }
-    }
-}
 
 /// Server configuration.  [`ServerConfig::default`] is ready for local use.
 #[derive(Clone, Debug)]
@@ -107,8 +62,10 @@ pub struct ServerConfig {
     /// (`--request-timeout-ms`).  A request's `X-Deadline-Ms` header
     /// overrides it per call; `None` disables the default.
     pub request_timeout: Option<Duration>,
-    /// Capacity of the bounded accepted-connection queue; connections
-    /// arriving when it is full are shed with a `503` + `Retry-After`.
+    /// Most live connections the reactor holds, idle keep-alives
+    /// included; a connection arriving at the limit is shed with a `503` +
+    /// `Retry-After`.  It caps connections and queues nothing; the name
+    /// stays because `/stats` and `serve_loadgen --chaos` read it.
     pub queue_capacity: usize,
     /// Global limit on concurrently-handled `/query` + `/batch` requests;
     /// requests past it are shed with a `503` + `Retry-After`.
@@ -121,14 +78,12 @@ pub struct ServerConfig {
     /// `auto` router restricts to predicted-cheap solvers).  `>= 1.0`
     /// disables degradation.
     pub overload_watermark: f64,
-    /// Keep-alive window for idle connections (the runtime evicts idle
+    /// Keep-alive window for idle connections (the reactor evicts idle
     /// connections past it).
     pub keep_alive: Duration,
     /// Registers the test-only `chaos-panic` solver (always panics) so the
     /// fault-injection harness can exercise panic isolation end to end.
     pub chaos_solver: bool,
-    /// Which runtime drives connection I/O (`--runtime {threaded,epoll}`).
-    pub runtime: RuntimeKind,
 }
 
 impl Default for ServerConfig {
@@ -149,7 +104,6 @@ impl Default for ServerConfig {
             overload_watermark: 0.75,
             keep_alive: Duration::from_secs(30),
             chaos_solver: false,
-            runtime: RuntimeKind::default(),
         }
     }
 }
@@ -368,11 +322,11 @@ impl Service {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Requests shutdown (idempotent).  The runtime's accept loop observes
-    /// the flag; see [`crate::runtime::ServerHandle`].
+    /// Requests shutdown (idempotent).  The reactor observes the flag; see
+    /// [`crate::runtime::ServerHandle`].
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Poke the (possibly blocked) accept loop awake.  A wildcard bind
+        // Poke the reactor's `epoll_wait` awake.  A wildcard bind
         // (0.0.0.0 / ::) is not connectable on every platform, so aim the
         // poke at the loopback of the same family instead.
         if let Some(addr) = self.local_addr.get() {
@@ -724,7 +678,7 @@ impl Service {
                 Json::Obj({
                     let reactor = self.stats.reactor();
                     vec![
-                        ("runtime".into(), Json::Str(self.config.runtime.name().into())),
+                        ("runtime".into(), Json::str("epoll")),
                         ("wakeups".into(), Json::num(reactor.wakeups as f64)),
                         ("readiness_events".into(), Json::num(reactor.readiness_events as f64)),
                         ("accepted".into(), Json::num(reactor.accepted as f64)),

@@ -134,8 +134,7 @@ pub struct EndpointSnapshot {
     pub latency: LatencySummary,
 }
 
-/// A point-in-time view of the epoll reactor's counters.  All zero when
-/// the threaded runtime is serving.
+/// A point-in-time view of the epoll reactor's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReactorSnapshot {
     /// `epoll_wait` returns that carried at least one readiness event.
@@ -287,8 +286,7 @@ impl ServerStats {
         self.reactor_spurious_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the reactor counters (all zero under the
-    /// threaded runtime).
+    /// A point-in-time copy of the reactor counters.
     pub fn reactor(&self) -> ReactorSnapshot {
         ReactorSnapshot {
             wakeups: self.reactor_wakeups.load(Ordering::Relaxed),

@@ -131,7 +131,7 @@ fn run_mutate(addr: &str, dataset: &str, delete: bool, body: &str) -> ExitCode {
 /// catalog, binds the address, prints one line per loaded dataset plus the
 /// bound address, then blocks until shutdown.
 fn run_server(command: &Command) -> ExitCode {
-    use maxrs::server::{serve_with, RuntimeKind, ServerConfig, Service};
+    use maxrs::server::{serve_with, ServerConfig, Service};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -146,7 +146,6 @@ fn run_server(command: &Command) -> ExitCode {
         max_inflight,
         overload_watermark,
         chaos_solver,
-        runtime,
         datasets,
     } = command
     else {
@@ -164,9 +163,6 @@ fn run_server(command: &Command) -> ExitCode {
         max_inflight: max_inflight.unwrap_or(defaults.max_inflight),
         overload_watermark: overload_watermark.unwrap_or(defaults.overload_watermark),
         chaos_solver: *chaos_solver,
-        // The CLI already validated the spelling; `None` keeps the
-        // platform default (epoll on Linux, threaded elsewhere).
-        runtime: runtime.as_deref().and_then(RuntimeKind::parse).unwrap_or(defaults.runtime),
         ..defaults
     };
     let service = Arc::new(Service::new(config));
@@ -199,15 +195,14 @@ fn run_server(command: &Command) -> ExitCode {
     }
     match serve_with(service) {
         Err(error) => {
-            eprintln!("error: cannot bind {addr}: {error}");
+            eprintln!("error: cannot serve on {addr}: {error}");
             ExitCode::FAILURE
         }
         Ok(handle) => {
             eprintln!(
-                "maxrs serve listening on {} ({} workers, {} runtime); POST /shutdown to stop",
+                "maxrs serve listening on {} ({} workers); POST /shutdown to stop",
                 handle.addr(),
-                handle.service().config().resolved_threads(),
-                handle.service().config().runtime.name()
+                handle.service().config().resolved_threads()
             );
             handle.join();
             eprintln!("maxrs serve: shut down cleanly");

@@ -96,7 +96,8 @@ pub enum Command {
         /// Default per-request compute deadline in milliseconds (`None`
         /// disables it; `X-Deadline-Ms` overrides per request).
         request_timeout_ms: Option<u64>,
-        /// Bounded accepted-connection queue capacity (`None` = default).
+        /// Most live connections, idle keep-alives included (`None` =
+        /// default).
         queue_capacity: Option<usize>,
         /// Global in-flight query/batch limit (`None` = default).
         max_inflight: Option<usize>,
@@ -105,9 +106,6 @@ pub enum Command {
         /// Register the test-only always-panicking `chaos-panic` solver
         /// (fault-injection harness only).
         chaos_solver: bool,
-        /// Connection-I/O runtime, `"threaded"` or `"epoll"` (`None` lets
-        /// the server pick: epoll on Linux, threaded elsewhere).
-        runtime: Option<String>,
         /// Datasets to load into the catalog at startup, as
         /// `(name, path, dim)` where `dim` is 1 (`name=path@1d`, 1-D
         /// `x[,weight]` CSV) or 2 (`name=path`, planar batch CSV).
@@ -163,8 +161,7 @@ USAGE:
     maxrs serve --addr HOST:PORT [--threads N] [--eps E] [--seed S]
                 [--slow-query-ms MS] [--request-timeout-ms MS]
                 [--queue-capacity N] [--max-inflight N]
-                [--overload-watermark F] [--runtime threaded|epoll]
-                [--dataset name=path[@1d]]...
+                [--overload-watermark F] [--dataset name=path[@1d]]...
     maxrs mutate --addr HOST:PORT --dataset NAME [--delete] <records.csv>
     maxrs solvers
 
@@ -188,14 +185,15 @@ exposes Prometheus text at `GET /metrics`, recent phase-timed traces at
 stderr line per query whose phases sum past the threshold.
 
 Overload safety: `maxrs serve` sheds work past its limits instead of
-queueing unboundedly.  `--queue-capacity N` bounds the accepted-connection
-queue and `--max-inflight N` the concurrently-handled query/batch requests
-(both shed with `503` + `Retry-After`); `--request-timeout-ms MS` sets the
-default compute deadline (a request's `X-Deadline-Ms` header overrides it;
-expired queries fail with a typed `504`); `--overload-watermark F` (default
-0.75) picks the in-flight fraction past which the `auto` router restricts
-itself to predicted-cheap solvers.  `maxrs batch --deadline-ms MS` applies
-the same cooperative-cancellation deadline to an offline batch.
+queueing unboundedly.  `--queue-capacity N` bounds the live connections,
+idle keep-alives included, and `--max-inflight N` the concurrently-handled
+query/batch requests (both shed with `503` + `Retry-After`);
+`--request-timeout-ms MS` sets the default compute deadline (a request's
+`X-Deadline-Ms` header overrides it; expired queries fail with a typed
+`504`); `--overload-watermark F` (default 0.75) picks the in-flight
+fraction past which the `auto` router restricts itself to predicted-cheap
+solvers.  `maxrs batch --deadline-ms MS` applies the same
+cooperative-cancellation deadline to an offline batch.
 
 INPUT FORMATS (one record per line, '#' starts a comment):
     weighted points:  x,y[,weight]          (weight defaults to 1)
@@ -239,7 +237,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut max_inflight = None;
     let mut overload_watermark = None;
     let mut chaos_solver = false;
-    let mut runtime: Option<String> = None;
     let mut trace = false;
     let mut raw_datasets: Vec<String> = Vec::new();
     let mut delete = false;
@@ -346,18 +343,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 chaos_solver = true;
                 i += 1;
             }
-            "--runtime" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--runtime requires a value");
-                };
-                if raw != "threaded" && raw != "epoll" {
-                    return err(format!(
-                        "--runtime: unknown runtime `{raw}` (expected threaded or epoll)"
-                    ));
-                }
-                runtime = Some(raw.clone());
-                i += 2;
-            }
             "--radius" => {
                 radius = Some(parse_flag_value(args, &mut i, "--radius")?);
             }
@@ -442,7 +427,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 ("--max-inflight", max_inflight.is_some()),
                 ("--overload-watermark", overload_watermark.is_some()),
                 ("--chaos-solver", chaos_solver),
-                ("--runtime", runtime.is_some()),
             ],
         )?;
     }
@@ -499,7 +483,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 max_inflight,
                 overload_watermark,
                 chaos_solver,
-                runtime,
                 datasets,
             })
         }
@@ -1414,22 +1397,14 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
                 max_inflight: None,
                 overload_watermark: None,
                 chaos_solver: false,
-                runtime: None,
                 datasets: vec![("demo".into(), "examples/data/batch_points.csv".into(), 2)],
             }
         );
-        // `--runtime` parses its two spellings, rejects others, serve-only.
-        assert!(matches!(
-            parse_args(&args(&["serve", "--addr", "x:1", "--runtime", "threaded"])).unwrap(),
-            Command::Serve { runtime: Some(r), .. } if r == "threaded"
-        ));
-        assert!(matches!(
-            parse_args(&args(&["serve", "--addr", "x:1", "--runtime", "epoll"])).unwrap(),
-            Command::Serve { runtime: Some(r), .. } if r == "epoll"
-        ));
-        assert!(parse_args(&args(&["serve", "--addr", "x:1", "--runtime", "fibers"])).is_err());
-        assert!(parse_args(&args(&["serve", "--addr", "x:1", "--runtime"])).is_err());
-        assert!(parse_args(&args(&["disk", "--radius", "1", "--runtime", "epoll", "a"])).is_err());
+        // There is one connection runtime: `--runtime` is an unknown flag.
+        assert_eq!(
+            parse_args(&args(&["serve", "--addr", "x:1", "--runtime", "epoll"])),
+            Err(CliError("unknown flag --runtime".into()))
+        );
         // The overload knobs parse and are serve-only.
         assert!(matches!(
             parse_args(&args(&[
@@ -1507,7 +1482,6 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
             max_inflight: None,
             overload_watermark: None,
             chaos_solver: false,
-            runtime: None,
             datasets: Vec::new(),
         };
         assert!(run_on_text(&serve, "").is_err());
