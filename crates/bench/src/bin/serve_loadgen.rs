@@ -37,7 +37,7 @@
 //!
 //! `--chaos` runs the deterministic fault-injection harness instead (see
 //! [`run_chaos`]): malformed frames, oversized bodies, slow-loris drips,
-//! mid-body disconnects, a connection flood past the bounded queue, panic
+//! mid-body disconnects, a connection flood past the connection limit, panic
 //! injection through the test-only `chaos-panic` solver, and an expired
 //! deadline storm — gating on zero worker deaths, zero uncertified
 //! answers, well-formed 5xx responses, and p50 recovery.  The target
@@ -694,7 +694,7 @@ fn run_update_mix(config: &Config, client: &mut Client) -> ExitCode {
 ///    then abandoned; the pool must not pin workers on them;
 /// 4. mid-body disconnects — complete headers, a fraction of the
 ///    promised body, then a close;
-/// 5. a connection flood past the bounded queue — the accept loop must
+/// 5. a connection flood past the connection limit — the accept loop must
 ///    shed the overflow with well-formed `503` + `Retry-After` and keep
 ///    accepting afterwards;
 /// 6. panic injection through the test-only `chaos-panic` solver — every
@@ -711,8 +711,8 @@ fn run_update_mix(config: &Config, client: &mut Client) -> ExitCode {
 /// slack for CI jitter).
 ///
 /// The server must be booted with `--chaos-solver` (phase 6 queries it)
-/// and a `--queue-capacity` of at most 256 so phase 5 can overflow the
-/// queue with a bounded flood.
+/// and a `--queue-capacity` (its live-connection limit) of at most 256 so
+/// phase 5 can overflow it with a bounded flood.
 fn run_chaos(config: &Config) -> ExitCode {
     use mrs_server::{RetryPolicy, RetryingClient};
     use std::io::{Read, Write};
@@ -737,7 +737,7 @@ fn run_chaos(config: &Config) -> ExitCode {
     violations.check(
         queue_capacity > 0.0 && queue_capacity <= 256.0,
         format!(
-            "the chaos run needs a small bounded queue (boot the server with \
+            "the chaos run needs a small connection limit (boot the server with \
              --queue-capacity <= 256), got {queue_capacity}"
         ),
     );
@@ -814,9 +814,9 @@ fn run_chaos(config: &Config) -> ExitCode {
     std::thread::sleep(Duration::from_millis(200));
     assert_alive(&mut client, &warm_body, &mut violations, "after mid-body disconnects");
 
-    // 6. Connection flood past the bounded queue.
+    // 6. Connection flood past the connection limit.
     let flood = (queue_capacity as usize + 32).min(512);
-    eprintln!("chaos: flooding {flood} connections against a {queue_capacity}-slot queue...");
+    eprintln!("chaos: flooding {flood} connections against a {queue_capacity}-connection limit...");
     let mut sockets = Vec::with_capacity(flood);
     for _ in 0..flood {
         match TcpStream::connect(config.addr.as_str()) {
@@ -848,7 +848,7 @@ fn run_chaos(config: &Config) -> ExitCode {
     drop(sockets);
     violations.check(
         shed_seen >= 1,
-        format!("a {flood}-connection flood past a {queue_capacity}-slot queue shed nothing"),
+        format!("a {flood}-connection flood past a {queue_capacity}-connection limit shed nothing"),
     );
     std::thread::sleep(Duration::from_millis(300)); // workers drain the dropped flood
     let overload_mid = overload_stats(&mut client, &mut violations);

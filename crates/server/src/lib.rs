@@ -23,11 +23,12 @@
 //!   requests to a worker pool that runs
 //!   [`Service::handle`](service::Service::handle).  It needs epoll, so
 //!   the server runs on Linux only;
-//! * **[`stats`]**, **[`metrics`]**, **[`trace`]** — the observability
-//!   layer: lock-free latency histograms per endpoint/solver/dataset, a
-//!   Prometheus text renderer for `GET /metrics`, and a bounded ring of
-//!   phase-timed query traces served from `GET /debug/traces` and keyed by
-//!   the `X-Request-Id` every response carries.
+//! * **[`metrics`]**, **[`trace`]** — the observability layer: lock-free
+//!   counters and latency histograms per endpoint/solver/dataset, declared
+//!   once in one table that renders both `GET /stats` (JSON) and
+//!   `GET /metrics` (Prometheus text), and a bounded ring of phase-timed
+//!   query traces served from `GET /debug/traces` and keyed by the
+//!   `X-Request-Id` every response carries.
 //!
 //! ## Quick start
 //!
@@ -62,7 +63,6 @@ pub mod metrics;
 mod reactor;
 pub mod runtime;
 pub mod service;
-pub mod stats;
 pub mod trace;
 
 pub use cache::{AnswerCache, CacheCounters, CacheKey};

@@ -62,8 +62,8 @@ use std::time::{Duration, Instant};
 use crate::http::{
     write_response, EofOutcome, ParseError, ParseStep, Parser, Request, Response, MAX_BODY,
 };
+use crate::metrics::{Counter, Metrics};
 use crate::service::Service;
-use crate::stats::ServerStats;
 use sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Token for listener readiness (never collides with a slot token: slot
@@ -312,8 +312,8 @@ struct Reactor {
 }
 
 impl Reactor {
-    fn stats(&self) -> &ServerStats {
-        self.service.stats()
+    fn metrics(&self) -> &Metrics {
+        self.service.metrics()
     }
 
     fn run(&mut self) {
@@ -322,15 +322,17 @@ impl Reactor {
         let mut grace: Option<Instant> = None;
         loop {
             let n = self.epoll.wait(&mut events, TICK.as_millis() as i32).unwrap_or(0);
+            // Timeout ticks with no events are not wakeups.
             if n > 0 {
-                self.stats().record_reactor_wakeup(n as u64);
+                self.metrics().add(Counter::Wakeups, 1);
+                self.metrics().add(Counter::ReadinessEvents, n as u64);
             }
             for event in events.iter().take(n).copied() {
                 match event.token {
                     LISTENER_TOKEN => self.accept_ready(),
                     WAKER_TOKEN => {
                         if !self.shared.waker.drain() {
-                            self.stats().record_reactor_spurious();
+                            self.metrics().add(Counter::SpuriousWakeups, 1);
                         }
                     }
                     token => self.conn_event(event.events, token),
@@ -364,7 +366,7 @@ impl Reactor {
                         continue; // the poke connection (or a raced client)
                     }
                     if self.live >= self.service.config().queue_capacity.max(1) {
-                        self.stats().record_shed();
+                        self.metrics().add(Counter::Shed, 1);
                         let response =
                             self.service.shed_response("server connection queue is full");
                         // The accepted socket is still blocking here; the
@@ -409,7 +411,7 @@ impl Reactor {
             return;
         }
         self.live += 1;
-        self.stats().record_reactor_accept();
+        self.metrics().add(Counter::Accepted, 1);
     }
 
     fn conn_event(&mut self, mask: u32, token: u64) {
@@ -418,7 +420,7 @@ impl Reactor {
             || self.generations[idx] != generation
             || self.slots[idx].is_none();
         if stale {
-            self.stats().record_reactor_spurious();
+            self.metrics().add(Counter::SpuriousWakeups, 1);
             return;
         }
         if mask & (EPOLLERR | EPOLLHUP) != 0 {
@@ -450,7 +452,7 @@ impl Reactor {
     fn drive_conn(&mut self, idx: usize) -> bool {
         let token = pack(idx, self.generations[idx]);
         let service = Arc::clone(&self.service);
-        let stats = service.stats();
+        let metrics = service.metrics();
         let Some(conn) = self.slots[idx].as_mut() else { return false };
         loop {
             let mut progressed = false;
@@ -480,7 +482,7 @@ impl Reactor {
                         let request = frame.to_request(&conn.buf[drained..]);
                         drained += frame.end;
                         conn.pending.push_back(request);
-                        stats.record_reactor_depth(conn.unanswered() as u64);
+                        metrics.raise(Counter::MaxPipelineDepth, conn.unanswered() as u64);
                         progressed = true;
                     }
                     ParseStep::Bad(error) => {
@@ -594,7 +596,8 @@ impl Reactor {
                 conn.inflight = 0;
                 conn.last_activity = Instant::now();
                 if completion.responses > 1 {
-                    self.service.stats().record_reactor_coalesced(completion.bytes.len() as u64);
+                    let bytes = completion.bytes.len() as u64;
+                    self.service.metrics().add(Counter::CoalescedWriteBytes, bytes);
                 }
                 conn.out.extend_from_slice(&completion.bytes);
                 if completion.close {
@@ -670,7 +673,7 @@ impl Reactor {
             self.generations[idx] = self.generations[idx].wrapping_add(1);
             self.free.push(idx);
             self.live -= 1;
-            self.stats().record_reactor_close();
+            self.metrics().add(Counter::Closed, 1);
             // `conn` drops here, closing the socket.
         }
     }

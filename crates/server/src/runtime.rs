@@ -90,7 +90,8 @@ pub fn serve_with(_service: Arc<Service>) -> io::Result<ServerHandle> {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::stats::Endpoint;
+    use crate::json::Json;
+    use crate::metrics::{Counter, Endpoint};
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
@@ -280,7 +281,7 @@ mod tests {
         // and dispatching this connection, so the client's writes end up
         // blocked for good and the request count stops growing.
         let server = start();
-        let solvers = || server.service().stats().endpoint_histogram(Endpoint::Solvers).count();
+        let solvers = || server.service().metrics().endpoint_latency(Endpoint::Solvers).count();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_nonblocking(true).unwrap();
         let burst = b"GET /solvers HTTP/1.1\r\n\r\n".repeat(64);
@@ -329,8 +330,59 @@ mod tests {
         let text = read_to_string_until(&mut second, |_| false);
         assert!(text.starts_with("HTTP/1.1 503"), "{text}");
         assert!(text.contains("Retry-After:"), "{text}");
-        assert!(server.service().stats().shed() >= 1);
+        assert!(server.service().metrics().get(Counter::Shed) >= 1);
         assert_eq!(first.get("/healthz").unwrap().0, 200, "the live connection is unharmed");
+        server.shutdown();
+    }
+
+    #[test]
+    fn reactor_counters_reach_both_views() {
+        let server = start();
+        let idle_a = TcpStream::connect(server.addr()).unwrap();
+        let idle_b = TcpStream::connect(server.addr()).unwrap();
+        let mut piped = TcpStream::connect(server.addr()).unwrap();
+        piped.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        piped.write_all(&b"GET /healthz HTTP/1.1\r\n\r\n".repeat(8)).unwrap();
+        let text = read_to_string_until(&mut piped, |text| text.matches("\"ok\"").count() == 8);
+        assert_eq!(text.matches("HTTP/1.1 200").count(), 8, "{text}");
+        drop((idle_a, idle_b, piped));
+
+        // The three closes land asynchronously: poll until the reactor saw
+        // them (the poller's own connection stays open).
+        let mut client = Client::connect(server.addr()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let reactor = loop {
+            let (status, body) = client.get("/stats").unwrap();
+            assert_eq!(status, 200);
+            let reactor = Json::parse(&body).unwrap().get("reactor").unwrap().clone();
+            if reactor.get("closed").and_then(Json::as_f64) == Some(3.0) {
+                break reactor;
+            }
+            assert!(Instant::now() < deadline, "the reactor never counted the closes: {body}");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let stat = |key: &str| reactor.get(key).and_then(Json::as_f64).unwrap();
+        assert_eq!(stat("accepted"), 4.0, "three test connections plus the poller");
+        assert!(stat("max_pipeline_depth") >= 2.0);
+        assert!(stat("wakeups") > 0.0);
+        assert!(stat("readiness_events") >= stat("wakeups"));
+        assert!(stat("coalesced_write_bytes") > 0.0, "eight pipelined responses coalesce");
+
+        // A scrape on the same connection moves wakeups and readiness
+        // events, but none of these.
+        let (_, metrics) = client.get("/metrics").unwrap();
+        for (family, key) in [
+            ("maxrs_reactor_connections_accepted_total", "accepted"),
+            ("maxrs_reactor_connections_closed_total", "closed"),
+            ("maxrs_reactor_max_pipeline_depth", "max_pipeline_depth"),
+            ("maxrs_reactor_coalesced_write_bytes_total", "coalesced_write_bytes"),
+        ] {
+            let sample = metrics
+                .lines()
+                .find_map(|line| line.strip_prefix(family)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("{family} missing from /metrics"));
+            assert_eq!(sample.parse::<f64>().unwrap(), stat(key), "{family} vs reactor.{key}");
+        }
         server.shutdown();
     }
 

@@ -13,6 +13,9 @@
 //!    dataset generation;
 //! 4. computed answers are rendered to JSON once, stored in the cache, and
 //!    merged with the hits in request order.
+//!
+//! Handlers record into `Metrics`; [`crate::metrics`] renders `/stats`,
+//! `/metrics` and the dataset summaries from its one metric table.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,8 +34,8 @@ use crate::cache::{AnswerCache, CacheKey};
 use crate::catalog::{Catalog, Dataset, DatasetCore};
 use crate::http::{Request, Response};
 use crate::json::Json;
-use crate::metrics::render_metrics;
-use crate::stats::ServerStats;
+pub use crate::metrics::latency_json;
+use crate::metrics::{dataset_json, Counter, Endpoint, Metrics, Scrape};
 use crate::trace::{trace_json, TraceRing};
 
 /// Server configuration.  [`ServerConfig::default`] is ready for local use.
@@ -139,7 +142,7 @@ pub struct Service {
     registry: Registry,
     catalog: Catalog,
     cache: AnswerCache,
-    stats: ServerStats,
+    metrics: Metrics,
     traces: TraceRing,
     next_request_id: AtomicU64,
     shutdown: AtomicBool,
@@ -237,12 +240,12 @@ enum Outcome {
 /// RAII guard for one slot of the global in-flight window; dropping it
 /// releases the slot even when the handler panics.
 struct InflightPermit<'s> {
-    stats: &'s ServerStats,
+    metrics: &'s Metrics,
 }
 
 impl Drop for InflightPermit<'_> {
     fn drop(&mut self) {
-        self.stats.inflight_exit();
+        self.metrics.sub(Counter::Inflight, 1);
     }
 }
 
@@ -282,7 +285,7 @@ impl Service {
             registry,
             catalog: Catalog::new(),
             cache: AnswerCache::new(config.cache_shards, config.cache_capacity),
-            stats: ServerStats::new(),
+            metrics: Metrics::new(),
             traces: TraceRing::default(),
             next_request_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
@@ -302,9 +305,9 @@ impl Service {
         &self.cache
     }
 
-    /// The per-endpoint statistics.
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
+    /// The server's metrics.
+    pub(crate) fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// The ring of recent query traces (`GET /debug/traces`).
@@ -346,23 +349,22 @@ impl Service {
         let _ = self.local_addr.set(addr);
     }
 
-    /// Routes one request to its handler and measures it into the stats.
+    /// Routes one request to its handler and measures it into the metrics.
     /// Every response — success or error — carries an `X-Request-Id`
     /// header; executed queries key their `/debug/traces` entries by it.
     pub fn handle(&self, request: &Request) -> Response {
         let started = Instant::now();
         let rid = format!("r-{:06}", self.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let endpoint = crate::stats::Endpoint::of(&request.target);
+        let endpoint = Endpoint::of(&request.target);
         // Admission: the compute endpoints hold a global in-flight permit
         // for their whole handling window; past the limit they shed with a
         // well-formed 503 + Retry-After instead of queueing unboundedly.
-        let compute =
-            matches!(endpoint, crate::stats::Endpoint::Query | crate::stats::Endpoint::Batch);
+        let compute = matches!(endpoint, Endpoint::Query | Endpoint::Batch);
         let _permit = if compute {
             match self.admit_global() {
                 Ok(permit) => Some(permit),
                 Err(response) => {
-                    self.stats.record(endpoint, started.elapsed(), false);
+                    self.metrics.record(endpoint, started.elapsed(), false);
                     return response.with_header("X-Request-Id", rid);
                 }
             }
@@ -372,23 +374,27 @@ impl Service {
         let response =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.route(request, &rid)))
                 .unwrap_or_else(|_| {
-                    self.stats.record_panic();
+                    self.metrics.add(Counter::Panics, 1);
                     Response::json(500, r#"{"error":"internal panic while handling the request"}"#)
                 });
-        self.stats.record(endpoint, started.elapsed(), response.is_success());
+        self.metrics.record(endpoint, started.elapsed(), response.is_success());
         response.with_header("X-Request-Id", rid)
     }
 
     /// Takes one slot of the global in-flight window, or builds the 503 the
     /// request is shed with.
     fn admit_global(&self) -> Result<InflightPermit<'_>, Response> {
+        // Increment first and roll back past the limit, as `admit_dataset`
+        // does: checking before incrementing lets two racing requests both
+        // see room.
+        let before = self.metrics.add(Counter::Inflight, 1);
         let max = self.config.max_inflight as u64;
-        if max > 0 && self.stats.inflight() >= max {
-            self.stats.record_shed();
+        if max > 0 && before >= max {
+            self.metrics.sub(Counter::Inflight, 1);
+            self.metrics.add(Counter::Shed, 1);
             return Err(self.shed_response("server is at its in-flight request limit"));
         }
-        self.stats.inflight_enter();
-        Ok(InflightPermit { stats: &self.stats })
+        Ok(InflightPermit { metrics: &self.metrics })
     }
 
     /// Takes one slot of `dataset`'s in-flight window, or builds the 503
@@ -404,7 +410,7 @@ impl Service {
         // never blocks queries against the others.
         if counter.fetch_add(1, Ordering::AcqRel) >= limit {
             counter.fetch_sub(1, Ordering::AcqRel);
-            self.stats.record_shed();
+            self.metrics.add(Counter::Shed, 1);
             return Err(self
                 .shed_response(&format!("dataset `{dataset}` is at its in-flight request limit")));
         }
@@ -416,12 +422,8 @@ impl Service {
     /// roughly how long the backlog needs to drain — clamped to `[1, 60]`
     /// seconds.
     pub(crate) fn shed_response(&self, message: &str) -> Response {
-        let p99 = self
-            .stats
-            .endpoint_histogram(crate::stats::Endpoint::Query)
-            .quantile(0.99)
-            .as_secs_f64();
-        let depth = self.stats.inflight().max(1) as f64;
+        let p99 = self.metrics.endpoint_latency(Endpoint::Query).quantile(0.99).as_secs_f64();
+        let depth = self.metrics.get(Counter::Inflight).max(1) as f64;
         let retry_after = (p99 * depth).ceil().clamp(1.0, 60.0) as u64;
         error_response(503, message).with_header("Retry-After", retry_after.to_string())
     }
@@ -431,7 +433,9 @@ impl Service {
     fn overloaded(&self) -> bool {
         let max = self.config.max_inflight as f64;
         let watermark = self.config.overload_watermark;
-        max > 0.0 && watermark < 1.0 && self.stats.inflight() as f64 >= watermark * max
+        max > 0.0
+            && watermark < 1.0
+            && self.metrics.get(Counter::Inflight) as f64 >= watermark * max
     }
 
     /// The compute deadline for one request: the `X-Deadline-Ms` header
@@ -477,7 +481,7 @@ impl Service {
     fn healthz(&self) -> Response {
         let body = Json::Obj(vec![
             ("status".into(), Json::str("ok")),
-            ("uptime_us".into(), Json::num(self.stats.uptime().as_micros() as f64)),
+            ("uptime_us".into(), Json::num(self.metrics.uptime().as_micros() as f64)),
             ("datasets".into(), Json::num(self.catalog.len() as f64)),
         ]);
         Response::json(200, body.render())
@@ -529,29 +533,8 @@ impl Service {
         Response::json(200, Json::Obj(vec![("solvers".into(), Json::Arr(solvers))]).render())
     }
 
-    fn dataset_summary(&self, dataset: &Dataset) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::str(dataset.name())),
-            ("dim".into(), Json::num(dataset.dim() as f64)),
-            ("epoch".into(), Json::num(dataset.epoch() as f64)),
-            ("version".into(), Json::num(dataset.version() as f64)),
-            ("delta".into(), Json::num(dataset.delta_size() as f64)),
-            ("compactions".into(), Json::num(dataset.compactions() as f64)),
-            ("compaction_time_us".into(), Json::num(dataset.compaction_time().as_micros() as f64)),
-            ("points".into(), Json::num(dataset.point_count() as f64)),
-            ("sites".into(), Json::num(dataset.site_count() as f64)),
-            ("requests".into(), Json::num(dataset.requests() as f64)),
-            ("index_builds".into(), Json::num(dataset.index_builds() as f64)),
-            (
-                "index_build_time_us".into(),
-                Json::num(dataset.index_build_time().as_micros() as f64),
-            ),
-        ])
-    }
-
     fn list_datasets(&self) -> Response {
-        let datasets: Vec<Json> =
-            self.catalog.datasets().iter().map(|d| self.dataset_summary(d)).collect();
+        let datasets: Vec<Json> = self.catalog.datasets().iter().map(|d| dataset_json(d)).collect();
         Response::json(200, Json::Obj(vec![("datasets".into(), Json::Arr(datasets))]).render())
     }
 
@@ -569,7 +552,7 @@ impl Service {
         match loaded {
             Ok(dataset) => Response::json(
                 200,
-                Json::Obj(vec![("dataset".into(), self.dataset_summary(&dataset))]).render(),
+                Json::Obj(vec![("dataset".into(), dataset_json(&dataset))]).render(),
             ),
             Err(e) => error_response(400, &e.to_string()),
         }
@@ -608,7 +591,7 @@ impl Service {
                             ("cache_invalidated".into(), Json::num(invalidated as f64)),
                         ]),
                     ),
-                    ("dataset".into(), self.dataset_summary(&dataset)),
+                    ("dataset".into(), dataset_json(&dataset)),
                 ]);
                 Response::json(200, body.render())
             }
@@ -616,108 +599,24 @@ impl Service {
         }
     }
 
-    fn stats_endpoint(&self) -> Response {
-        let endpoints: Vec<Json> = self
-            .stats
-            .snapshots()
-            .into_iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("endpoint".into(), Json::str(s.name)),
-                    ("requests".into(), Json::num(s.requests as f64)),
-                    ("errors".into(), Json::num(s.errors as f64)),
-                    ("total_us".into(), Json::num(s.total.as_micros() as f64)),
-                    ("latency".into(), latency_json(&s.latency)),
-                ])
-            })
-            .collect();
-        let cache = self.cache.counters();
-        let datasets: Vec<Json> =
-            self.catalog.datasets().iter().map(|d| self.dataset_summary(d)).collect();
-        let body = Json::Obj(vec![
-            ("uptime_us".into(), Json::num(self.stats.uptime().as_micros() as f64)),
-            ("requests".into(), Json::num(self.stats.total_requests() as f64)),
-            ("requests_per_sec".into(), Json::num(self.stats.requests_per_sec())),
-            (
-                "work".into(),
-                Json::Obj(vec![
-                    (
-                        "candidates_examined".into(),
-                        Json::num(self.stats.candidates_examined() as f64),
-                    ),
-                    (
-                        "grid_cells_visited".into(),
-                        Json::num(self.stats.grid_cells_visited() as f64),
-                    ),
-                    ("sieve_rejected".into(), Json::num(self.stats.sieve_rejected() as f64)),
-                ]),
-            ),
-            (
-                "auto".into(),
-                Json::Obj(vec![
-                    ("picks".into(), Json::num(self.stats.auto_picks() as f64)),
-                    ("predicted_work".into(), Json::num(self.stats.auto_predicted_work() as f64)),
-                    ("actual_work".into(), Json::num(self.stats.auto_actual_work() as f64)),
-                ]),
-            ),
-            (
-                "overload".into(),
-                Json::Obj(vec![
-                    ("shed".into(), Json::num(self.stats.shed() as f64)),
-                    ("deadline_exceeded".into(), Json::num(self.stats.deadline_exceeded() as f64)),
-                    ("panics".into(), Json::num(self.stats.panics() as f64)),
-                    ("degraded".into(), Json::num(self.stats.degraded() as f64)),
-                    ("inflight".into(), Json::num(self.stats.inflight() as f64)),
-                    ("max_inflight".into(), Json::num(self.config.max_inflight as f64)),
-                    ("queue_capacity".into(), Json::num(self.config.queue_capacity as f64)),
-                    ("overload_watermark".into(), Json::num(self.config.overload_watermark)),
-                ]),
-            ),
-            (
-                "reactor".into(),
-                Json::Obj({
-                    let reactor = self.stats.reactor();
-                    vec![
-                        ("runtime".into(), Json::str("epoll")),
-                        ("wakeups".into(), Json::num(reactor.wakeups as f64)),
-                        ("readiness_events".into(), Json::num(reactor.readiness_events as f64)),
-                        ("accepted".into(), Json::num(reactor.accepted as f64)),
-                        ("closed".into(), Json::num(reactor.closed as f64)),
-                        ("max_pipeline_depth".into(), Json::num(reactor.max_pipeline_depth as f64)),
-                        (
-                            "coalesced_write_bytes".into(),
-                            Json::num(reactor.coalesced_write_bytes as f64),
-                        ),
-                        ("spurious_wakeups".into(), Json::num(reactor.spurious_wakeups as f64)),
-                    ]
-                }),
-            ),
-            ("endpoints".into(), Json::Arr(endpoints)),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::num(cache.hits as f64)),
-                    ("misses".into(), Json::num(cache.misses as f64)),
-                    ("evictions".into(), Json::num(cache.evictions as f64)),
-                    ("invalidations".into(), Json::num(cache.invalidations as f64)),
-                    ("entries".into(), Json::num(cache.entries as f64)),
-                    ("capacity".into(), Json::num(cache.capacity as f64)),
-                    ("hit_rate".into(), Json::num(cache.hit_rate())),
-                ]),
-            ),
-            ("datasets".into(), Json::Arr(datasets)),
-        ]);
-        Response::json(200, body.render())
+    /// One reading of everything `/stats` and `/metrics` render.
+    fn scrape(&self) -> Scrape<'_> {
+        Scrape::new(&self.metrics, self.cache.counters(), self.catalog.datasets(), &self.config)
     }
 
-    /// `GET /metrics`: the whole observability surface in Prometheus text
-    /// exposition format (see [`crate::metrics`]).
+    /// `GET /stats`: the metric table as JSON (see [`crate::metrics`]).
+    fn stats_endpoint(&self) -> Response {
+        Response::json(200, self.scrape().stats_json().render())
+    }
+
+    /// `GET /metrics`: the metric table in Prometheus text exposition
+    /// format (see [`crate::metrics`]).
     fn metrics_endpoint(&self) -> Response {
         Response {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
             headers: Vec::new(),
-            body: render_metrics(&self.stats, &self.catalog, &self.cache.counters()).into_bytes(),
+            body: self.scrape().exposition().into_bytes(),
         }
     }
 
@@ -861,7 +760,7 @@ impl Service {
                 ExecutorConfig { threads: None, certify: self.config.certify, deadline, degraded },
             );
             if degraded {
-                self.stats.record_degraded();
+                self.metrics.add(Counter::Degraded, 1);
             }
             let mut recorder = TraceRecorder::new();
             let report = executor.execute_script_traced(dataset.versioned(), &steps, &mut recorder);
@@ -873,7 +772,7 @@ impl Service {
                 outcomes[i] = Some(match answer.error() {
                     Some(e) => {
                         if matches!(e, EngineError::DeadlineExceeded { .. }) {
-                            self.stats.record_deadline_exceeded();
+                            self.metrics.add(Counter::DeadlineExceeded, 1);
                         }
                         Outcome::Failed(e.clone())
                     }
@@ -896,16 +795,15 @@ impl Service {
             }
             latency = report.per_query_latency();
             let batch_stats = report.stats;
-            self.stats.record_work(
-                batch_stats.candidates_examined,
-                batch_stats.grid_cells_visited,
-                batch_stats.sieve_rejected,
-            );
-            self.stats.record_auto(
-                batch_stats.auto_picks,
-                batch_stats.auto_predicted_work,
-                batch_stats.auto_actual_work,
-            );
+            self.metrics.add(Counter::CandidatesExamined, batch_stats.candidates_examined as u64);
+            self.metrics.add(Counter::GridCellsVisited, batch_stats.grid_cells_visited as u64);
+            self.metrics.add(Counter::SieveRejected, batch_stats.sieve_rejected as u64);
+            // Work sums are rounded to whole units; the accuracy signal they
+            // carry is far coarser.
+            let (predicted, actual) =
+                (batch_stats.auto_predicted_work, batch_stats.auto_actual_work);
+            self.metrics.add(Counter::AutoPredictedWork, predicted.round() as u64);
+            self.metrics.add(Counter::AutoActualWork, actual.round() as u64);
             stats = Some(batch_stats);
 
             // Stamp, account and retain the traces: `trace.query` comes
@@ -923,11 +821,7 @@ impl Service {
                     Phase::Render,
                     render_times.get(slot).copied().unwrap_or(Duration::ZERO),
                 );
-                self.stats.record_solver(&trace.solver, trace.phase(Phase::Solve));
-                self.stats.record_dataset_query(dataset.name(), trace.phase_total());
-                if let Some(choice) = trace.routed {
-                    self.stats.record_auto_choice(choice);
-                }
+                self.metrics.record_trace(&trace);
                 if let Some(threshold) = self.config.slow_query {
                     if trace.phase_total() >= threshold {
                         eprintln!("{}", slow_query_line(&trace));
@@ -1185,20 +1079,6 @@ fn query_param<'t>(target: &'t str, name: &str) -> Option<&'t str> {
         let (key, value) = pair.split_once('=')?;
         (key == name).then_some(value)
     })
-}
-
-/// A [`LatencySummary`] as a JSON object (microsecond fields).
-pub fn latency_json(summary: &LatencySummary) -> Json {
-    let us = |d: std::time::Duration| Json::num(d.as_secs_f64() * 1e6);
-    Json::Obj(vec![
-        ("count".into(), Json::num(summary.count as f64)),
-        ("min_us".into(), us(summary.min)),
-        ("mean_us".into(), us(summary.mean)),
-        ("p50_us".into(), us(summary.p50)),
-        ("p95_us".into(), us(summary.p95)),
-        ("p99_us".into(), us(summary.p99)),
-        ("max_us".into(), us(summary.max)),
-    ])
 }
 
 /// The one structured stderr line the slow-query log emits per offending
@@ -1507,13 +1387,14 @@ mod tests {
     fn stats_aggregate_index_work_counters() {
         let service = service();
         service.handle(&post("/datasets/demo", CSV));
-        assert_eq!(service.stats().candidates_examined(), 0);
+        let examined = || service.metrics().get(Counter::CandidatesExamined);
+        assert_eq!(examined(), 0);
         let body =
             r#"{"dataset":"demo","solver":"exact-disk-2d","shape":{"ball":1.0},"cache":false}"#;
         assert_eq!(service.handle(&post("/query", body)).status, 200);
-        let after_one = service.stats().candidates_examined();
+        let after_one = examined();
         assert!(after_one > 0, "the disk sweep must report grid work");
-        assert!(service.stats().grid_cells_visited() > 0);
+        assert!(service.metrics().get(Counter::GridCellsVisited) > 0);
         // The counters surface on /stats under `work`.
         let response = service.handle(&get("/stats"));
         let parsed = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
@@ -1523,9 +1404,9 @@ mod tests {
         // cache hit, executes nothing, and adds nothing.
         let cached = r#"{"dataset":"demo","solver":"exact-disk-2d","shape":{"ball":1.0}}"#;
         service.handle(&post("/query", cached));
-        assert_eq!(service.stats().candidates_examined(), 2 * after_one);
+        assert_eq!(examined(), 2 * after_one);
         service.handle(&post("/query", cached));
-        assert_eq!(service.stats().candidates_examined(), 2 * after_one);
+        assert_eq!(examined(), 2 * after_one);
     }
 
     #[test]
@@ -1615,12 +1496,12 @@ mod tests {
         assert_eq!(service.traces().snapshot().len(), before);
 
         // Per-solver and per-dataset histograms got the samples.
-        let solvers: Vec<String> =
-            service.stats().solver_histograms().into_iter().map(|(name, _)| name).collect();
-        assert!(solvers.contains(&"auto".to_string()), "{solvers:?}");
-        assert!(solvers.contains(&"exact-disk-2d".to_string()), "{solvers:?}");
-        assert_eq!(service.stats().dataset_histograms()[0].0, "demo");
-        assert!(!service.stats().auto_choice_counts().is_empty());
+        let metrics = service.handle(&get("/metrics"));
+        let text = std::str::from_utf8(&metrics.body).unwrap();
+        assert!(text.contains("maxrs_solver_duration_seconds_count{solver=\"auto\"} 1"), "{text}");
+        assert!(text.contains("maxrs_solver_duration_seconds_count{solver=\"exact-disk-2d\"} 1"));
+        assert!(text.contains("maxrs_dataset_query_duration_seconds_count{dataset=\"demo\"} 2"));
+        assert!(text.contains("maxrs_auto_picks_total{choice=\""), "{text}");
     }
 
     #[test]
@@ -1737,7 +1618,7 @@ mod tests {
         assert_eq!(timed_out.status, 504, "{:?}", String::from_utf8_lossy(&timed_out.body));
         let text = std::str::from_utf8(&timed_out.body).unwrap();
         assert!(text.contains("exceeded its deadline"), "{text}");
-        assert_eq!(service.stats().deadline_exceeded(), 1);
+        assert_eq!(service.metrics().get(Counter::DeadlineExceeded), 1);
         // The expired answer must not have been cached: the same query
         // without a deadline computes fresh.
         let fresh = service.handle(&post("/query", body));
@@ -1782,10 +1663,10 @@ mod tests {
         assert_eq!(response.status, 500);
         let parsed = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
         assert!(parsed.get("error").and_then(Json::as_str).is_some(), "500s carry a JSON error");
-        assert_eq!(service.stats().panics(), 1);
+        assert_eq!(service.metrics().get(Counter::Panics), 1);
         // The service keeps answering after the panic, and the in-flight
         // permit was released on the unwind path.
-        assert_eq!(service.stats().inflight(), 0);
+        assert_eq!(service.metrics().get(Counter::Inflight), 0);
         let body = r#"{"dataset":"demo","solver":"exact-disk-2d","shape":{"ball":1.0}}"#;
         assert_eq!(service.handle(&post("/query", body)).status, 200);
     }
@@ -1800,7 +1681,7 @@ mod tests {
         service.handle(&post("/datasets/demo", CSV));
         let body = r#"{"dataset":"demo","solver":"exact-disk-2d","shape":{"ball":1.0}}"#;
         // Occupy the only slot, as a concurrent in-flight request would.
-        service.stats().inflight_enter();
+        service.metrics().add(Counter::Inflight, 1);
         let shed = service.handle(&post("/query", body));
         assert_eq!(shed.status, 503, "{:?}", String::from_utf8_lossy(&shed.body));
         let retry_after = shed
@@ -1810,7 +1691,7 @@ mod tests {
             .map(|(_, value)| value.parse::<u64>().unwrap())
             .expect("every shed carries Retry-After");
         assert!((1..=60).contains(&retry_after), "{retry_after}");
-        assert_eq!(service.stats().shed(), 1);
+        assert_eq!(service.metrics().get(Counter::Shed), 1);
         // Shed responses are well-formed JSON errors.
         let parsed = Json::parse(std::str::from_utf8(&shed.body).unwrap()).unwrap();
         assert!(parsed.get("error").and_then(Json::as_str).is_some());
@@ -1818,7 +1699,7 @@ mod tests {
         assert_eq!(service.handle(&get("/healthz")).status, 200);
         assert_eq!(service.handle(&get("/stats")).status, 200);
         // Releasing the slot restores service.
-        service.stats().inflight_exit();
+        service.metrics().sub(Counter::Inflight, 1);
         assert_eq!(service.handle(&post("/query", body)).status, 200);
         // /stats surfaces the overload block.
         let stats = service.handle(&get("/stats"));
@@ -1826,6 +1707,35 @@ mod tests {
         let overload = parsed.get("overload").expect("stats carries overload counters");
         assert_eq!(overload.get("shed").unwrap().as_f64(), Some(1.0));
         assert_eq!(overload.get("max_inflight").unwrap().as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn global_admission_never_holds_more_permits_than_the_limit() {
+        // Eight threads race for a one-slot window; `held` counts the
+        // permits held at once, which the gauge alone cannot show (a
+        // rejected admission raises it briefly before rolling back).
+        let service = Service::new(ServerConfig { max_inflight: 1, ..ServerConfig::default() });
+        let held = AtomicU64::new(0);
+        let most = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..500_000 {
+                        if let Ok(permit) = service.admit_global() {
+                            most.fetch_max(
+                                held.fetch_add(1, Ordering::SeqCst) + 1,
+                                Ordering::SeqCst,
+                            );
+                            held.fetch_sub(1, Ordering::SeqCst);
+                            drop(permit);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(most.load(Ordering::SeqCst), 1, "two requests held the only in-flight slot");
     }
 
     #[test]
@@ -1850,7 +1760,7 @@ mod tests {
         let other = r#"{"dataset":"other","solver":"exact-disk-2d","shape":{"ball":1.0}}"#;
         assert_eq!(service.handle(&post("/query", demo)).status, 503);
         assert_eq!(service.handle(&post("/query", other)).status, 200);
-        assert_eq!(service.stats().shed(), 1);
+        assert_eq!(service.metrics().get(Counter::Shed), 1);
     }
 
     #[test]
@@ -1863,12 +1773,12 @@ mod tests {
         });
         service.handle(&post("/datasets/demo", CSV));
         // One synthetic in-flight request + this one = 2 >= 0.5 * 2.
-        service.stats().inflight_enter();
+        service.metrics().add(Counter::Inflight, 1);
         let body = r#"{"dataset":"demo","solver":"auto","shape":{"ball":1.0},"cache":false}"#;
         let response = service.handle(&post("/query", body));
         assert_eq!(response.status, 200, "{:?}", String::from_utf8_lossy(&response.body));
-        service.stats().inflight_exit();
-        assert!(service.stats().degraded() >= 1, "the degraded solve is counted");
+        service.metrics().sub(Counter::Inflight, 1);
+        assert!(service.metrics().get(Counter::Degraded) >= 1, "the degraded solve is counted");
         // The auto router was restricted to non-exact solvers.
         let parsed = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
         let choice = parsed
