@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn overflowing_lengths_are_typed_errors() {
         let instance = line_instance().with_shape(RangeShape::ball(1e308));
-        let index = SharedIndex::<1>::new(instance.shared_points(), Vec::new().into());
+        let index = SharedIndex::<1>::new(instance.points().into(), Vec::new().into());
         let want = EngineError::RangeTooLarge { solver: "batched-interval-1d" };
         assert_eq!(BatchedIntervalSolver.solve(&instance).unwrap_err(), want);
         let all = BatchedIntervalSolver.solve_all(&instance, &[*instance.shape()], &index, 1);
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn solve_all_shares_the_executor_index_and_matches_per_query_solves() {
         let instance = line_instance();
-        let index = SharedIndex::<1>::new(instance.shared_points(), Vec::new().into());
+        let index = SharedIndex::<1>::new(instance.points().into(), Vec::new().into());
         let shapes = [
             RangeShape::interval(0.1),
             RangeShape::interval(1.0),

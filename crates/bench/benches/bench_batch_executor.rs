@@ -49,7 +49,7 @@ fn bench_planar_mixed(c: &mut Criterion) {
             b.iter(|| black_box(solve_one_at_a_time(&registry, &request)));
         });
         group.bench_with_input(BenchmarkId::new("batch_executor", m), &m, |b, _| {
-            b.iter(|| black_box(executor.execute(&request).answers.len()));
+            b.iter(|| black_box(request.run_cold(&executor).answers.len()));
         });
     }
     group.finish();
@@ -71,7 +71,7 @@ fn bench_interval_1d(c: &mut Criterion) {
             b.iter(|| black_box(solve_one_at_a_time(&registry, &request)));
         });
         group.bench_with_input(BenchmarkId::new("batch_executor", m), &m, |b, _| {
-            b.iter(|| black_box(executor.execute(&request).answers.len()));
+            b.iter(|| black_box(request.run_cold(&executor).answers.len()));
         });
     }
     group.finish();

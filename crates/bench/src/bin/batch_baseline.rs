@@ -9,9 +9,11 @@
 
 use std::time::Duration;
 
-use mrs_bench::batch::{interval_lengths_request, mixed_planar_request, solve_one_at_a_time};
+use mrs_bench::batch::{
+    interval_lengths_request, mixed_planar_request, solve_one_at_a_time, Workload,
+};
 use mrs_bench::measure::time;
-use mrs_core::engine::{BatchExecutor, BatchRequest, ExecutorConfig, Registry};
+use mrs_core::engine::{BatchExecutor, ExecutorConfig, Registry};
 
 /// One measured workload row of the baseline file.
 struct Row {
@@ -38,7 +40,7 @@ fn measure<const D: usize>(
     name: &'static str,
     n: usize,
     registry: &Registry,
-    request: &BatchRequest<D>,
+    request: &Workload<D>,
     reps: usize,
 ) -> Row {
     let timed = BatchExecutor::with_config(
@@ -46,7 +48,7 @@ fn measure<const D: usize>(
         ExecutorConfig { threads: None, certify: false, ..ExecutorConfig::default() },
     );
     let certifying = BatchExecutor::new(registry);
-    let certified = certifying.execute(request);
+    let certified = request.run_cold(&certifying);
     assert!(certified.all_ok(), "{name}: every batch query must succeed");
     assert_eq!(certified.stats.certify_failures, 0, "{name}: certification must hold");
 
@@ -56,15 +58,15 @@ fn measure<const D: usize>(
     let mut index_builds = 0;
     for _ in 0..reps {
         let (ok, t_loop) = time(|| solve_one_at_a_time(registry, request));
-        assert_eq!(ok, request.len(), "{name}: every query must succeed");
-        let (report, t_batch) = time(|| timed.execute(request));
+        assert_eq!(ok, request.queries.len(), "{name}: every query must succeed");
+        let (report, t_batch) = time(|| request.run_cold(&timed));
         assert!(report.all_ok(), "{name}: every batch query must succeed");
         one_at_a_time = one_at_a_time.min(t_loop);
         batch = batch.min(t_batch);
         threads = report.stats.threads;
         index_builds = report.stats.index_builds;
     }
-    Row { name, n, m: request.len(), one_at_a_time, batch, threads, index_builds }
+    Row { name, n, m: request.queries.len(), one_at_a_time, batch, threads, index_builds }
 }
 
 fn main() {

@@ -17,7 +17,7 @@ use mrs_batched::engine::full_registry;
 use mrs_bench::workloads;
 use mrs_core::engine::cost::{actual_work, CostFeatures, InstanceProfile};
 use mrs_core::engine::{
-    BatchExecutor, BatchQuery, BatchRequest, EngineConfig, RangeShape, Registry,
+    BatchExecutor, BatchQuery, EngineConfig, RangeShape, Registry, TraceRecorder, VersionedDataset,
 };
 
 /// The seed every workload derives from: calibration is reproducible.
@@ -74,14 +74,19 @@ fn weighted_samples(registry: &Registry, solver: &str) -> Vec<Sample> {
                 workloads::uniform_points_2d(n, 20.0, SEED ^ n as u64)
             };
             let profile = InstanceProfile::of_points(&points);
-            let mut request = BatchRequest::new(points, Vec::new());
+            let dataset = VersionedDataset::new(points, Vec::new());
             let mut features: Vec<CostFeatures> = Vec::new();
+            let mut queries = Vec::new();
             for &radius in &[0.2, 0.5, 1.0, 2.0, 4.0] {
                 let shape = RangeShape::ball(radius);
                 features.push(profile.features(&shape));
-                request.push(BatchQuery::weighted(solver, shape));
+                queries.push(BatchQuery::weighted(solver, shape));
             }
-            let report = BatchExecutor::new(registry).execute(&request);
+            let report = BatchExecutor::new(registry).execute_versioned_traced(
+                &dataset,
+                &queries,
+                &mut TraceRecorder::disabled(),
+            );
             for (i, f) in features.iter().enumerate() {
                 let answer = report.weighted(i).expect("calibration query answers");
                 samples
@@ -102,14 +107,19 @@ fn colored_samples(registry: &Registry, solver: &str) -> Vec<Sample> {
             let sites =
                 workloads::colored_clusters_2d(n, colors, 6, 20.0, 1.2, SEED ^ (n * colors) as u64);
             let profile = InstanceProfile::of_sites(&sites);
-            let mut request = BatchRequest::new(Vec::new(), sites);
+            let dataset = VersionedDataset::new(Vec::new(), sites);
             let mut features: Vec<CostFeatures> = Vec::new();
+            let mut queries = Vec::new();
             for &radius in &[0.2, 0.35, 0.5, 0.8] {
                 let shape = RangeShape::ball(radius);
                 features.push(profile.features(&shape));
-                request.push(BatchQuery::colored(solver, shape));
+                queries.push(BatchQuery::colored(solver, shape));
             }
-            let report = BatchExecutor::new(registry).execute(&request);
+            let report = BatchExecutor::new(registry).execute_versioned_traced(
+                &dataset,
+                &queries,
+                &mut TraceRecorder::disabled(),
+            );
             for (i, f) in features.iter().enumerate() {
                 let answer = report.colored(i).expect("calibration query answers");
                 samples

@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use mrs_bench::serve::{line_csv, line_update_record};
 use mrs_core::engine::{
-    BatchExecutor, BatchQuery, BatchRequest, EngineConfig, ExecutorConfig, LatencySummary,
-    Mutation, RangeShape, ScriptOutcome, ScriptStep, VersionedDataset,
+    BatchExecutor, BatchQuery, EngineConfig, ExecutorConfig, Finite, LatencySummary, Mutation,
+    RangeShape, ScriptOutcome, ScriptStep, TraceRecorder, VersionedDataset,
 };
 use mrs_server::service::latency_json;
 use mrs_server::{full_registry, Json};
@@ -113,13 +113,14 @@ impl Violations {
 /// value bits) so the overlay answer can be compared bit for bit.
 fn baseline_interval(
     executor: &BatchExecutor<'_>,
-    live: std::sync::Arc<[mrs_geom::WeightedPoint<1>]>,
+    live: Finite<mrs_geom::WeightedPoint<1>>,
 ) -> (Duration, u64, f64) {
     let started = Instant::now();
-    let request = BatchRequest::from_shared(live, Vec::new().into()).with_query(
-        BatchQuery::weighted("batched-interval-1d", RangeShape::ball(INTERVAL_LENGTH / 2.0)),
-    );
-    let report = executor.execute(&request);
+    let fresh = VersionedDataset::from_shared(live, Finite::default());
+    let query =
+        BatchQuery::weighted("batched-interval-1d", RangeShape::ball(INTERVAL_LENGTH / 2.0));
+    let report =
+        executor.execute_versioned_traced(&fresh, &[query], &mut TraceRecorder::disabled());
     let answer = report.weighted(0).expect("baseline interval query succeeds");
     let center = answer.placement.center[0];
     (started.elapsed(), answer.placement.value.to_bits(), center)
@@ -158,6 +159,7 @@ fn main() -> ExitCode {
     let warm = executor.execute_script(
         &dataset,
         &[ScriptStep::Query(interval_query.clone()), ScriptStep::Query(dynamic_query.clone())],
+        &mut TraceRecorder::disabled(),
     );
     let warm_time = warm_started.elapsed();
     violations.check(warm.all_ok(), "warm-up queries must succeed");
@@ -209,7 +211,11 @@ fn main() -> ExitCode {
         let interval_round = u % 3 == 0;
         let query = if interval_round { &interval_query } else { &dynamic_query };
         let query_started = Instant::now();
-        let script = executor.execute_script(&dataset, &[ScriptStep::Query(query.clone())]);
+        let script = executor.execute_script(
+            &dataset,
+            &[ScriptStep::Query(query.clone())],
+            &mut TraceRecorder::disabled(),
+        );
         let elapsed = query_started.elapsed();
         let ScriptOutcome::Answer { version, certified, answer } = &script.outcomes[0] else {
             unreachable!("query step answers");

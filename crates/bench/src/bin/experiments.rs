@@ -414,12 +414,12 @@ fn e11_batch_executor() {
     ];
     for (name, request) in planar {
         let (ok, t_loop) = time(|| mrs_bench::batch::solve_one_at_a_time(&registry, &request));
-        assert_eq!(ok, request.len());
-        let (report, t_batch) = time(|| executor.execute(&request));
+        assert_eq!(ok, request.queries.len());
+        let (report, t_batch) = time(|| request.run_cold(&executor));
         assert!(report.all_ok(), "every batch query must succeed");
         table_row(&[
             name.to_string(),
-            request.len().to_string(),
+            request.queries.len().to_string(),
             ms(t_loop),
             ms(t_batch),
             format!("{:.2}x", t_loop.as_secs_f64() / t_batch.as_secs_f64()),
@@ -430,12 +430,12 @@ fn e11_batch_executor() {
     // The Theorem 1.3 amortization case: m interval lengths over one line.
     let request = mrs_bench::batch::interval_lengths_request(4096, 256, 23);
     let (ok, t_loop) = time(|| mrs_bench::batch::solve_one_at_a_time(&registry, &request));
-    assert_eq!(ok, request.len());
-    let (report, t_batch) = time(|| executor.execute(&request));
+    assert_eq!(ok, request.queries.len());
+    let (report, t_batch) = time(|| request.run_cold(&executor));
     assert!(report.all_ok(), "every interval query must succeed");
     table_row(&[
         "interval 1-D (n = 4096)".to_string(),
-        request.len().to_string(),
+        request.queries.len().to_string(),
         ms(t_loop),
         ms(t_batch),
         format!("{:.2}x", t_loop.as_secs_f64() / t_batch.as_secs_f64()),

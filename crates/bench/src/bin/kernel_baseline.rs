@@ -233,7 +233,7 @@ fn main() {
         let mut breakdown: BTreeMap<&'static str, Duration> = BTreeMap::new();
         let mut counters = (0usize, 0usize);
         for _ in 0..3 {
-            let certified = BatchExecutor::new(&registry).execute(&request);
+            let certified = request.run_cold(&BatchExecutor::new(&registry));
             assert!(certified.all_ok(), "every batch query must succeed");
             assert_eq!(certified.stats.certify_failures, 0, "certification must hold");
             let mut run: BTreeMap<&'static str, Duration> = BTreeMap::new();
@@ -262,7 +262,7 @@ fn main() {
         );
         let mut batch = Duration::MAX;
         for _ in 0..3 {
-            let (report, elapsed) = time(|| timed.execute(&request));
+            let (report, elapsed) = time(|| request.run_cold(&timed));
             assert!(report.all_ok(), "every batch query must succeed");
             batch = batch.min(elapsed);
         }

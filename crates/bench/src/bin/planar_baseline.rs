@@ -24,12 +24,12 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use mrs_bench::batch::{mixed_planar_request, solve_one_at_a_time};
+use mrs_bench::batch::{mixed_planar_request, solve_one_at_a_time, Workload};
 use mrs_bench::measure::time;
 use mrs_bench::serve::{line_csv, planar_csv, query_pool, zipf_pick, zipf_weights};
 use mrs_core::engine::{
-    BatchAnswer, BatchExecutor, BatchQuery, BatchRequest, ColoredInstance, ExecutorConfig,
-    Registry, WeightedInstance,
+    BatchAnswer, BatchExecutor, BatchQuery, ColoredInstance, ExecutorConfig, Registry,
+    WeightedInstance,
 };
 use mrs_server::{serve, Client, Json, ServerConfig};
 use rand::prelude::*;
@@ -50,7 +50,7 @@ fn main() {
 
     // Correctness first: a certified run, plus a per-query reference dispatch
     // whose exact answers the batch must reproduce byte for byte.
-    let certified = BatchExecutor::new(&registry).execute(&request);
+    let certified = request.run_cold(&BatchExecutor::new(&registry));
     assert!(certified.all_ok(), "every batch query must succeed");
     assert_eq!(certified.stats.certify_failures, 0, "certification must hold");
     let identical = assert_exact_answers_identical(&registry, &request, &certified.answers);
@@ -76,8 +76,8 @@ fn main() {
     let mut index_builds = 0;
     for _ in 0..3 {
         let (ok, t_loop) = time(|| solve_one_at_a_time(&registry, &request));
-        assert_eq!(ok, request.len(), "every one-at-a-time query must succeed");
-        let (report, t_batch) = time(|| timed.execute(&request));
+        assert_eq!(ok, request.queries.len(), "every one-at-a-time query must succeed");
+        let (report, t_batch) = time(|| request.run_cold(&timed));
         assert!(report.all_ok(), "every batch query must succeed");
         one_at_a_time = one_at_a_time.min(t_loop);
         batch = batch.min(t_batch);
@@ -160,16 +160,16 @@ fn main() {
 /// the verdict.
 fn assert_exact_answers_identical(
     registry: &Registry,
-    request: &BatchRequest<2>,
+    request: &Workload<2>,
     batch_answers: &[BatchAnswer<2>],
 ) -> bool {
-    for (query, batch_answer) in request.queries().iter().zip(batch_answers) {
+    for (query, batch_answer) in request.queries.iter().zip(batch_answers) {
         match query {
             BatchQuery::Weighted { solver, shape } => {
                 let reference = registry
                     .weighted::<2>(solver)
                     .expect("workload names a registered solver")
-                    .solve(&WeightedInstance::from_shared(request.shared_points(), *shape))
+                    .solve(&WeightedInstance::new(request.points.clone(), *shape))
                     .expect("reference dispatch succeeds");
                 let got = batch_answer.weighted().expect("batch answered the weighted query");
                 if reference.guarantee.is_exact() {
@@ -188,7 +188,7 @@ fn assert_exact_answers_identical(
                 let reference = registry
                     .colored::<2>(solver)
                     .expect("workload names a registered solver")
-                    .solve(&ColoredInstance::from_shared(request.shared_sites(), *shape))
+                    .solve(&ColoredInstance::new(request.sites.clone(), *shape))
                     .expect("reference dispatch succeeds");
                 let got = batch_answer.colored().expect("batch answered the colored query");
                 if reference.guarantee.is_exact() {

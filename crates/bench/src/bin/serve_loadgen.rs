@@ -49,7 +49,8 @@ use std::time::{Duration, Instant};
 
 use mrs_bench::serve::{line_csv, planar_csv, query_pool, zipf_pick, zipf_weights};
 use mrs_core::engine::{
-    BatchExecutor, BatchQuery, BatchRequest, EngineConfig, LatencySummary, RangeShape,
+    BatchExecutor, BatchQuery, EngineConfig, LatencySummary, RangeShape, TraceRecorder,
+    VersionedDataset,
 };
 use mrs_server::service::latency_json;
 use mrs_server::{full_registry, Client, Json, PipelineRequest};
@@ -176,11 +177,13 @@ fn cold_one_shot(csv: &str) -> (Duration, f64) {
     let started = Instant::now();
     let points = mrs_core::input::parse_line_csv(csv).expect("generated CSV parses");
     let registry = full_registry(EngineConfig::practical(0.25));
-    let request = BatchRequest::<1>::over_points(points).with_query(BatchQuery::weighted(
-        CANONICAL_SOLVER,
-        RangeShape::ball(CANONICAL_LENGTH / 2.0),
-    ));
-    let report = BatchExecutor::new(&registry).execute(&request);
+    let dataset = VersionedDataset::<1>::new(points, Vec::new());
+    let query = BatchQuery::weighted(CANONICAL_SOLVER, RangeShape::ball(CANONICAL_LENGTH / 2.0));
+    let report = BatchExecutor::new(&registry).execute_versioned_traced(
+        &dataset,
+        &[query],
+        &mut TraceRecorder::disabled(),
+    );
     assert!(report.all_ok(), "cold one-shot query must succeed");
     assert_eq!(report.stats.certify_failures, 0, "cold one-shot must certify");
     let value = report.weighted(0).expect("weighted answer").placement.value;

@@ -174,50 +174,77 @@ pub mod workloads {
 /// all three measure the same thing.
 pub mod batch {
     use mrs_core::engine::{
-        BatchQuery, BatchRequest, ColoredInstance, RangeShape, Registry, WeightedInstance,
+        BatchExecutor, BatchQuery, BatchReport, ColoredInstance, RangeShape, Registry,
+        TraceRecorder, VersionedDataset, WeightedInstance,
     };
-    use mrs_geom::{Point, WeightedPoint};
+    use mrs_geom::{ColoredSite, Point, WeightedPoint};
 
     use crate::workloads;
+
+    /// One batch workload: a weighted point set, a colored site set, and
+    /// the queries to answer over them.
+    pub struct Workload<const D: usize> {
+        /// The weighted points.
+        pub points: Vec<WeightedPoint<D>>,
+        /// The colored sites.
+        pub sites: Vec<ColoredSite<D>>,
+        /// The queries, in order.
+        pub queries: Vec<BatchQuery<D>>,
+    }
+
+    impl<const D: usize> Workload<D> {
+        /// Answers every query over a fresh dataset (version 1, nothing
+        /// built yet), so each call pays the cold index builds.
+        pub fn run_cold(&self, executor: &BatchExecutor<'_>) -> BatchReport<D> {
+            let dataset = VersionedDataset::new(self.points.clone(), self.sites.clone());
+            executor.execute_versioned_traced(
+                &dataset,
+                &self.queries,
+                &mut TraceRecorder::disabled(),
+            )
+        }
+    }
 
     /// A mixed planar batch: `n` clustered weighted points and `n` clustered
     /// colored sites, with `m` queries cycling exact disk / exact rectangle /
     /// exact colored disk at slowly varying sizes.  The colored queries use
     /// smaller radii — the output-sensitive solver's cost grows steeply with
     /// the covered cluster size, and it dominates the batch otherwise.
-    pub fn mixed_planar_request(n: usize, m: usize, seed: u64) -> BatchRequest<2> {
+    pub fn mixed_planar_request(n: usize, m: usize, seed: u64) -> Workload<2> {
         let points = workloads::clustered_points_2d(n, 6, 20.0, 1.2, seed);
         let sites = workloads::colored_clusters_2d(n, 30, 6, 20.0, 1.2, seed ^ 0x9E37);
-        let mut request = BatchRequest::new(points, sites);
-        for i in 0..m {
-            let size = 0.8 + 0.01 * (i % 40) as f64;
-            request.push(match i % 3 {
-                0 => BatchQuery::weighted("exact-disk-2d", RangeShape::ball(size)),
-                1 => BatchQuery::weighted("exact-rect-2d", RangeShape::rect(size, size)),
-                _ => BatchQuery::colored(
-                    "output-sensitive-colored-disk",
-                    RangeShape::ball(0.25 + 0.005 * (i % 40) as f64),
-                ),
-            });
-        }
-        request
+        let queries = (0..m)
+            .map(|i| {
+                let size = 0.8 + 0.01 * (i % 40) as f64;
+                match i % 3 {
+                    0 => BatchQuery::weighted("exact-disk-2d", RangeShape::ball(size)),
+                    1 => BatchQuery::weighted("exact-rect-2d", RangeShape::rect(size, size)),
+                    _ => BatchQuery::colored(
+                        "output-sensitive-colored-disk",
+                        RangeShape::ball(0.25 + 0.005 * (i % 40) as f64),
+                    ),
+                }
+            })
+            .collect();
+        Workload { points, sites, queries }
     }
 
     /// The Theorem 1.3 amortization workload: `m` interval lengths over one
     /// set of `n` line points, all answered by the index-sharing
     /// `batched-interval-1d` solver (requires a registry with the
     /// `mrs-batched` solvers registered).
-    pub fn interval_lengths_request(n: usize, m: usize, seed: u64) -> BatchRequest<1> {
+    pub fn interval_lengths_request(n: usize, m: usize, seed: u64) -> Workload<1> {
         let points: Vec<WeightedPoint<1>> = workloads::line_points(n, 1000.0, seed)
             .into_iter()
             .map(|p| WeightedPoint::new(Point::new([p.x]), p.weight))
             .collect();
-        let mut request = BatchRequest::over_points(points);
-        for i in 0..m {
-            let length = 1.0 + 499.0 * (i as f64 + 0.5) / m as f64;
-            request.push(BatchQuery::weighted("batched-interval-1d", RangeShape::interval(length)));
-        }
-        request
+        let queries = (0..m)
+            .map(|i| {
+                let length = 1.0 + 499.0 * (i as f64 + 0.5) / m as f64;
+                BatchQuery::weighted("batched-interval-1d", RangeShape::interval(length))
+            })
+            .collect();
+        Workload { points, sites: Vec::new(), queries }
     }
 
     /// The one-at-a-time baseline the batch executor is measured against:
@@ -228,13 +255,13 @@ pub mod batch {
     /// Panics if a query names a solver the registry cannot resolve.
     pub fn solve_one_at_a_time<const D: usize>(
         registry: &Registry,
-        request: &BatchRequest<D>,
+        workload: &Workload<D>,
     ) -> usize {
         let mut ok = 0;
-        for query in request.queries() {
+        for query in &workload.queries {
             let success = match query {
                 BatchQuery::Weighted { solver, shape } => {
-                    let instance = WeightedInstance::new(request.points().to_vec(), *shape);
+                    let instance = WeightedInstance::new(workload.points.clone(), *shape);
                     registry
                         .weighted::<D>(solver)
                         .expect("workload names a registered solver")
@@ -242,7 +269,7 @@ pub mod batch {
                         .is_ok()
                 }
                 BatchQuery::Colored { solver, shape } => {
-                    let instance = ColoredInstance::new(request.sites().to_vec(), *shape);
+                    let instance = ColoredInstance::new(workload.sites.clone(), *shape);
                     registry
                         .colored::<D>(solver)
                         .expect("workload names a registered solver")
@@ -438,18 +465,18 @@ mod tests {
     #[test]
     fn batch_workloads_execute_end_to_end() {
         use mrs_core::engine::{BatchExecutor, Registry};
-        let request = batch::mixed_planar_request(120, 9, 3);
-        assert_eq!(request.len(), 9);
+        let workload = batch::mixed_planar_request(120, 9, 3);
+        assert_eq!(workload.queries.len(), 9);
         let registry = Registry::default();
-        assert_eq!(batch::solve_one_at_a_time(&registry, &request), 9);
-        let report = BatchExecutor::new(&registry).execute(&request);
+        assert_eq!(batch::solve_one_at_a_time(&registry, &workload), 9);
+        let report = workload.run_cold(&BatchExecutor::new(&registry));
         assert!(report.all_ok());
         assert_eq!(report.stats.certify_failures, 0);
 
         let mut registry = Registry::default();
         mrs_batched::engine::register(&mut registry);
         let line = batch::interval_lengths_request(200, 8, 4);
-        let report = BatchExecutor::new(&registry).execute(&line);
+        let report = line.run_cold(&BatchExecutor::new(&registry));
         assert!(report.all_ok());
         // Longer intervals never cover less weight.
         let values: Vec<f64> =

@@ -4,18 +4,44 @@
 //! shifting reuses one shifted-grid family, the Section 5 batched solver
 //! reuses one sorted event list, the Section 4 algorithms reuse one spatial
 //! index — and this module gives that amortization a first-class request
-//! shape.  A [`BatchRequest`] is one weighted point set and/or one colored
-//! site set plus an ordered list of [`BatchQuery`]s naming a registered
-//! solver and a query [`RangeShape`] each.  The
-//! [`executor`](super::executor) answers it with a [`BatchReport`]: one
-//! [`BatchAnswer`] per query, in request order, plus batch-level
+//! shape.  A batch is an ordered list of [`BatchQuery`]s, each naming a
+//! registered solver and a query [`RangeShape`], answered against one view
+//! of a [`VersionedDataset`](super::VersionedDataset) (a static point set
+//! is simply version 1).  The [`executor`](super::executor) answers it with
+//! a [`BatchReport`]: one [`BatchAnswer`] and certification flag per query,
+//! in query order, the version they were computed at, plus batch-level
 //! [`BatchStats`] (wall clock, aggregate solver time, shared-index builds,
 //! throughput).
+//!
+//! ```
+//! use mrs_core::engine::{
+//!     registry, BatchExecutor, BatchQuery, RangeShape, TraceRecorder, VersionedDataset,
+//! };
+//! use mrs_geom::{Point2, WeightedPoint};
+//!
+//! let points = vec![
+//!     WeightedPoint::unit(Point2::xy(0.0, 0.0)),
+//!     WeightedPoint::unit(Point2::xy(0.5, 0.0)),
+//!     WeightedPoint::unit(Point2::xy(9.0, 9.0)),
+//! ];
+//! let dataset = VersionedDataset::new(points, Vec::new());
+//! let queries = [
+//!     BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)),
+//!     BatchQuery::weighted("exact-rect-2d", RangeShape::rect(2.0, 2.0)),
+//! ];
+//! let registry = registry();
+//! let report = BatchExecutor::new(&registry).execute_versioned_traced(
+//!     &dataset,
+//!     &queries,
+//!     &mut TraceRecorder::disabled(),
+//! );
+//! assert_eq!(report.answers.len(), 2);
+//! assert_eq!(report.weighted(0).unwrap().placement.value, 2.0);
+//! assert_eq!(report.certified, vec![Some(true), Some(true)]);
+//! assert_eq!(report.version, 1);
+//! ```
 
-use std::sync::Arc;
 use std::time::Duration;
-
-use mrs_geom::{ColoredSite, WeightedPoint};
 
 use super::instance::RangeShape;
 use super::report::SolverReport;
@@ -71,121 +97,8 @@ impl<const D: usize> BatchQuery<D> {
     }
 }
 
-/// A set of queries to be answered against one shared point/site set.
-///
-/// ```
-/// use mrs_core::engine::{registry, BatchExecutor, BatchQuery, BatchRequest, RangeShape};
-/// use mrs_geom::{Point2, WeightedPoint};
-///
-/// let points = vec![
-///     WeightedPoint::unit(Point2::xy(0.0, 0.0)),
-///     WeightedPoint::unit(Point2::xy(0.5, 0.0)),
-///     WeightedPoint::unit(Point2::xy(9.0, 9.0)),
-/// ];
-/// let request = BatchRequest::over_points(points)
-///     .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)))
-///     .with_query(BatchQuery::weighted("exact-rect-2d", RangeShape::rect(2.0, 2.0)));
-/// let registry = registry();
-/// let report = BatchExecutor::new(&registry).execute(&request);
-/// assert_eq!(report.answers.len(), 2);
-/// assert_eq!(report.weighted(0).unwrap().placement.value, 2.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct BatchRequest<const D: usize> {
-    points: Arc<[WeightedPoint<D>]>,
-    sites: Arc<[ColoredSite<D>]>,
-    queries: Vec<BatchQuery<D>>,
-}
-
-impl<const D: usize> BatchRequest<D> {
-    /// A request over a weighted point set and a colored site set (either may
-    /// be empty; weighted queries see only `points`, colored queries only
-    /// `sites`).
-    ///
-    /// # Panics
-    /// Panics if any coordinate or weight is not finite.
-    pub fn new(points: Vec<WeightedPoint<D>>, sites: Vec<ColoredSite<D>>) -> Self {
-        for wp in &points {
-            assert!(wp.point.is_finite(), "point coordinates must be finite");
-            assert!(wp.weight.is_finite(), "weights must be finite");
-        }
-        for s in &sites {
-            assert!(s.point.is_finite(), "site coordinates must be finite");
-        }
-        Self { points: points.into(), sites: sites.into(), queries: Vec::new() }
-    }
-
-    /// A request over already-shared point and site sets, without copying
-    /// either (`O(1)`).  This is the resident-dataset path: build the request
-    /// from the same `Arc`s a catalog-owned
-    /// [`SharedIndex`](super::SharedIndex) holds, then answer it with
-    /// [`BatchExecutor::execute_with_index`](super::BatchExecutor::execute_with_index).
-    ///
-    /// The sets are trusted to be finite — they were validated when first
-    /// wrapped (by [`Self::new`] or an instance constructor).
-    pub fn from_shared(points: Arc<[WeightedPoint<D>]>, sites: Arc<[ColoredSite<D>]>) -> Self {
-        Self { points, sites, queries: Vec::new() }
-    }
-
-    /// A request over a weighted point set only.
-    pub fn over_points(points: Vec<WeightedPoint<D>>) -> Self {
-        Self::new(points, Vec::new())
-    }
-
-    /// A request over a colored site set only.
-    pub fn over_sites(sites: Vec<ColoredSite<D>>) -> Self {
-        Self::new(Vec::new(), sites)
-    }
-
-    /// Appends a query (builder style).
-    pub fn with_query(mut self, query: BatchQuery<D>) -> Self {
-        self.queries.push(query);
-        self
-    }
-
-    /// Appends a query.
-    pub fn push(&mut self, query: BatchQuery<D>) {
-        self.queries.push(query);
-    }
-
-    /// The shared weighted point set.
-    pub fn points(&self) -> &[WeightedPoint<D>] {
-        &self.points
-    }
-
-    /// The shared colored site set.
-    pub fn sites(&self) -> &[ColoredSite<D>] {
-        &self.sites
-    }
-
-    /// The shared handle to the point set (`O(1)` to clone).
-    pub fn shared_points(&self) -> Arc<[WeightedPoint<D>]> {
-        Arc::clone(&self.points)
-    }
-
-    /// The shared handle to the site set (`O(1)` to clone).
-    pub fn shared_sites(&self) -> Arc<[ColoredSite<D>]> {
-        Arc::clone(&self.sites)
-    }
-
-    /// The queries, in submission order.
-    pub fn queries(&self) -> &[BatchQuery<D>] {
-        &self.queries
-    }
-
-    /// Number of queries.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// `true` if the request holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-}
-
 /// The outcome of one batch query, in the report's `answers` vector at the
-/// query's request position.
+/// query's position in the batch.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BatchAnswer<const D: usize> {
     /// A weighted query's report.
@@ -385,12 +298,19 @@ impl std::fmt::Display for LatencySummary {
     }
 }
 
-/// The executor's response: one answer per query, in request order, plus
+/// The executor's response: one answer and one certification flag per
+/// query, in query order, the dataset version they were computed at, plus
 /// batch statistics.
 #[derive(Clone, Debug)]
 pub struct BatchReport<const D: usize> {
-    /// Per-query outcomes, indexed like the request's `queries`.
+    /// Per-query outcomes, indexed like the submitted queries.
     pub answers: Vec<BatchAnswer<D>>,
+    /// Per-query certification: `Some(true)` = certified against the
+    /// version, `Some(false)` = contract violation, `None` = certification
+    /// disabled (or the query failed).
+    pub certified: Vec<Option<bool>>,
+    /// The dataset version every answer was computed and certified at.
+    pub version: u64,
     /// Batch-level statistics.
     pub stats: BatchStats,
 }
@@ -423,19 +343,12 @@ impl<const D: usize> BatchReport<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrs_geom::Point2;
 
     #[test]
-    fn request_builder_accumulates_queries_in_order() {
-        let request = BatchRequest::over_points(vec![WeightedPoint::unit(Point2::xy(0.0, 0.0))])
-            .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)))
-            .with_query(BatchQuery::weighted("exact-rect-2d", RangeShape::rect(1.0, 2.0)));
-        assert_eq!(request.len(), 2);
-        assert!(!request.is_empty());
-        assert_eq!(request.queries()[0].solver(), "exact-disk-2d");
-        assert_eq!(request.queries()[1].shape(), &RangeShape::rect(1.0, 2.0));
-        assert_eq!(request.points().len(), 1);
-        assert!(request.sites().is_empty());
+    fn queries_expose_solver_and_shape() {
+        let query = BatchQuery::<2>::weighted("exact-rect-2d", RangeShape::rect(1.0, 2.0));
+        assert_eq!(query.solver(), "exact-rect-2d");
+        assert_eq!(query.shape(), &RangeShape::rect(1.0, 2.0));
     }
 
     #[test]
@@ -464,17 +377,6 @@ mod tests {
         let one = LatencySummary::from_durations(&[ms(7)]);
         assert_eq!((one.min, one.p50, one.p95, one.max), (ms(7), ms(7), ms(7), ms(7)));
         assert!(format!("{s}").contains("p95"));
-    }
-
-    #[test]
-    fn from_shared_requests_share_the_arcs() {
-        let points: Arc<[WeightedPoint<2>]> =
-            vec![WeightedPoint::unit(Point2::xy(0.0, 0.0))].into();
-        let sites: Arc<[ColoredSite<2>]> = Vec::new().into();
-        let request = BatchRequest::from_shared(Arc::clone(&points), Arc::clone(&sites));
-        assert!(Arc::ptr_eq(&request.shared_points(), &points));
-        assert!(Arc::ptr_eq(&request.shared_sites(), &sites));
-        assert!(request.is_empty());
     }
 
     #[test]

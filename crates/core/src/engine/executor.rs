@@ -1,51 +1,52 @@
-//! The batch executor: plan a [`BatchRequest`], build each shared spatial
-//! index exactly once, and fan the queries out across a worker pool.
+//! The batch executor: answer a batch of queries against one view of a
+//! [`VersionedDataset`], build each shared spatial index structure exactly
+//! once, and fan the queries out across a worker pool.
 //!
 //! ## Execution plan
 //!
-//! 1. **Plan** — queries are grouped by `(problem kind, solver name)` and
+//! 1. **View** — the dataset's current [`VersionedView`] is fetched once and
+//!    its [`SharedIndex`] derived (for a changed version: the live sets
+//!    materialized and the sorted orders merged, at most once per version).
+//!    Every answer of the batch is computed and certified at that version;
+//!    a static point set is simply version 1 with an empty delta.
+//! 2. **Plan** — queries are grouped by `(problem kind, solver name)` and
 //!    every distinct solver is resolved from the [`Registry`] once.  Queries
 //!    naming an unknown solver fail individually with
 //!    [`EngineError::UnknownSolver`]; they never sink the batch.
-//! 2. **Index** — a [`SharedIndex`] is created over the request's points and
-//!    sites.  Its structures (the sorted event list + Fenwick tree of the
-//!    1-D line, one hash grid per distinct query radius) are built lazily,
-//!    each exactly once, and shared by every query in the batch.
 //! 3. **Fan out** — solver groups whose descriptor declares
 //!    [`BatchCapability::IndexShared`] become one task (the solver amortizes
 //!    its build across the group via `solve_all`); independent solvers
-//!    contribute one task per query.  Tasks run on `std::thread::scope`
-//!    workers; no dependencies are spawned and nothing outlives the call.
+//!    contribute one task per query, and a solver declaring `dynamic`
+//!    support answers ball queries from the dataset's resident tracker.
+//!    Tasks run on `std::thread::scope` workers under one cancel scope and
+//!    one deadline guard; nothing outlives the call.
 //! 4. **Certify** — optionally, every successful answer is re-evaluated
-//!    against the shared index (Fenwick range sum for 1-D intervals, hash
-//!    grid for `d`-balls, a direct scan for boxes) and counted in
-//!    [`BatchStats::certified`].  Solvers report *certified* values, so a
-//!    mismatch means a contract violation and is tallied separately.
+//!    through the view (Fenwick range sum for 1-D intervals, the delta
+//!    overlay on the base generation's grids for `d`-balls, a direct scan
+//!    for boxes) and counted in [`BatchStats::certified`].  Solvers report
+//!    *certified* values, so a mismatch means a contract violation and is
+//!    tallied separately.
 //!
 //! [`BatchCapability::IndexShared`]: super::BatchCapability::IndexShared
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mrs_geom::{ColoredSite, Point, WeightedPoint};
 
-use super::batch::{BatchAnswer, BatchQuery, BatchReport, BatchRequest, BatchStats};
+use super::batch::{BatchAnswer, BatchQuery, BatchReport, BatchStats};
 use super::cancel::{self, CancelToken};
+use super::index::SharedIndex;
 use super::instance::{ColoredInstance, RangeShape, WeightedInstance};
 use super::obs::{Phase, QueryTrace, TraceRecorder};
 use super::registry::{Registry, SharedColoredSolver, SharedWeightedSolver};
 use super::report::{Guarantee, SolveStats, SolverReport};
 use super::versioned::{ScriptOutcome, ScriptReport, ScriptStep, VersionedDataset, VersionedView};
 use super::{EngineError, PartialWork, ProblemKind};
-
-pub use super::index::{AnswerIndex, SharedIndex};
-
-/// One versioned answer: the answer itself, its per-answer certification
-/// flag (`None` when certification is off or the query failed), and the
-/// dataset version it was computed at.
-pub type VersionedAnswer<const D: usize> = (BatchAnswer<D>, Option<bool>, u64);
+use crate::config::SamplingConfig;
+use crate::input::Placement;
 
 /// Configuration of a [`BatchExecutor`].
 #[derive(Clone, Copy, Debug)]
@@ -53,7 +54,7 @@ pub struct ExecutorConfig {
     /// Worker threads to fan out over.  `None` picks the machine's available
     /// parallelism, capped at 8; `Some(1)` forces a serial run.
     pub threads: Option<usize>,
-    /// Re-evaluate every successful answer against the shared index and
+    /// Re-evaluate every successful answer through the batch's view and
     /// count the outcome in [`BatchStats::certified`] /
     /// [`BatchStats::certify_failures`].
     pub certify: bool,
@@ -104,11 +105,43 @@ enum Task<const D: usize> {
     },
 }
 
+/// What every task of one batch runs against: the dataset, the view all
+/// answers are computed at, and that view's index.
+struct Target<'a, const D: usize> {
+    dataset: &'a VersionedDataset<D>,
+    view: &'a VersionedView<D>,
+    index: &'a SharedIndex<D>,
+    sampling: SamplingConfig,
+}
+
+impl<const D: usize> Target<'_, D> {
+    /// Answers a ball query for a solver declaring `dynamic` support from
+    /// the dataset's resident tracker at this batch's view.  `None` falls
+    /// through to a fresh solve: another solver or shape, a dataset that
+    /// ever held negative weights, or a view a mutation has moved past.
+    fn tracker_read(
+        &self,
+        solver: &SharedWeightedSolver<D>,
+        instance: &WeightedInstance<D>,
+    ) -> Option<SolverReport<Placement<D>>> {
+        let descriptor = solver.descriptor();
+        let radius = instance.shape().ball_radius().filter(|_| descriptor.dynamic)?;
+        let start = Instant::now();
+        let placement = self.dataset.dynamic_ball_at(self.view, radius, &self.sampling)?;
+        Some(SolverReport {
+            solver: descriptor.name,
+            placement,
+            guarantee: Guarantee::HalfMinusEps { eps: self.sampling.eps },
+            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
+        })
+    }
+}
+
 impl<const D: usize> Task<D> {
-    fn run(&self, index: &SharedIndex<D>, threads: usize) -> Vec<(usize, BatchAnswer<D>)> {
+    fn run(&self, target: &Target<'_, D>, threads: usize) -> Vec<(usize, BatchAnswer<D>)> {
         match self {
             Task::WeightedGroup { solver, base, indices, shapes } => {
-                let results = solver.solve_all(base, shapes, index, threads);
+                let results = solver.solve_all(base, shapes, target.index, threads);
                 indices
                     .iter()
                     .zip(results)
@@ -118,14 +151,16 @@ impl<const D: usize> Task<D> {
                     .collect()
             }
             Task::WeightedOne { solver, instance, index: i } => {
-                let answer = solver
-                    .solve(instance)
+                let answer = target
+                    .tracker_read(solver, instance)
+                    .map(Ok)
+                    .unwrap_or_else(|| solver.solve(instance))
                     .map(BatchAnswer::Weighted)
                     .unwrap_or_else(BatchAnswer::Failed);
                 vec![(*i, answer)]
             }
             Task::ColoredGroup { solver, base, indices, shapes } => {
-                let results = solver.solve_all(base, shapes, index, threads);
+                let results = solver.solve_all(base, shapes, target.index, threads);
                 indices
                     .iter()
                     .zip(results)
@@ -145,7 +180,7 @@ impl<const D: usize> Task<D> {
     }
 }
 
-/// Executes [`BatchRequest`]s against a [`Registry`].  See the
+/// Executes batches of [`BatchQuery`]s against a [`Registry`].  See the
 /// [module docs](self) for the execution plan.
 pub struct BatchExecutor<'r> {
     registry: &'r Registry,
@@ -163,66 +198,41 @@ impl<'r> BatchExecutor<'r> {
         Self { registry, config }
     }
 
-    /// Answers every query of the request.  Individual queries fail with a
-    /// typed error in their [`BatchAnswer`]; the batch itself always returns.
+    /// Answers every query against the dataset's current version: the one
+    /// execution path (see the [module docs](self)).  Individual queries
+    /// fail with a typed error in their [`BatchAnswer`]; the batch itself
+    /// always returns.  The report carries one certification flag per
+    /// answer and the version all answers were computed and certified at.
     ///
-    /// The shared index lives exactly as long as this call; use
-    /// [`Self::execute_with_index`] to amortize builds across many calls.
-    pub fn execute<const D: usize>(&self, request: &BatchRequest<D>) -> BatchReport<D> {
-        let index = SharedIndex::new(request.shared_points(), request.shared_sites());
-        self.execute_with_index(request, &index)
-    }
-
-    /// Answers every query of the request against an externally-owned
-    /// [`SharedIndex`] — the resident-dataset path: a catalog keeps one index
-    /// per dataset, and every request reuses whatever structures earlier
-    /// requests already built.
+    /// Every query leaves one phase-timed [`QueryTrace`] in `recorder` (pass
+    /// [`TraceRecorder::disabled`] to skip them).  Phase attribution keeps
+    /// each trace's sum below the batch wall time: the batch-level plan,
+    /// view-derivation and lazy index-build durations are split evenly
+    /// across the queries, and each query's solver time is reduced by its
+    /// lazy-build share (those builds run inside solver calls; the view
+    /// derivation runs before them).
     ///
-    /// The index must have been created over the *same shared point and site
-    /// sets* the request carries (clone the request's `Arc`s, or build the
-    /// request from [`SharedIndex::shared_points`] /
-    /// [`SharedIndex::shared_sites`]); this is debug-asserted.  The report's
-    /// [`BatchStats::index_builds`] / [`BatchStats::index_build_time`] count
-    /// only the builds observed *during this call*, so a warmed-up index
-    /// reports zero.  They are before/after snapshots of the index's
-    /// monotone counters: when several calls share one resident index
+    /// [`BatchStats::index_builds`] / [`BatchStats::index_build_time`]
+    /// count the structures this call built, the view derivation included,
+    /// so a warm version reports zero.  They are before/after snapshots of
+    /// the index's monotone counters: when several calls share one version
     /// concurrently, a build triggered by one call can land in an
-    /// overlapping call's delta too — use [`SharedIndex::builds`] (global,
-    /// exact) for build-exactly-once assertions.
-    pub fn execute_with_index<const D: usize>(
+    /// overlapping call's delta too — use [`VersionedDataset::builds`]
+    /// (global, exact) for build-exactly-once assertions.
+    pub fn execute_versioned_traced<const D: usize>(
         &self,
-        request: &BatchRequest<D>,
-        index: &SharedIndex<D>,
-    ) -> BatchReport<D> {
-        self.execute_with_index_traced(request, index, &mut TraceRecorder::disabled())
-    }
-
-    /// [`Self::execute_with_index`], recording one phase-timed
-    /// [`QueryTrace`] per query into `recorder` (a disabled recorder makes
-    /// this identical to the untraced call).
-    ///
-    /// Phase attribution keeps per-trace sums below the batch wall time:
-    /// the batch-level plan and index-build durations are split evenly
-    /// across the batch's queries, each query's solver time is reduced by
-    /// its index-build share (lazy builds run inside solver calls), and —
-    /// only when tracing — certification is timed per answer.
-    pub fn execute_with_index_traced<const D: usize>(
-        &self,
-        request: &BatchRequest<D>,
-        index: &SharedIndex<D>,
+        dataset: &VersionedDataset<D>,
+        queries: &[BatchQuery<D>],
         recorder: &mut TraceRecorder,
     ) -> BatchReport<D> {
-        debug_assert!(
-            std::ptr::eq(request.points().as_ptr(), index.points().as_ptr())
-                && std::ptr::eq(request.sites().as_ptr(), index.sites().as_ptr()),
-            "execute_with_index: the request must share the index's point/site sets"
-        );
         let start = Instant::now();
+        let view = dataset.view();
+        let (index, seeded, derive_time) = view.derive_index();
         let builds_before = index.builds();
         let build_time_before = index.build_time();
-        let mut answers: Vec<Option<BatchAnswer<D>>> = vec![None; request.len()];
+        let mut answers: Vec<Option<BatchAnswer<D>>> = vec![None; queries.len()];
         let plan_start = Instant::now();
-        let tasks = self.plan(request, &mut answers);
+        let tasks = self.plan(queries, &index, &mut answers);
         let plan_time = plan_start.elapsed();
 
         // The thread *budget* is what the caller configured (or the machine
@@ -230,15 +240,15 @@ impl<'r> BatchExecutor<'r> {
         // grants each task the leftover budget for *internal* chunking, so
         // `--threads` accelerates a single expensive query too (an
         // index-shared group is one task).
-        let budget = self
-            .config
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
-            })
-            .max(1);
+        let budget = self.config.threads.unwrap_or_else(machine_threads).max(1);
         let workers = budget.min(tasks.len().max(1));
         let inner_threads = (budget / workers).max(1);
+        let target = Target {
+            dataset,
+            view: &view,
+            index: &index,
+            sampling: self.registry.config().sampling,
+        };
 
         // One token for the whole call: installed around every task (and
         // re-installed inside chunked kernels' own scoped workers), polled
@@ -248,7 +258,7 @@ impl<'r> BatchExecutor<'r> {
         if workers <= 1 {
             let _scope = cancel::install(token.clone(), self.config.degraded);
             for task in &tasks {
-                let results = task.run(index, inner_threads);
+                let results = task.run(&target, inner_threads);
                 let expired = token.as_ref().is_some_and(CancelToken::is_cancelled);
                 for (i, answer) in results {
                     answers[i] = Some(deadline_guard(answer, expired));
@@ -264,7 +274,7 @@ impl<'r> BatchExecutor<'r> {
                         loop {
                             let t = next.fetch_add(1, Ordering::Relaxed);
                             let Some(task) = tasks.get(t) else { break };
-                            let results = task.run(index, inner_threads);
+                            let results = task.run(&target, inner_threads);
                             let expired = token.as_ref().is_some_and(CancelToken::is_cancelled);
                             let mut answers = shared_answers
                                 .lock()
@@ -288,7 +298,7 @@ impl<'r> BatchExecutor<'r> {
             .collect();
 
         let mut stats = BatchStats {
-            queries: request.len(),
+            queries: queries.len(),
             failed: answers.iter().filter(|a| !a.is_ok()).count(),
             threads: budget,
             solver_time: answers.iter().map(BatchAnswer::elapsed).sum(),
@@ -324,198 +334,61 @@ impl<'r> BatchExecutor<'r> {
                 .sum(),
             ..BatchStats::default()
         };
-        // Untraced certification keeps the existing aggregate pass; the
-        // traced variant times each answer individually and remembers the
-        // per-answer verdicts for the trace.
-        let mut certify_times: Vec<Duration> = Vec::new();
-        let mut certify_flags: Vec<Option<bool>> = Vec::new();
+        let mut certified = vec![None; answers.len()];
+        let mut certify_times = vec![Duration::ZERO; answers.len()];
         if self.config.certify {
-            if recorder.is_enabled() {
-                certify_times = Vec::with_capacity(answers.len());
-                certify_flags = Vec::with_capacity(answers.len());
-                for (query, answer) in request.queries().iter().zip(&answers) {
-                    let t = Instant::now();
-                    let verdict = certify_answer(index, query, answer);
-                    certify_times.push(t.elapsed());
-                    certify_flags.push(verdict);
-                    match verdict {
-                        None => {}
-                        Some(true) => stats.certified += 1,
-                        Some(false) => stats.certify_failures += 1,
-                    }
-                }
-            } else {
-                self.certify(request, &answers, index, &mut stats);
+            for (i, (query, answer)) in queries.iter().zip(&answers).enumerate() {
+                let t = Instant::now();
+                certified[i] = certify_answer(&view, query, answer);
+                certify_times[i] = t.elapsed();
             }
+            stats.certified = certified.iter().filter(|&&c| c == Some(true)).count();
+            stats.certify_failures = certified.iter().filter(|&&c| c == Some(false)).count();
         }
-        stats.index_builds = index.builds() - builds_before;
-        stats.index_build_time = index.build_time().saturating_sub(build_time_before);
+        let lazy_build_time = index.build_time().saturating_sub(build_time_before);
+        stats.index_builds = seeded + (index.builds() - builds_before);
+        stats.index_build_time = derive_time + lazy_build_time;
         stats.wall = start.elapsed();
         if recorder.is_enabled() {
-            let n = request.len().max(1) as u32;
+            let n = queries.len().max(1) as u32;
             let plan_share = plan_time / n;
-            let build_share = stats.index_build_time / n;
-            for (i, (query, answer)) in request.queries().iter().zip(&answers).enumerate() {
+            let derive_share = derive_time / n;
+            let build_share = lazy_build_time / n;
+            for (i, (query, answer)) in queries.iter().zip(&answers).enumerate() {
                 let mut trace = QueryTrace {
                     query: i,
                     solver: query.solver().to_string(),
                     shape: format!("{:?}", query.shape()),
                     ok: answer.is_ok(),
-                    certified: certify_flags.get(i).copied().flatten(),
+                    certified: certified[i],
+                    version: view.version(),
+                    degraded: self.config.degraded,
                     ..QueryTrace::default()
                 };
                 trace.set_phase(Phase::Plan, plan_share);
-                trace.set_phase(Phase::IndexBuild, build_share);
+                trace.set_phase(Phase::IndexBuild, derive_share + build_share);
                 trace.set_phase(Phase::Solve, answer.elapsed().saturating_sub(build_share));
-                if let Some(t) = certify_times.get(i) {
-                    trace.set_phase(Phase::Certify, *t);
-                }
+                trace.set_phase(Phase::Certify, certify_times[i]);
                 if let Some(s) = answer.solve_stats() {
                     trace.routed = s.auto_choice;
                     trace.candidates_examined = s.candidates_examined.unwrap_or(0);
                     trace.grid_cells_visited = s.grid_cells_visited.unwrap_or(0);
                     trace.sieve_rejected = s.sieve_rejected.unwrap_or(0);
                 }
-                trace.degraded = self.config.degraded;
                 recorder.record(trace);
             }
         }
-        BatchReport { answers, stats }
-    }
-
-    /// Answers queries against one **version** of an updatable dataset (see
-    /// [`VersionedDataset`]): the current [`VersionedView`] is fetched once,
-    /// queries run through its (incrementally derived) index, and — when the
-    /// executor certifies — every answer is re-evaluated through the view's
-    /// *delta overlay*, i.e. against exactly the version it was computed at.
-    ///
-    /// Queries naming a solver whose descriptor declares `dynamic` support
-    /// (the Theorem 1.1 `dynamic-ball` tracker) are answered by the
-    /// dataset's **incrementally maintained** sampling structure via
-    /// [`VersionedDataset::dynamic_ball_best`] instead of a from-scratch
-    /// build; their answers carry the version the tracker observed.
-    ///
-    /// Returns the view the batch ran at plus one
-    /// [`VersionedAnswer`] per query; the certified flag is `None` when
-    /// certification is off or the query failed.
-    pub fn execute_versioned<const D: usize>(
-        &self,
-        dataset: &VersionedDataset<D>,
-        queries: &[BatchQuery<D>],
-    ) -> (VersionedView<D>, Vec<VersionedAnswer<D>>, BatchStats) {
-        self.execute_versioned_traced(dataset, queries, &mut TraceRecorder::disabled())
-    }
-
-    /// [`Self::execute_versioned`], recording one phase-timed
-    /// [`QueryTrace`] per query into `recorder` (one per tracker-answered
-    /// query too); every trace carries the version its answer was computed
-    /// at, and the overlay certification pass is timed per answer.
-    pub fn execute_versioned_traced<const D: usize>(
-        &self,
-        dataset: &VersionedDataset<D>,
-        queries: &[BatchQuery<D>],
-        recorder: &mut TraceRecorder,
-    ) -> (VersionedView<D>, Vec<VersionedAnswer<D>>, BatchStats) {
-        let start = Instant::now();
-        let view = dataset.view();
-        let mut slots: Vec<Option<VersionedAnswer<D>>> = vec![None; queries.len()];
-        let mut request = view.request();
-        let mut engine_positions: Vec<usize> = Vec::new();
-        // Tracker answers bypass the inner executor, so their time must be
-        // folded into the batch statistics by hand.
-        let mut tracker_time = Duration::ZERO;
-        for (i, query) in queries.iter().enumerate() {
-            if let Some(answer) = self.try_dynamic_tracker(dataset, query) {
-                tracker_time += answer.0.elapsed();
-                if recorder.is_enabled() {
-                    let mut trace = QueryTrace {
-                        query: i,
-                        solver: query.solver().to_string(),
-                        shape: format!("{:?}", query.shape()),
-                        ok: answer.0.is_ok(),
-                        certified: answer.1,
-                        version: answer.2,
-                        ..QueryTrace::default()
-                    };
-                    trace.set_phase(Phase::Solve, answer.0.elapsed());
-                    recorder.record(trace);
-                }
-                slots[i] = Some(answer);
-            } else {
-                engine_positions.push(i);
-                request.push(query.clone());
-            }
-        }
-
-        let mut stats;
-        if engine_positions.is_empty() {
-            stats = BatchStats::default();
-        } else {
-            // Certification must go through the overlay (never through
-            // per-version grids), so the inner executor runs uncertified and
-            // the per-answer pass below does the work.
-            let inner = BatchExecutor::with_config(
-                self.registry,
-                ExecutorConfig { certify: false, ..self.config },
-            );
-            let index = view.index();
-            let mut inner_recorder = if recorder.is_enabled() {
-                TraceRecorder::new()
-            } else {
-                TraceRecorder::disabled()
-            };
-            let report = inner.execute_with_index_traced(&request, &index, &mut inner_recorder);
-            stats = report.stats;
-            let mut inner_traces = inner_recorder.take();
-            for (pos, ((&i, answer), query)) in
-                engine_positions.iter().zip(report.answers).zip(request.queries()).enumerate()
-            {
-                let t = Instant::now();
-                let certified = (self.config.certify && answer.is_ok())
-                    .then(|| certify_answer(&view, query, &answer) == Some(true));
-                if let Some(trace) = inner_traces.get_mut(pos) {
-                    trace.query = i;
-                    trace.version = view.version();
-                    trace.certified = certified;
-                    trace.set_phase(Phase::Certify, t.elapsed());
-                }
-                slots[i] = Some((answer, certified, view.version()));
-            }
-            for trace in inner_traces {
-                recorder.record(trace);
-            }
-        }
-        let answers: Vec<VersionedAnswer<D>> =
-            slots.into_iter().map(|slot| slot.expect("every query answered")).collect();
-        stats.queries = queries.len();
-        stats.failed = answers.iter().filter(|(a, _, _)| !a.is_ok()).count();
-        stats.solver_time += tracker_time;
-        stats.wall = start.elapsed();
-        if self.config.certify {
-            stats.certified = answers.iter().filter(|(_, c, _)| *c == Some(true)).count();
-            stats.certify_failures = answers.iter().filter(|(_, c, _)| *c == Some(false)).count();
-        }
-        (view, answers, stats)
+        BatchReport { answers, certified, version: view.version(), stats }
     }
 
     /// Executes an interleaved update/query **script** against a versioned
-    /// dataset: consecutive queries form one amortized segment answered at
-    /// the then-current version (through [`Self::execute_versioned`], so
+    /// dataset: each run of consecutive queries is one batch answered at the
+    /// then-current version (through [`Self::execute_versioned_traced`], so
     /// every answer is certified against the version it was computed at),
-    /// and each mutation bumps the version between segments.
+    /// and each mutation bumps the version between runs.  Each trace's
+    /// `query` field is the query's **step position** in the script, so
+    /// traces line up with the report's outcomes.
     pub fn execute_script<const D: usize>(
-        &self,
-        dataset: &VersionedDataset<D>,
-        steps: &[ScriptStep<D>],
-    ) -> ScriptReport<D> {
-        self.execute_script_traced(dataset, steps, &mut TraceRecorder::disabled())
-    }
-
-    /// [`Self::execute_script`], recording one phase-timed [`QueryTrace`]
-    /// per query step into `recorder`.  Each trace's `query` field is the
-    /// query's **step position** in the script, so traces line up with the
-    /// report's outcomes.
-    pub fn execute_script_traced<const D: usize>(
         &self,
         dataset: &VersionedDataset<D>,
         steps: &[ScriptStep<D>],
@@ -524,84 +397,51 @@ impl<'r> BatchExecutor<'r> {
         let mut outcomes: Vec<ScriptOutcome<D>> = Vec::with_capacity(steps.len());
         let mut stats = BatchStats::default();
         let mut updates = 0usize;
-        let mut pending: Vec<BatchQuery<D>> = Vec::new();
-        let flush = |pending: &mut Vec<BatchQuery<D>>,
-                     outcomes: &mut Vec<ScriptOutcome<D>>,
-                     stats: &mut BatchStats,
-                     recorder: &mut TraceRecorder| {
-            if pending.is_empty() {
-                return;
+        // A mutation is always a run of its own; queries run together.
+        let runs =
+            steps.chunk_by(|a, b| matches!((a, b), (ScriptStep::Query(_), ScriptStep::Query(_))));
+        for run in runs {
+            if let [ScriptStep::Mutate(mutation)] = run {
+                let report = dataset.apply(std::slice::from_ref(mutation));
+                updates += 1;
+                outcomes.push(ScriptOutcome::Mutated {
+                    version: report.version,
+                    outcome: report.outcome,
+                    compacted: report.compacted,
+                });
+                continue;
             }
-            // Segment-local trace indices become script step positions: the
-            // segment's queries occupy the step slots right after the
-            // outcomes already emitted.
-            let base = outcomes.len();
+            let queries: Vec<BatchQuery<D>> = run
+                .iter()
+                .filter_map(|step| match step {
+                    ScriptStep::Query(query) => Some(query.clone()),
+                    ScriptStep::Mutate(_) => None,
+                })
+                .collect();
             let mark = recorder.traces().len();
-            let (_, answers, segment) = self.execute_versioned_traced(dataset, pending, recorder);
+            let report = self.execute_versioned_traced(dataset, &queries, recorder);
             for trace in &mut recorder.traces_mut()[mark..] {
-                trace.query += base;
+                trace.query += outcomes.len();
             }
-            for (answer, certified, version) in answers {
-                outcomes.push(ScriptOutcome::Answer { version, certified, answer });
-            }
-            merge_stats(stats, &segment);
-            pending.clear();
-        };
-        for step in steps {
-            match step {
-                ScriptStep::Query(query) => pending.push(query.clone()),
-                ScriptStep::Mutate(mutation) => {
-                    flush(&mut pending, &mut outcomes, &mut stats, recorder);
-                    let report = dataset.apply(std::slice::from_ref(mutation));
-                    updates += 1;
-                    outcomes.push(ScriptOutcome::Mutated {
-                        version: report.version,
-                        outcome: report.outcome,
-                        compacted: report.compacted,
-                    });
-                }
-            }
+            merge_stats(&mut stats, &report.stats);
+            let version = report.version;
+            outcomes.extend(
+                report.answers.into_iter().zip(report.certified).map(|(answer, certified)| {
+                    ScriptOutcome::Answer { version, certified, answer }
+                }),
+            );
         }
-        flush(&mut pending, &mut outcomes, &mut stats, recorder);
         ScriptReport { outcomes, stats, updates, final_version: dataset.version() }
-    }
-
-    /// Answers one query through the dataset's resident dynamic tracker, if
-    /// the named solver declares incremental-update support and the tracker
-    /// path applies (weighted ball query, non-negative weights).  Returns
-    /// `None` to fall through to the ordinary engine dispatch.
-    fn try_dynamic_tracker<const D: usize>(
-        &self,
-        dataset: &VersionedDataset<D>,
-        query: &BatchQuery<D>,
-    ) -> Option<VersionedAnswer<D>> {
-        let BatchQuery::Weighted { solver, shape } = query else { return None };
-        let radius = shape.ball_radius()?;
-        let resolved = self.registry.weighted::<D>(solver)?;
-        if !resolved.descriptor().dynamic {
-            return None;
-        }
-        let start = Instant::now();
-        let config = self.registry.config().sampling;
-        let (view, placement) = dataset.dynamic_ball_best(radius, &config)?;
-        let report = SolverReport {
-            solver: resolved.descriptor().name,
-            placement,
-            guarantee: Guarantee::HalfMinusEps { eps: config.eps },
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-        };
-        let answer = BatchAnswer::Weighted(report);
-        let certified =
-            self.config.certify.then(|| certify_answer(&view, query, &answer) == Some(true));
-        Some((answer, certified, view.version()))
     }
 
     /// Groups queries per `(problem, solver)`, resolves each solver once,
     /// fails unknown names in place, and emits one task per index-sharing
-    /// group or per independent query.
+    /// group or per independent query, all over the index's sets (`O(1)`
+    /// per group: the sets were checked where they entered).
     fn plan<const D: usize>(
         &self,
-        request: &BatchRequest<D>,
+        queries: &[BatchQuery<D>],
+        index: &SharedIndex<D>,
         answers: &mut [Option<BatchAnswer<D>>],
     ) -> Vec<Task<D>> {
         struct Group<const D: usize> {
@@ -612,7 +452,7 @@ impl<'r> BatchExecutor<'r> {
         }
         let mut order: Vec<Group<D>> = Vec::new();
         let mut by_key: HashMap<(ProblemKind, String), usize> = HashMap::new();
-        for (i, query) in request.queries().iter().enumerate() {
+        for (i, query) in queries.iter().enumerate() {
             let kind = match query {
                 BatchQuery::Weighted { .. } => ProblemKind::Weighted,
                 BatchQuery::Colored { .. } => ProblemKind::Colored,
@@ -637,7 +477,7 @@ impl<'r> BatchExecutor<'r> {
                     None => fail_group(answers, &group.indices, &group.name),
                     Some(solver) => {
                         let base =
-                            WeightedInstance::from_shared(request.shared_points(), group.shapes[0]);
+                            WeightedInstance::from_shared(index.shared_points(), group.shapes[0]);
                         if solver.descriptor().batch.is_shared() {
                             tasks.push(Task::WeightedGroup {
                                 solver,
@@ -660,7 +500,7 @@ impl<'r> BatchExecutor<'r> {
                     None => fail_group(answers, &group.indices, &group.name),
                     Some(solver) => {
                         let base =
-                            ColoredInstance::from_shared(request.shared_sites(), group.shapes[0]);
+                            ColoredInstance::from_shared(index.shared_sites(), group.shapes[0]);
                         if solver.descriptor().batch.is_shared() {
                             tasks.push(Task::ColoredGroup {
                                 solver,
@@ -683,26 +523,15 @@ impl<'r> BatchExecutor<'r> {
         }
         tasks
     }
+}
 
-    /// Re-evaluates every successful answer through the shared index and
-    /// tallies agreement.  Solvers certify their reported values (the value
-    /// is the true quality of the returned center), so disagreement counts
-    /// as a `certify_failures` contract violation.
-    fn certify<const D: usize>(
-        &self,
-        request: &BatchRequest<D>,
-        answers: &[BatchAnswer<D>],
-        index: &SharedIndex<D>,
-        stats: &mut BatchStats,
-    ) {
-        for (query, answer) in request.queries().iter().zip(answers) {
-            match certify_answer(index, query, answer) {
-                None => {}
-                Some(true) => stats.certified += 1,
-                Some(false) => stats.certify_failures += 1,
-            }
-        }
-    }
+/// The machine's available parallelism, capped at 8.  Read once per
+/// process: on Linux the query reads cgroup files (about 24 µs per call on
+/// a 2-vCPU x86-64 container), more than a warm tracker read costs.
+fn machine_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8))
 }
 
 /// Accumulates one query segment's statistics into a script-level total.
@@ -724,39 +553,34 @@ fn merge_stats(total: &mut BatchStats, segment: &BatchStats) {
     total.auto_actual_work += segment.auto_actual_work;
 }
 
-/// Re-evaluates one answer against an index: `Some(true)` when the
-/// reported value lies within the index's recount bounds, `Some(false)` on
-/// a solver-contract violation, `None` for failed answers (nothing to
-/// check).  The index must cover the point/site sets the query ran against
-/// — a [`SharedIndex`] for immutable snapshots, a
-/// [`VersionedView`] for one version of an updatable dataset (whose bounds
-/// go through the delta overlay, so no structure is rebuilt to certify);
-/// box queries (which have no shared structure) scan the index's points and
-/// sites directly.
-///
-/// This is the per-answer form of the executor's batch certification — the
-/// serving layer uses it to stamp each answer individually before caching
-/// it, so one bad answer in a batch cannot mislabel its neighbors.
-pub fn certify_answer<const D: usize, I: AnswerIndex<D> + ?Sized>(
-    index: &I,
+/// Re-evaluates one answer through `view`: `Some(true)` when the reported
+/// value lies within the view's recount bounds, `Some(false)` on a
+/// solver-contract violation, `None` for failed answers (nothing to check).
+/// The bounds go through the view's delta overlay, so certifying after an
+/// update rebuilds nothing; box queries (which have no shared structure)
+/// scan the view's live points and sites directly.  This is the only
+/// certification route: the executor stamps every answer with it, so one
+/// bad answer in a batch cannot mislabel its neighbors.
+pub fn certify_answer<const D: usize>(
+    view: &VersionedView<D>,
     query: &BatchQuery<D>,
     answer: &BatchAnswer<D>,
 ) -> Option<bool> {
     // Boundary membership is only re-decidable up to the rounding the
     // reported center carries, which is relative to the coordinate
     // magnitude — not to the query radius.
-    let slack = 1e-9 * (1.0 + index.coord_scale());
+    let slack = 1e-9 * (1.0 + view.coord_scale());
     Some(match answer {
         BatchAnswer::Failed(_) => return None,
         BatchAnswer::Weighted(report) => {
             let center = &report.placement.center;
             let (lo, hi) = match query.shape() {
                 RangeShape::Ball { radius } if D == 1 => {
-                    index.interval_weight_bounds(center[0] - radius, center[0] + radius, slack)
+                    view.interval_weight_bounds(center[0] - radius, center[0] + radius, slack)
                 }
-                RangeShape::Ball { radius } => index.ball_weight_bounds(center, *radius, slack),
+                RangeShape::Ball { radius } => view.ball_weight_bounds(center, *radius, slack),
                 RangeShape::AxisBox { extents } => {
-                    box_weight_bounds(index.points(), center, extents, slack)
+                    box_weight_bounds(view.points(), center, extents, slack)
                 }
             };
             let want = report.placement.value;
@@ -766,9 +590,9 @@ pub fn certify_answer<const D: usize, I: AnswerIndex<D> + ?Sized>(
         BatchAnswer::Colored(report) => {
             let center = &report.placement.center;
             let (lo, hi) = match query.shape() {
-                RangeShape::Ball { radius } => index.ball_distinct_bounds(center, *radius, slack),
+                RangeShape::Ball { radius } => view.ball_distinct_bounds(center, *radius, slack),
                 RangeShape::AxisBox { extents } => {
-                    box_distinct_bounds(index.sites(), center, extents, slack)
+                    box_distinct_bounds(view.sites(), center, extents, slack)
                 }
             };
             let want = report.placement.distinct;
@@ -893,6 +717,7 @@ fn fail_group<const D: usize>(
 mod tests {
     use super::*;
     use crate::engine::registry;
+    use crate::engine::versioned::Mutation;
     use mrs_geom::Point2;
 
     fn planar_points() -> Vec<WeightedPoint<2>> {
@@ -913,15 +738,26 @@ mod tests {
         ]
     }
 
+    /// One untraced batch at the dataset's current version.
+    fn run<const D: usize>(
+        executor: &BatchExecutor<'_>,
+        dataset: &VersionedDataset<D>,
+        queries: &[BatchQuery<D>],
+    ) -> BatchReport<D> {
+        executor.execute_versioned_traced(dataset, queries, &mut TraceRecorder::disabled())
+    }
+
     #[test]
     fn mixed_batch_answers_in_request_order() {
-        let request = BatchRequest::new(planar_points(), planar_sites())
-            .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)))
-            .with_query(BatchQuery::colored("output-sensitive-colored-disk", RangeShape::ball(1.0)))
-            .with_query(BatchQuery::weighted("exact-rect-2d", RangeShape::rect(1.0, 1.0)))
-            .with_query(BatchQuery::weighted("no-such-solver", RangeShape::ball(1.0)));
+        let dataset = VersionedDataset::new(planar_points(), planar_sites());
+        let queries = [
+            BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)),
+            BatchQuery::colored("output-sensitive-colored-disk", RangeShape::ball(1.0)),
+            BatchQuery::weighted("exact-rect-2d", RangeShape::rect(1.0, 1.0)),
+            BatchQuery::weighted("no-such-solver", RangeShape::ball(1.0)),
+        ];
         let registry = registry();
-        let report = BatchExecutor::new(&registry).execute(&request);
+        let report = run(&BatchExecutor::new(&registry), &dataset, &queries);
 
         assert_eq!(report.answers.len(), 4);
         assert_eq!(report.weighted(0).unwrap().placement.value, 3.0);
@@ -931,6 +767,8 @@ mod tests {
             report.answers[3].error(),
             Some(EngineError::UnknownSolver { name }) if name == "no-such-solver"
         ));
+        assert_eq!(report.certified, vec![Some(true), Some(true), Some(true), None]);
+        assert_eq!(report.version, 1, "a static batch is version 1");
         assert_eq!(report.stats.queries, 4);
         assert_eq!(report.stats.failed, 1);
         assert_eq!(report.stats.certified, 3);
@@ -940,25 +778,20 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_runs_agree() {
-        let mut request = BatchRequest::over_points(planar_points());
-        for i in 0..32 {
-            let radius = 0.5 + 0.05 * i as f64;
-            request.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius)));
-        }
+        let dataset = VersionedDataset::new(planar_points(), Vec::new());
+        let queries: Vec<BatchQuery<2>> = (0..32)
+            .map(|i| BatchQuery::weighted("exact-disk-2d", RangeShape::ball(0.5 + 0.05 * i as f64)))
+            .collect();
         let registry = registry();
-        let serial = BatchExecutor::with_config(
-            &registry,
-            ExecutorConfig { threads: Some(1), ..ExecutorConfig::default() },
-        )
-        .execute(&request);
-        let parallel = BatchExecutor::with_config(
-            &registry,
-            ExecutorConfig { threads: Some(4), ..ExecutorConfig::default() },
-        )
-        .execute(&request);
+        let with_threads = |threads| {
+            let config = ExecutorConfig { threads: Some(threads), ..ExecutorConfig::default() };
+            run(&BatchExecutor::with_config(&registry, config), &dataset, &queries)
+        };
+        let serial = with_threads(1);
+        let parallel = with_threads(4);
         assert_eq!(serial.stats.threads, 1);
         assert_eq!(parallel.stats.threads, 4);
-        for i in 0..request.len() {
+        for i in 0..queries.len() {
             assert_eq!(
                 serial.weighted(i).unwrap().placement.value,
                 parallel.weighted(i).unwrap().placement.value,
@@ -970,11 +803,13 @@ mod tests {
 
     #[test]
     fn shape_mismatches_fail_per_query_not_per_batch() {
-        let request = BatchRequest::over_points(planar_points())
-            .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::rect(1.0, 1.0)))
-            .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)));
+        let dataset = VersionedDataset::new(planar_points(), Vec::new());
+        let queries = [
+            BatchQuery::weighted("exact-disk-2d", RangeShape::rect(1.0, 1.0)),
+            BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)),
+        ];
         let registry = registry();
-        let report = BatchExecutor::new(&registry).execute(&request);
+        let report = run(&BatchExecutor::new(&registry), &dataset, &queries);
         assert!(matches!(report.answers[0].error(), Some(EngineError::UnsupportedShape { .. })));
         assert_eq!(report.weighted(1).unwrap().placement.value, 3.0);
         assert_eq!(report.stats.failed, 1);
@@ -991,13 +826,12 @@ mod tests {
             .iter()
             .map(|&(x, y)| WeightedPoint::unit(Point2::xy(base + x, base + y)))
             .collect();
-        let mut request = BatchRequest::over_points(points);
-        for i in 0..50 {
-            let radius = 0.5 + 0.01 * i as f64;
-            request.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius)));
-        }
+        let dataset = VersionedDataset::new(points, Vec::new());
+        let queries: Vec<BatchQuery<2>> = (0..50)
+            .map(|i| BatchQuery::weighted("exact-disk-2d", RangeShape::ball(0.5 + 0.01 * i as f64)))
+            .collect();
         let registry = registry();
-        let report = BatchExecutor::new(&registry).execute(&request);
+        let report = run(&BatchExecutor::new(&registry), &dataset, &queries);
         assert!(report.all_ok());
         assert_eq!(
             report.stats.certify_failures, 0,
@@ -1008,9 +842,9 @@ mod tests {
 
     #[test]
     fn empty_batch_reports_cleanly() {
-        let request = BatchRequest::<2>::over_points(Vec::new());
+        let dataset = VersionedDataset::<2>::new(Vec::new(), Vec::new());
         let registry = registry();
-        let report = BatchExecutor::new(&registry).execute(&request);
+        let report = run(&BatchExecutor::new(&registry), &dataset, &[]);
         assert!(report.answers.is_empty());
         assert!(report.all_ok());
         assert_eq!(report.stats.queries, 0);
@@ -1018,7 +852,6 @@ mod tests {
 
     #[test]
     fn scripts_interleave_updates_and_certified_queries() {
-        use super::super::versioned::{Mutation, ScriptStep, VersionedDataset};
         let dataset = VersionedDataset::new(planar_points(), planar_sites());
         let registry = registry();
         let executor = BatchExecutor::new(&registry);
@@ -1036,7 +869,7 @@ mod tests {
             ScriptStep::Mutate(Mutation::Delete { point: Point2::xy(0.25, 0.25) }),
             ScriptStep::Query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0))),
         ];
-        let report = executor.execute_script(&dataset, &steps);
+        let report = executor.execute_script(&dataset, &steps, &mut TraceRecorder::disabled());
         assert_eq!(report.outcomes.len(), 6);
         assert_eq!(report.updates, 2);
         assert_eq!(report.final_version, 3);
@@ -1073,7 +906,6 @@ mod tests {
 
     #[test]
     fn dynamic_solver_routes_through_the_maintained_tracker() {
-        use super::super::versioned::{Mutation, ScriptStep, VersionedDataset};
         let dataset = VersionedDataset::new(planar_points(), Vec::new());
         let registry = registry();
         let executor = BatchExecutor::new(&registry);
@@ -1085,7 +917,7 @@ mod tests {
             }),
             ScriptStep::Query(BatchQuery::weighted("dynamic-ball", RangeShape::ball(1.0))),
         ];
-        let report = executor.execute_script(&dataset, &steps);
+        let report = executor.execute_script(&dataset, &steps, &mut TraceRecorder::disabled());
         assert!(report.all_ok());
         let values: Vec<f64> = report
             .outcomes
@@ -1105,25 +937,28 @@ mod tests {
                 assert_eq!(outcome.certified(), Some(true));
             }
         }
+        // A tracker-only batch still reports the thread budget it ran under.
+        assert!(report.stats.threads >= 1);
     }
 
     #[test]
     fn traced_batches_yield_one_bounded_trace_per_query() {
-        let request = BatchRequest::new(planar_points(), planar_sites())
-            .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)))
-            .with_query(BatchQuery::colored("output-sensitive-colored-disk", RangeShape::ball(1.0)))
-            .with_query(BatchQuery::weighted("auto", RangeShape::ball(0.7)))
-            .with_query(BatchQuery::weighted("no-such-solver", RangeShape::ball(1.0)));
+        let dataset = VersionedDataset::new(planar_points(), planar_sites());
+        let queries = [
+            BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)),
+            BatchQuery::colored("output-sensitive-colored-disk", RangeShape::ball(1.0)),
+            BatchQuery::weighted("auto", RangeShape::ball(0.7)),
+            BatchQuery::weighted("no-such-solver", RangeShape::ball(1.0)),
+        ];
         let registry = registry();
         let executor = BatchExecutor::new(&registry);
-        let index = SharedIndex::new(request.shared_points(), request.shared_sites());
         let mut recorder = TraceRecorder::new();
-        let report = executor.execute_with_index_traced(&request, &index, &mut recorder);
+        let report = executor.execute_versioned_traced(&dataset, &queries, &mut recorder);
 
-        assert_eq!(recorder.traces().len(), request.len(), "one trace per query");
+        assert_eq!(recorder.traces().len(), queries.len(), "one trace per query");
         for (i, trace) in recorder.traces().iter().enumerate() {
             assert_eq!(trace.query, i);
-            assert_eq!(trace.solver, request.queries()[i].solver());
+            assert_eq!(trace.solver, queries[i].solver());
             assert!(
                 trace.phase_total() <= report.stats.wall,
                 "query {i}: phases {:?} exceed wall {:?}",
@@ -1137,14 +972,13 @@ mod tests {
         assert_eq!(recorder.traces()[3].certified, None);
 
         // The untraced call is behaviorally identical.
-        let untraced = executor.execute_with_index(&request, &index);
+        let untraced = run(&executor, &dataset, &queries);
         assert_eq!(untraced.stats.certified, report.stats.certified);
         assert_eq!(untraced.stats.failed, report.stats.failed);
     }
 
     #[test]
     fn traced_scripts_key_traces_by_step_position() {
-        use super::super::versioned::{Mutation, ScriptStep, VersionedDataset};
         let dataset = VersionedDataset::new(planar_points(), Vec::new());
         let registry = registry();
         let executor = BatchExecutor::new(&registry);
@@ -1158,7 +992,7 @@ mod tests {
             ScriptStep::Query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0))),
         ];
         let mut recorder = TraceRecorder::new();
-        let report = executor.execute_script_traced(&dataset, &steps, &mut recorder);
+        let report = executor.execute_script(&dataset, &steps, &mut recorder);
         assert!(report.all_ok());
 
         // Every query step has a trace keyed by its step position, stamped
@@ -1177,23 +1011,23 @@ mod tests {
 
     #[test]
     fn resident_index_amortizes_builds_across_calls() {
-        // The serving path: one catalog-owned index, many requests.  The
-        // first call builds the radius-1 grid; every later call over the same
-        // shapes reports zero new builds and identical answers.
-        let index = SharedIndex::new(planar_points().into(), planar_sites().into());
-        let mut request = BatchRequest::from_shared(index.shared_points(), index.shared_sites());
-        request.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)));
-        request.push(BatchQuery::colored("output-sensitive-colored-disk", RangeShape::ball(1.0)));
-
+        // The serving path: one dataset, many requests.  The first call
+        // builds the radius-1 grids; every later call over the same shapes
+        // reports zero new builds and identical answers.
+        let dataset = VersionedDataset::new(planar_points(), planar_sites());
+        let queries = [
+            BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)),
+            BatchQuery::colored("output-sensitive-colored-disk", RangeShape::ball(1.0)),
+        ];
         let registry = registry();
         let executor = BatchExecutor::new(&registry);
-        let first = executor.execute_with_index(&request, &index);
+        let first = run(&executor, &dataset, &queries);
         assert!(first.all_ok());
         assert!(first.stats.index_builds > 0, "first call must build the shared structures");
-        let builds_after_first = index.builds();
+        let builds_after_first = dataset.builds();
 
         for _ in 0..5 {
-            let again = executor.execute_with_index(&request, &index);
+            let again = run(&executor, &dataset, &queries);
             assert!(again.all_ok());
             assert_eq!(again.stats.index_builds, 0, "warm index must not rebuild");
             assert_eq!(
@@ -1205,14 +1039,52 @@ mod tests {
                 first.colored(1).unwrap().placement.distinct
             );
         }
-        assert_eq!(index.builds(), builds_after_first, "structures were built exactly once");
+        assert_eq!(dataset.builds(), builds_after_first, "structures were built exactly once");
+    }
+
+    #[test]
+    fn post_write_index_derivation_is_counted_and_timed() {
+        // Deriving a changed version's index (live sets plus the merged
+        // sorted line) runs before any solver call; it must still show up
+        // as index builds and as each query's index-build phase.
+        let points: Vec<WeightedPoint<1>> = (0..50_000)
+            .map(|i| WeightedPoint::new(Point::new([(i % 977) as f64 * 0.5]), 1.0))
+            .collect();
+        let dataset = VersionedDataset::new(points, Vec::new());
+        let query = BatchQuery::weighted("exact-interval-1d", RangeShape::interval(3.0));
+        let registry = registry();
+        let executor = BatchExecutor::new(&registry);
+        dataset.apply(&[Mutation::Insert {
+            point: WeightedPoint::new(Point::new([7.25]), 2.0),
+            color: None,
+        }]);
+        let mut recorder = TraceRecorder::new();
+        let report = executor.execute_versioned_traced(
+            &dataset,
+            std::slice::from_ref(&query),
+            &mut recorder,
+        );
+        assert!(report.all_ok());
+        assert_eq!(report.certified, vec![Some(true)]);
+        assert!(report.stats.index_builds >= 1, "{:?}", report.stats);
+        assert!(report.stats.index_build_time > Duration::ZERO);
+        let trace = &recorder.traces()[0];
+        assert!(trace.phase(Phase::IndexBuild) > Duration::ZERO, "{trace:?}");
+        assert!(trace.phase_total() <= report.stats.wall);
+        // The next read of the same version derives nothing.
+        let again = run(&executor, &dataset, std::slice::from_ref(&query));
+        assert_eq!(again.stats.index_builds, 0);
     }
 
     #[test]
     fn expired_deadlines_yield_typed_timeouts_with_partial_work() {
-        let mut request = BatchRequest::over_points(planar_points());
-        request.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)));
-        request.push(BatchQuery::weighted("exact-rect-2d", RangeShape::rect(1.0, 1.0)));
+        let dataset = VersionedDataset::new(planar_points(), Vec::new());
+        let queries = [
+            BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)),
+            BatchQuery::weighted("exact-rect-2d", RangeShape::rect(1.0, 1.0)),
+            // Tracker reads run under the same deadline guard as solves.
+            BatchQuery::weighted("dynamic-ball", RangeShape::ball(1.0)),
+        ];
         let registry = registry();
         let executor = BatchExecutor::with_config(
             &registry,
@@ -1221,8 +1093,9 @@ mod tests {
                 ..ExecutorConfig::default()
             },
         );
-        let report = executor.execute(&request);
-        assert_eq!(report.stats.failed, 2, "every answer under an expired deadline fails");
+        let report = run(&executor, &dataset, &queries);
+        assert_eq!(report.stats.failed, 3, "every answer under an expired deadline fails");
+        assert_eq!(report.certified, vec![None; 3], "timeouts are never certified");
         for answer in &report.answers {
             match answer.error() {
                 Some(EngineError::DeadlineExceeded { solver, partial }) => {
@@ -1238,8 +1111,8 @@ mod tests {
 
     #[test]
     fn unexpired_deadlines_leave_answers_intact() {
-        let mut request = BatchRequest::over_points(planar_points());
-        request.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)));
+        let dataset = VersionedDataset::new(planar_points(), Vec::new());
+        let queries = [BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0))];
         let registry = registry();
         let executor = BatchExecutor::with_config(
             &registry,
@@ -1248,25 +1121,22 @@ mod tests {
                 ..ExecutorConfig::default()
             },
         );
-        let report = executor.execute(&request);
+        let report = run(&executor, &dataset, &queries);
         assert!(report.all_ok(), "a generous deadline changes nothing");
         assert_eq!(report.weighted(0).unwrap().placement.value, 3.0);
     }
 
     #[test]
     fn degraded_executor_routes_auto_away_from_exact_solvers() {
-        let mut request = BatchRequest::over_points(planar_points());
-        request.push(BatchQuery::weighted("auto", RangeShape::ball(1.0)));
+        let dataset = VersionedDataset::new(planar_points(), Vec::new());
+        let queries = [BatchQuery::weighted("auto", RangeShape::ball(1.0))];
         let registry = registry();
-        let normal = BatchExecutor::new(&registry).execute(&request);
+        let normal = run(&BatchExecutor::new(&registry), &dataset, &queries);
         assert!(normal.weighted(0).unwrap().stats.auto_choice.is_some());
         assert!(!normal.weighted(0).unwrap().stats.degraded);
 
-        let degraded = BatchExecutor::with_config(
-            &registry,
-            ExecutorConfig { degraded: true, ..ExecutorConfig::default() },
-        )
-        .execute(&request);
+        let config = ExecutorConfig { degraded: true, ..ExecutorConfig::default() };
+        let degraded = run(&BatchExecutor::with_config(&registry, config), &dataset, &queries);
         let report = degraded.weighted(0).unwrap();
         let choice = report.stats.auto_choice.unwrap();
         let routed = registry.weighted::<2>(choice).expect("the routed solver is registered");

@@ -1,12 +1,10 @@
 //! Long-lived shared spatial indexes over one point/site set.
 //!
-//! [`SharedIndex`] started life inside the batch executor, scoped to a single
-//! [`BatchExecutor::execute`](super::BatchExecutor::execute) call.  Promoting
-//! it into its own module gives it an owner-agnostic lifetime: a resident
-//! dataset (the `mrs_server` catalog) can hold one index per dataset, build
-//! each structure exactly once over the dataset's whole lifetime, and hand
-//! the same handle to every request via
-//! [`BatchExecutor::execute_with_index`](super::BatchExecutor::execute_with_index).
+//! A [`SharedIndex`] has an owner-agnostic lifetime: each generation of a
+//! [`VersionedDataset`](super::VersionedDataset) holds one, builds each
+//! structure exactly once over the generation's whole lifetime, and hands
+//! it to every batch the executor runs against that generation (see
+//! [`VersionedView::index`](super::VersionedView::index)).
 //!
 //! All structures are built lazily and exactly once (interior mutability via
 //! [`OnceLock`] and per-radius grid maps), so the type is safely shared
@@ -20,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use mrs_geom::{Ball, ColoredSite, Fenwick, HashGrid, Point, WeightedPoint};
 
+use super::instance::Finite;
 use crate::config::SamplingConfig;
 use crate::exact::interval1d::{LinePoint, SortedLine};
 use crate::technique1::SampleSet;
@@ -51,13 +50,13 @@ struct LineIndex {
 /// * [`Self::ball_weight`] / [`Self::ball_distinct`] — hash-grid ball
 ///   queries, one grid per distinct radius, `O(local density)` per query.
 ///
-/// The index has two lifetimes in practice: the batch executor creates a
-/// fresh one per [`BatchRequest`](super::BatchRequest) (amortization within
-/// one batch), and the `mrs_server` dataset catalog keeps one resident per
-/// dataset (amortization across every request the dataset ever serves).
+/// A [`VersionedDataset`](super::VersionedDataset) keeps one per
+/// generation (amortization across every batch the dataset ever serves,
+/// from a one-shot `maxrs batch` to the `mrs_server` catalog), plus one
+/// per changed version whose sorted orders are merged, not rebuilt.
 pub struct SharedIndex<const D: usize> {
-    points: Arc<[WeightedPoint<D>]>,
-    sites: Arc<[ColoredSite<D>]>,
+    points: Finite<WeightedPoint<D>>,
+    sites: Finite<ColoredSite<D>>,
     line: OnceLock<LineIndex>,
     point_grids: Mutex<HashMap<u64, Arc<HashGrid<D>>>>,
     site_grids: Mutex<HashMap<u64, Arc<HashGrid<D>>>>,
@@ -103,73 +102,19 @@ impl SampleSetKey {
     }
 }
 
-/// The certification surface of an index: exact-recount *bounds* under
-/// endpoint slack, plus direct access to the indexed sets for shapes with no
-/// shared structure (boxes).
-///
-/// Two implementors exist: [`SharedIndex`] (an immutable snapshot — the
-/// bounds go through its own grids and Fenwick tree) and
-/// [`super::VersionedView`] (one version of an updatable dataset — the
-/// bounds go through a *delta overlay* on the base generation's structures,
-/// so certifying after an update never rebuilds an index).  The executor's
-/// [`certify_answer`](super::certify_answer) is generic over this trait, so
-/// every answer is certified against exactly the contents it was computed
-/// from.
-pub trait AnswerIndex<const D: usize>: Send + Sync {
-    /// Largest absolute coordinate across the indexed points and sites (the
-    /// magnitude certification slack scales with).
-    fn coord_scale(&self) -> f64;
-
-    /// The weighted points the answers were computed over.
-    fn points(&self) -> &[WeightedPoint<D>];
-
-    /// The colored sites the answers were computed over.
-    fn sites(&self) -> &[ColoredSite<D>];
-
-    /// Lower/upper bounds on the weight in the closed interval `[lo, hi]`
-    /// under endpoint slack (see [`SharedIndex::interval_weight_bounds`] for
-    /// the contract).
-    fn interval_weight_bounds(&self, lo: f64, hi: f64, slack: f64) -> (f64, f64);
-
-    /// Lower/upper bounds on the weight inside the closed ball at `center`
-    /// under endpoint slack.
-    fn ball_weight_bounds(&self, center: &Point<D>, radius: f64, slack: f64) -> (f64, f64);
-
-    /// Lower/upper bounds on the distinct colors inside the closed ball at
-    /// `center` under endpoint slack.
-    fn ball_distinct_bounds(&self, center: &Point<D>, radius: f64, slack: f64) -> (usize, usize);
-}
-
-impl<const D: usize> AnswerIndex<D> for SharedIndex<D> {
-    fn coord_scale(&self) -> f64 {
-        SharedIndex::coord_scale(self)
-    }
-
-    fn points(&self) -> &[WeightedPoint<D>] {
-        SharedIndex::points(self)
-    }
-
-    fn sites(&self) -> &[ColoredSite<D>] {
-        SharedIndex::sites(self)
-    }
-
-    fn interval_weight_bounds(&self, lo: f64, hi: f64, slack: f64) -> (f64, f64) {
-        SharedIndex::interval_weight_bounds(self, lo, hi, slack)
-    }
-
-    fn ball_weight_bounds(&self, center: &Point<D>, radius: f64, slack: f64) -> (f64, f64) {
-        SharedIndex::ball_weight_bounds(self, center, radius, slack)
-    }
-
-    fn ball_distinct_bounds(&self, center: &Point<D>, radius: f64, slack: f64) -> (usize, usize) {
-        SharedIndex::ball_distinct_bounds(self, center, radius, slack)
-    }
-}
-
 impl<const D: usize> SharedIndex<D> {
-    /// An index over the given shared point and site sets.  Nothing is built
-    /// until a query asks for a structure.
+    /// An index over the given shared point and site sets, checked once for
+    /// finiteness here.  Nothing is built until a query asks for a
+    /// structure.
+    ///
+    /// # Panics
+    /// Panics, naming the record, if any coordinate or weight is not finite.
     pub fn new(points: Arc<[WeightedPoint<D>]>, sites: Arc<[ColoredSite<D>]>) -> Self {
+        Self::over(Finite::checked(points), Finite::checked(sites))
+    }
+
+    /// An index over already-checked sets, in `O(1)`.
+    pub(super) fn over(points: Finite<WeightedPoint<D>>, sites: Finite<ColoredSite<D>>) -> Self {
         Self {
             points,
             sites,
@@ -215,16 +160,17 @@ impl<const D: usize> SharedIndex<D> {
         &self.sites
     }
 
-    /// The shared handle to the indexed point set (`O(1)` to clone).  Request
-    /// builders use this to guarantee they query the exact set the index was
-    /// built over.
-    pub fn shared_points(&self) -> Arc<[WeightedPoint<D>]> {
-        Arc::clone(&self.points)
+    /// The shared handle to the indexed point set (`O(1)` to clone): what
+    /// [`WeightedInstance::from_shared`](super::WeightedInstance::from_shared)
+    /// takes, so an instance queries exactly the set the index was built
+    /// over.
+    pub fn shared_points(&self) -> Finite<WeightedPoint<D>> {
+        self.points.clone()
     }
 
     /// The shared handle to the indexed site set (`O(1)` to clone).
-    pub fn shared_sites(&self) -> Arc<[ColoredSite<D>]> {
-        Arc::clone(&self.sites)
+    pub fn shared_sites(&self) -> Finite<ColoredSite<D>> {
+        self.sites.clone()
     }
 
     /// Structures built so far (sorted line and Fenwick tree count once
@@ -462,59 +408,6 @@ impl<const D: usize> SharedIndex<D> {
         }
         (lo_sum, hi_sum)
     }
-
-    /// Lower/upper bounds on the weight inside the closed ball at `center`
-    /// under endpoint slack, through the shared per-radius grid.  See
-    /// [`Self::interval_weight_bounds`] for the contract.
-    pub fn ball_weight_bounds(&self, center: &Point<D>, radius: f64, slack: f64) -> (f64, f64) {
-        let grid = self.point_grid(radius);
-        let r_in = (radius - slack).max(0.0);
-        let mut definite = 0.0;
-        let mut neg = 0.0;
-        let mut pos = 0.0;
-        grid.for_each_within(center, radius + slack, |id| {
-            let wp = &self.points[id];
-            if wp.point.dist_sq(center) <= r_in * r_in {
-                definite += wp.weight;
-            } else if wp.weight < 0.0 {
-                neg += wp.weight;
-            } else {
-                pos += wp.weight;
-            }
-        });
-        (definite + neg, definite + pos)
-    }
-
-    /// Lower/upper bounds on the distinct colors inside the closed ball at
-    /// `center` under endpoint slack, through the shared per-radius site
-    /// grid.
-    pub fn ball_distinct_bounds(
-        &self,
-        center: &Point<D>,
-        radius: f64,
-        slack: f64,
-    ) -> (usize, usize) {
-        let grid = self.site_grid(radius);
-        let r_in = (radius - slack).max(0.0);
-        let mut definite: Vec<usize> = Vec::new();
-        let mut boundary: Vec<usize> = Vec::new();
-        grid.for_each_within(center, radius + slack, |id| {
-            let s = &self.sites[id];
-            if s.point.dist_sq(center) <= r_in * r_in {
-                definite.push(s.color);
-            } else {
-                boundary.push(s.color);
-            }
-        });
-        definite.sort_unstable();
-        definite.dedup();
-        let lo = definite.len();
-        let mut all = definite;
-        all.extend(boundary);
-        all.sort_unstable();
-        all.dedup();
-        (lo, all.len())
-    }
 }
 
 #[cfg(test)]
@@ -564,10 +457,6 @@ mod tests {
         let (lo, hi) = index.interval_weight_bounds(0.0 - 0.5, 1.0, slack);
         assert!((lo - 1.0).abs() < 1e-9, "{lo}");
         assert!((hi - 2.0).abs() < 1e-9, "{hi}");
-        // Ball version agrees in 1-D.
-        let (blo, bhi) = index.ball_weight_bounds(&Point::new([0.25]), 0.75, slack);
-        assert!((blo - 1.0).abs() < 1e-9, "{blo}");
-        assert!((bhi - 2.0).abs() < 1e-9, "{bhi}");
     }
 
     #[test]
@@ -576,7 +465,18 @@ mod tests {
             vec![WeightedPoint::unit(mrs_geom::Point2::xy(0.0, 0.0))].into();
         let sites: Arc<[ColoredSite<2>]> = Vec::new().into();
         let index = SharedIndex::new(Arc::clone(&points), Arc::clone(&sites));
-        assert!(Arc::ptr_eq(&index.shared_points(), &points));
-        assert!(Arc::ptr_eq(&index.shared_sites(), &sites));
+        assert!(std::ptr::eq(index.shared_points().as_ptr(), points.as_ptr()));
+        assert!(std::ptr::eq(index.shared_sites().as_ptr(), sites.as_ptr()));
+    }
+
+    #[test]
+    #[should_panic(expected = "record 1 has a non-finite coordinate or weight")]
+    fn the_constructor_is_a_checked_door() {
+        let points: Arc<[WeightedPoint<1>]> = vec![
+            WeightedPoint::new(Point::new([0.0]), 1.0),
+            WeightedPoint::new(Point::new([f64::NAN]), 1.0),
+        ]
+        .into();
+        SharedIndex::new(points, Vec::new().into());
     }
 }

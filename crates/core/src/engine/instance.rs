@@ -8,12 +8,107 @@
 //! [`super::SolverDescriptor`]) and reject mismatches with a typed error
 //! instead of a panic, so a caller can probe the registry safely.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use mrs_geom::{Ball, ColoredSite, Point, WeightedPoint};
 
 use super::descriptor::ShapeClass;
 use crate::input::{ColoredBallInstance, WeightedBallInstance};
+
+/// A record the engine's one finiteness check applies to: a weighted point
+/// (coordinates and weight) or a colored site (coordinates).
+pub trait FiniteRecord {
+    /// `true` if every coordinate (and the weight, if any) is finite.
+    fn is_finite(&self) -> bool;
+}
+
+impl<const D: usize> FiniteRecord for WeightedPoint<D> {
+    fn is_finite(&self) -> bool {
+        self.point.is_finite() && self.weight.is_finite()
+    }
+}
+
+impl<const D: usize> FiniteRecord for ColoredSite<D> {
+    fn is_finite(&self) -> bool {
+        self.point.is_finite()
+    }
+}
+
+/// Why [`Finite::new`] refused a set: the record at `index` carries a NaN
+/// or infinite coordinate or weight.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NonFinite {
+    /// Position of the first offending record.
+    pub index: usize,
+}
+
+impl std::fmt::Display for NonFinite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "record {} has a non-finite coordinate or weight", self.index)
+    }
+}
+
+impl std::error::Error for NonFinite {}
+
+/// A shared point or site set that passed the finiteness check.  The check
+/// is the only public way to build a non-empty one, so every set the
+/// engine holds was validated once, where it entered
+/// (`VersionedDataset::new`, `SharedIndex::new`, `VersionedDataset::apply`),
+/// and never again.  Cloning is `O(1)`; the set derefs to a slice.
+#[derive(Debug)]
+pub struct Finite<T>(Arc<[T]>);
+
+impl<T: FiniteRecord> Finite<T> {
+    /// Checks every record once, in `O(n)`.
+    pub fn new(records: impl Into<Arc<[T]>>) -> Result<Self, NonFinite> {
+        let records = records.into();
+        match records.iter().position(|r| !r.is_finite()) {
+            Some(index) => Err(NonFinite { index }),
+            None => Ok(Self(records)),
+        }
+    }
+
+    /// [`Self::new`] for the engine's panicking doors.
+    ///
+    /// # Panics
+    /// Panics, naming the record, if any coordinate or weight is not finite.
+    pub(crate) fn checked(records: impl Into<Arc<[T]>>) -> Self {
+        Self::new(records).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Wraps a set assembled only from records that already passed the
+    /// check (a version's live set: base records plus inserts `apply`
+    /// checked), without scanning it again.
+    pub(super) fn assembled(records: Vec<T>) -> Self {
+        debug_assert!(
+            records.iter().all(FiniteRecord::is_finite),
+            "assembled from checked records"
+        );
+        Self(records.into())
+    }
+}
+
+/// The empty set, which is trivially finite.
+impl<T> Default for Finite<T> {
+    fn default() -> Self {
+        Self(Arc::new([]))
+    }
+}
+
+impl<T> Clone for Finite<T> {
+    fn clone(&self) -> Self {
+        Self(Arc::clone(&self.0))
+    }
+}
+
+impl<T> Deref for Finite<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
 
 /// The query range of an engine instance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -109,14 +204,14 @@ impl RangeShape<2> {
 
 /// A weighted MaxRS instance: weighted points plus a query-range shape.
 ///
-/// The point set is stored behind an [`Arc`], so cloning an instance — or
+/// The point set is a [`Finite`] handle, so cloning an instance — or
 /// deriving a sibling with a different shape via [`Self::with_shape`] — is
 /// `O(1)` and shares the underlying points.  The batch executor
 /// ([`super::executor`]) relies on this to fan hundreds of query shapes out
 /// over one point set without copying it per query.
 #[derive(Clone, Debug)]
 pub struct WeightedInstance<const D: usize> {
-    points: Arc<[WeightedPoint<D>]>,
+    points: Finite<WeightedPoint<D>>,
     shape: RangeShape<D>,
 }
 
@@ -133,31 +228,24 @@ impl<const D: usize> WeightedInstance<D> {
     /// # Panics
     /// Panics if any coordinate or weight is not finite.
     pub fn new(points: Vec<WeightedPoint<D>>, shape: RangeShape<D>) -> Self {
-        Self::from_shared(points.into(), shape)
+        Self::from_shared(Finite::checked(points), shape)
     }
 
-    /// Creates an instance over an already-shared point set without copying
-    /// it (the batch-execution path).
-    ///
-    /// # Panics
-    /// Panics if any coordinate or weight is not finite.
-    pub fn from_shared(points: Arc<[WeightedPoint<D>]>, shape: RangeShape<D>) -> Self {
-        for wp in points.iter() {
-            assert!(wp.point.is_finite(), "point coordinates must be finite");
-            assert!(wp.weight.is_finite(), "weights must be finite");
-        }
+    /// Creates an instance over an already-checked shared point set, in
+    /// `O(1)` (the batch-execution path).
+    pub fn from_shared(points: Finite<WeightedPoint<D>>, shape: RangeShape<D>) -> Self {
         Self { points, shape }
     }
 
     /// A sibling instance over the same (shared) points with a different
     /// query shape, in `O(1)`.
     pub fn with_shape(&self, shape: RangeShape<D>) -> Self {
-        Self { points: Arc::clone(&self.points), shape }
+        Self { points: self.points.clone(), shape }
     }
 
     /// The shared handle to the point set (cloning it is `O(1)`).
-    pub fn shared_points(&self) -> Arc<[WeightedPoint<D>]> {
-        Arc::clone(&self.points)
+    pub fn shared_points(&self) -> Finite<WeightedPoint<D>> {
+        self.points.clone()
     }
 
     /// An instance with a ball range of the given radius.
@@ -227,11 +315,11 @@ impl<const D: usize> From<WeightedBallInstance<D>> for WeightedInstance<D> {
 
 /// A colored MaxRS instance: colored sites plus a query-range shape.
 ///
-/// Like [`WeightedInstance`], the site set is stored behind an [`Arc`]:
-/// cloning and [`Self::with_shape`] are `O(1)` and share the sites.
+/// Like [`WeightedInstance`], the site set is a [`Finite`] handle: cloning
+/// and [`Self::with_shape`] are `O(1)` and share the sites.
 #[derive(Clone, Debug)]
 pub struct ColoredInstance<const D: usize> {
-    sites: Arc<[ColoredSite<D>]>,
+    sites: Finite<ColoredSite<D>>,
     shape: RangeShape<D>,
 }
 
@@ -241,30 +329,24 @@ impl<const D: usize> ColoredInstance<D> {
     /// # Panics
     /// Panics if any coordinate is not finite.
     pub fn new(sites: Vec<ColoredSite<D>>, shape: RangeShape<D>) -> Self {
-        Self::from_shared(sites.into(), shape)
+        Self::from_shared(Finite::checked(sites), shape)
     }
 
-    /// Creates an instance over an already-shared site set without copying
-    /// it (the batch-execution path).
-    ///
-    /// # Panics
-    /// Panics if any coordinate is not finite.
-    pub fn from_shared(sites: Arc<[ColoredSite<D>]>, shape: RangeShape<D>) -> Self {
-        for s in sites.iter() {
-            assert!(s.point.is_finite(), "site coordinates must be finite");
-        }
+    /// Creates an instance over an already-checked shared site set, in
+    /// `O(1)` (the batch-execution path).
+    pub fn from_shared(sites: Finite<ColoredSite<D>>, shape: RangeShape<D>) -> Self {
         Self { sites, shape }
     }
 
     /// A sibling instance over the same (shared) sites with a different
     /// query shape, in `O(1)`.
     pub fn with_shape(&self, shape: RangeShape<D>) -> Self {
-        Self { sites: Arc::clone(&self.sites), shape }
+        Self { sites: self.sites.clone(), shape }
     }
 
     /// The shared handle to the site set (cloning it is `O(1)`).
-    pub fn shared_sites(&self) -> Arc<[ColoredSite<D>]> {
-        Arc::clone(&self.sites)
+    pub fn shared_sites(&self) -> Finite<ColoredSite<D>> {
+        self.sites.clone()
     }
 
     /// An instance with a ball range of the given radius.
@@ -417,14 +499,44 @@ mod tests {
     fn with_shape_shares_points_in_o1() {
         let inst = WeightedInstance::ball(vec![WeightedPoint::unit(Point2::xy(0.0, 0.0))], 1.0);
         let sibling = inst.with_shape(RangeShape::rect(2.0, 2.0));
-        assert!(Arc::ptr_eq(&inst.shared_points(), &sibling.shared_points()));
+        assert!(std::ptr::eq(inst.points(), sibling.points()));
         assert_eq!(sibling.shape().box_extents(), Some([2.0, 2.0]));
         assert_eq!(inst.shape().ball_radius(), Some(1.0), "original shape untouched");
 
         let colored = ColoredInstance::ball(vec![ColoredSite::new(Point2::xy(0.0, 0.0), 1)], 1.0);
         let sibling = colored.with_shape(RangeShape::ball(3.0));
-        assert!(Arc::ptr_eq(&colored.shared_sites(), &sibling.shared_sites()));
+        assert!(std::ptr::eq(colored.sites(), sibling.sites()));
         assert_eq!(sibling.shape().ball_radius(), Some(3.0));
+    }
+
+    #[test]
+    fn the_finiteness_check_refuses_and_names_each_bad_record() {
+        let ok = WeightedPoint::new(Point2::xy(1.0, 2.0), 3.0);
+        for bad in [
+            WeightedPoint::new(Point2::xy(f64::NAN, 0.0), 1.0),
+            WeightedPoint::new(Point2::xy(0.0, f64::INFINITY), 1.0),
+            WeightedPoint::new(Point2::xy(f64::NEG_INFINITY, 0.0), 1.0),
+            WeightedPoint::new(Point2::xy(0.0, 0.0), f64::NAN),
+            WeightedPoint::new(Point2::xy(0.0, 0.0), f64::INFINITY),
+            WeightedPoint::new(Point2::xy(0.0, 0.0), f64::NEG_INFINITY),
+        ] {
+            let err = Finite::new(vec![ok, ok, bad]).unwrap_err();
+            assert_eq!(err, NonFinite { index: 2 }, "{bad:?}");
+            assert_eq!(err.to_string(), "record 2 has a non-finite coordinate or weight");
+        }
+        let site = |x: f64, y: f64| ColoredSite::new(Point2::xy(x, y), 0);
+        for bad in [site(f64::NAN, 0.0), site(0.0, f64::INFINITY), site(f64::NEG_INFINITY, 0.0)] {
+            assert_eq!(Finite::new(vec![bad, site(0.0, 0.0)]).unwrap_err(), NonFinite { index: 0 });
+        }
+        let points = Finite::new(vec![ok, ok]).expect("finite points pass");
+        assert_eq!(points.len(), 2);
+        assert!(Finite::<ColoredSite<2>>::new(Vec::new()).is_ok(), "an empty set is finite");
+    }
+
+    #[test]
+    #[should_panic(expected = "record 0 has a non-finite coordinate or weight")]
+    fn instance_constructors_panic_naming_the_record() {
+        WeightedInstance::ball(vec![WeightedPoint::new(Point2::xy(0.0, 0.0), f64::NAN)], 1.0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod versioned;
 mod weighted;
 
 pub use auto::{AutoColoredSolver, AutoWeightedSolver};
-pub use batch::{BatchAnswer, BatchQuery, BatchReport, BatchRequest, BatchStats, LatencySummary};
+pub use batch::{BatchAnswer, BatchQuery, BatchReport, BatchStats, LatencySummary};
 pub use cancel::CancelToken;
 pub use colored::{
     ColoredBallSolver, ColoredDiskSamplingSolver, ExactColoredDiskEnumSolver,
@@ -64,8 +64,10 @@ pub use descriptor::{
     BatchCapability, DimSupport, GuaranteeClass, ProblemKind, ShapeClass, SolverDescriptor,
 };
 pub use executor::{certify_answer, BatchExecutor, ExecutorConfig};
-pub use index::{AnswerIndex, SharedIndex};
-pub use instance::{ColoredInstance, RangeShape, WeightedInstance};
+pub use index::SharedIndex;
+pub use instance::{
+    ColoredInstance, Finite, FiniteRecord, NonFinite, RangeShape, WeightedInstance,
+};
 pub use obs::{Histogram, Phase, QueryTrace, TraceRecorder};
 pub use registry::{registry, EngineConfig, Registry, SharedColoredSolver, SharedWeightedSolver};
 pub use report::{Guarantee, SolveStats, SolverReport};

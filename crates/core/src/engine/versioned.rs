@@ -6,7 +6,10 @@
 //! This module makes datasets mutable end-to-end while keeping queries
 //! incremental:
 //!
-//! * a [`VersionedDataset`] holds a **base generation** (an immutable
+//! * a [`VersionedDataset`] is the engine's one dataset model: every batch
+//!   runs against one of its views, and a static batch is simply version 1
+//!   with an empty delta;
+//! * it holds a **base generation** (an immutable
 //!   snapshot with its own [`SharedIndex`]) plus an append-only **delta**
 //!   (tombstone masks over the base and a small list of inserts) and a
 //!   monotone `version` that bumps on every [`VersionedDataset::apply`];
@@ -50,8 +53,9 @@ use std::time::{Duration, Instant};
 
 use mrs_geom::{ColoredSite, GridOverlay, OverlayHit, Point, WeightedPoint};
 
-use super::batch::{BatchAnswer, BatchQuery, BatchRequest, BatchStats};
-use super::index::{AnswerIndex, SharedIndex};
+use super::batch::{BatchAnswer, BatchQuery, BatchStats};
+use super::index::SharedIndex;
+use super::instance::{Finite, FiniteRecord};
 use crate::config::SamplingConfig;
 use crate::exact::interval1d::{LinePoint, SortedLine};
 use crate::input::Placement;
@@ -217,8 +221,8 @@ impl<const D: usize> ScriptReport<D> {
 /// own [`SharedIndex`] whose structures are built at most once per
 /// generation and reused by every version until the next compaction.
 struct Generation<const D: usize> {
-    points: Arc<[WeightedPoint<D>]>,
-    sites: Arc<[ColoredSite<D>]>,
+    points: Finite<WeightedPoint<D>>,
+    sites: Finite<ColoredSite<D>>,
     /// Stable per-point identity, preserved across compactions — the handle
     /// the dynamic trackers key their [`PointId`]s by.
     point_uids: Arc<[u64]>,
@@ -231,11 +235,11 @@ struct Generation<const D: usize> {
 
 impl<const D: usize> Generation<D> {
     fn new(
-        points: Arc<[WeightedPoint<D>]>,
-        sites: Arc<[ColoredSite<D>]>,
+        points: Finite<WeightedPoint<D>>,
+        sites: Finite<ColoredSite<D>>,
         point_uids: Arc<[u64]>,
     ) -> Self {
-        let index = Arc::new(SharedIndex::new(Arc::clone(&points), Arc::clone(&sites)));
+        let index = Arc::new(SharedIndex::over(points.clone(), sites.clone()));
         Self { points, sites, point_uids, index, line_order: OnceLock::new() }
     }
 
@@ -340,7 +344,7 @@ impl<const D: usize> Overlay<D> {
 
 /// The materialized live snapshot of one version: shared points and sites
 /// in canonical order.
-type LiveSets<const D: usize> = (Arc<[WeightedPoint<D>]>, Arc<[ColoredSite<D>]>);
+type LiveSets<const D: usize> = (Finite<WeightedPoint<D>>, Finite<ColoredSite<D>>);
 
 /// Per-version lazily derived structures.
 #[derive(Default)]
@@ -391,7 +395,7 @@ impl<const D: usize> VersionedView<D> {
     fn live(&self) -> &LiveSets<D> {
         self.derived.live.get_or_init(|| {
             if self.overlay.is_clean() {
-                return (Arc::clone(&self.generation.points), Arc::clone(&self.generation.sites));
+                return (self.generation.points.clone(), self.generation.sites.clone());
             }
             let mut points =
                 Vec::with_capacity(self.overlay.live_points(self.generation.points.len()));
@@ -399,28 +403,20 @@ impl<const D: usize> VersionedView<D> {
             let mut sites =
                 Vec::with_capacity(self.overlay.live_sites(self.generation.sites.len()));
             self.overlay.for_each_live_site(&self.generation, |site| sites.push(*site));
-            (points.into(), sites.into())
+            (Finite::assembled(points), Finite::assembled(sites))
         })
     }
 
     /// The live point set at this version, materialized in canonical order
     /// at most once per version (`O(1)` when nothing changed since the last
-    /// compaction — the generation's own `Arc` is reused).
-    pub fn live_points(&self) -> Arc<[WeightedPoint<D>]> {
-        Arc::clone(&self.live().0)
+    /// compaction — the generation's own set is reused).
+    pub fn live_points(&self) -> Finite<WeightedPoint<D>> {
+        self.live().0.clone()
     }
 
     /// The live site set at this version.
-    pub fn live_sites(&self) -> Arc<[ColoredSite<D>]> {
-        Arc::clone(&self.live().1)
-    }
-
-    /// An empty batch request over this version's live sets — aliasing
-    /// exactly the `Arc`s [`Self::index`] is built over, which is what
-    /// [`BatchExecutor::execute_with_index`](super::BatchExecutor::execute_with_index)
-    /// requires.
-    pub fn request(&self) -> BatchRequest<D> {
-        BatchRequest::from_shared(self.live_points(), self.live_sites())
+    pub fn live_sites(&self) -> Finite<ColoredSite<D>> {
+        self.live().1.clone()
     }
 
     fn alive_delta_points(&self) -> &(Vec<Point<D>>, Vec<f64>) {
@@ -461,12 +457,21 @@ impl<const D: usize> VersionedView<D> {
     /// sorted delta in `O(n)` — not rebuilt — so exact answers match a cold
     /// rebuild bit for bit.
     pub fn index(&self) -> Arc<SharedIndex<D>> {
-        Arc::clone(self.derived.index.get_or_init(|| {
+        self.derive_index().0
+    }
+
+    /// [`Self::index`], plus what this call spent deriving it: the
+    /// structures seeded and the time taken (none unless this call derived
+    /// the per-version index).
+    pub(super) fn derive_index(&self) -> (Arc<SharedIndex<D>>, usize, Duration) {
+        let mut spent = (0, Duration::ZERO);
+        let index = self.derived.index.get_or_init(|| {
             if self.overlay.is_clean() {
                 return Arc::clone(&self.generation.index);
             }
+            let start = Instant::now();
             let (points, sites) = self.live();
-            let index = SharedIndex::new(Arc::clone(points), Arc::clone(sites));
+            let index = SharedIndex::over(points.clone(), sites.clone());
             if D == 1 {
                 index.seed_sorted_line(self.merged_line());
             }
@@ -475,8 +480,10 @@ impl<const D: usize> VersionedView<D> {
                     index.seed_projection(axis, self.merged_projection(axis));
                 }
             }
+            spent = (index.builds(), start.elapsed());
             Arc::new(index)
-        }))
+        });
+        (Arc::clone(index), spent.0, spent.1)
     }
 
     /// Merges the generation's stable x-order with the sorted alive delta
@@ -584,8 +591,13 @@ impl<const D: usize> VersionedView<D> {
     }
 }
 
-impl<const D: usize> AnswerIndex<D> for VersionedView<D> {
-    fn coord_scale(&self) -> f64 {
+/// The certification surface: exact-recount *bounds* under endpoint slack
+/// through the delta overlay on the base generation's structures, so
+/// certifying an answer after an update never rebuilds an index.
+impl<const D: usize> VersionedView<D> {
+    /// Largest absolute coordinate across the live points and sites (the
+    /// magnitude certification slack scales with).
+    pub(super) fn coord_scale(&self) -> f64 {
         // The base scale may over-count tombstoned points; a larger scale
         // only widens the certification slack, which stays sound.
         *self.derived.coord_scale.get_or_init(|| {
@@ -604,22 +616,32 @@ impl<const D: usize> AnswerIndex<D> for VersionedView<D> {
         })
     }
 
-    fn points(&self) -> &[WeightedPoint<D>] {
+    /// The live points, for shapes with no shared structure (boxes).
+    pub(super) fn points(&self) -> &[WeightedPoint<D>] {
         &self.live().0
     }
 
-    fn sites(&self) -> &[ColoredSite<D>] {
+    /// The live sites, for shapes with no shared structure (boxes).
+    pub(super) fn sites(&self) -> &[ColoredSite<D>] {
         &self.live().1
     }
 
-    fn interval_weight_bounds(&self, lo: f64, hi: f64, slack: f64) -> (f64, f64) {
+    /// Bounds on the weight in the closed interval `[lo, hi]` (see
+    /// [`SharedIndex::interval_weight_bounds`] for the contract).
+    pub(super) fn interval_weight_bounds(&self, lo: f64, hi: f64, slack: f64) -> (f64, f64) {
         // The per-version index carries the merged (live) sorted line; with
         // a clean overlay this is the generation's own line.  Either way no
         // sort happens beyond the one-time merge.
         self.index().interval_weight_bounds(lo, hi, slack)
     }
 
-    fn ball_weight_bounds(&self, center: &Point<D>, radius: f64, slack: f64) -> (f64, f64) {
+    /// Bounds on the weight inside the closed ball at `center`.
+    pub(super) fn ball_weight_bounds(
+        &self,
+        center: &Point<D>,
+        radius: f64,
+        slack: f64,
+    ) -> (f64, f64) {
         let grid = self.generation.index.point_grid(radius);
         let (coords, weights) = self.alive_delta_points();
         let overlay = GridOverlay::new(&grid, &self.overlay.point_dead, coords);
@@ -645,7 +667,13 @@ impl<const D: usize> AnswerIndex<D> for VersionedView<D> {
         (definite + neg, definite + pos)
     }
 
-    fn ball_distinct_bounds(&self, center: &Point<D>, radius: f64, slack: f64) -> (usize, usize) {
+    /// Bounds on the distinct colors inside the closed ball at `center`.
+    pub(super) fn ball_distinct_bounds(
+        &self,
+        center: &Point<D>,
+        radius: f64,
+        slack: f64,
+    ) -> (usize, usize) {
         let grid = self.generation.index.site_grid(radius);
         let (coords, colors) = self.alive_delta_sites();
         let overlay = GridOverlay::new(&grid, &self.overlay.site_dead, coords);
@@ -749,24 +777,18 @@ impl<const D: usize> VersionedDataset<D> {
     /// quarter of the live size.
     pub const DEFAULT_COMPACTION_ALPHA: f64 = 0.25;
 
-    /// A versioned dataset over the given initial snapshot, at version 1.
+    /// A versioned dataset over the given initial snapshot, at version 1,
+    /// checked once for finiteness here.
     ///
     /// # Panics
-    /// Panics if any coordinate or weight is not finite.
+    /// Panics, naming the record, if any coordinate or weight is not finite.
     pub fn new(points: Vec<WeightedPoint<D>>, sites: Vec<ColoredSite<D>>) -> Self {
-        for wp in &points {
-            assert!(wp.point.is_finite(), "point coordinates must be finite");
-            assert!(wp.weight.is_finite(), "weights must be finite");
-        }
-        for s in &sites {
-            assert!(s.point.is_finite(), "site coordinates must be finite");
-        }
-        Self::from_shared(points.into(), sites.into())
+        Self::from_shared(Finite::checked(points), Finite::checked(sites))
     }
 
-    /// A versioned dataset over already-shared sets (trusted finite),
-    /// without copying them.
-    pub fn from_shared(points: Arc<[WeightedPoint<D>]>, sites: Arc<[ColoredSite<D>]>) -> Self {
+    /// A versioned dataset over already-checked shared sets, without
+    /// copying them.
+    pub fn from_shared(points: Finite<WeightedPoint<D>>, sites: Finite<ColoredSite<D>>) -> Self {
         let n = points.len();
         let saw_negative = points.iter().any(|wp| wp.weight < 0.0);
         let uids: Arc<[u64]> = (0..n as u64).collect::<Vec<_>>().into();
@@ -871,7 +893,9 @@ impl<const D: usize> VersionedDataset<D> {
     /// incrementally, and compacts if the delta outgrew the base.
     ///
     /// # Panics
-    /// Panics if an inserted coordinate or weight is not finite.
+    /// Panics if an inserted coordinate or weight is not finite (the
+    /// mutation parsers of `mrs_core::input` refuse those with typed,
+    /// line-numbered errors first).
     pub fn apply(&self, mutations: &[Mutation<D>]) -> MutationReport {
         let mut current = self.current.write().expect("versioned dataset lock poisoned");
         let generation = Arc::clone(&current.generation);
@@ -881,8 +905,7 @@ impl<const D: usize> VersionedDataset<D> {
         for mutation in mutations {
             match mutation {
                 Mutation::Insert { point: wp, color } => {
-                    assert!(wp.point.is_finite(), "point coordinates must be finite");
-                    assert!(wp.weight.is_finite(), "weights must be finite");
+                    assert!(FiniteRecord::is_finite(wp), "inserted records must be finite");
                     if wp.weight < 0.0 {
                         self.saw_negative.store(true, Ordering::Relaxed);
                     }
@@ -930,7 +953,11 @@ impl<const D: usize> VersionedDataset<D> {
             });
             let mut sites = Vec::with_capacity(live_sites);
             overlay.for_each_live_site(&generation, |site| sites.push(*site));
-            let generation = Arc::new(Generation::new(points.into(), sites.into(), uids.into()));
+            let generation = Arc::new(Generation::new(
+                Finite::assembled(points),
+                Finite::assembled(sites),
+                uids.into(),
+            ));
             let view = VersionedView {
                 version,
                 overlay: Arc::new(Overlay::empty(live_points, live_sites)),
@@ -996,39 +1023,62 @@ impl<const D: usize> VersionedDataset<D> {
         radius: f64,
         config: &SamplingConfig,
     ) -> Option<(VersionedView<D>, Placement<D>)> {
-        // Lock order: state read, then trackers — the same order `apply`
-        // takes (write, then trackers), so the tracker can never be newer
-        // than the view we hand back.
         let current = self.current.read().expect("versioned dataset lock poisoned");
+        let placement = self.tracker_best(&current, radius, config)?;
+        Some((current.clone(), placement))
+    }
+
+    /// [`Self::dynamic_ball_best`] pinned to `view`: `None` as well when a
+    /// mutation has moved the dataset past `view` (the trackers follow the
+    /// current version only).
+    pub(super) fn dynamic_ball_at(
+        &self,
+        view: &VersionedView<D>,
+        radius: f64,
+        config: &SamplingConfig,
+    ) -> Option<Placement<D>> {
+        let current = self.current.read().expect("versioned dataset lock poisoned");
+        if current.version != view.version {
+            return None;
+        }
+        self.tracker_best(&current, radius, config)
+    }
+
+    /// Reads the tracker for `(radius, config)` at `current`, which the
+    /// caller holds the state read lock on.  Lock order: state read, then
+    /// trackers — the same order `apply` takes (write, then trackers), so
+    /// the tracker can never be newer than `current`.
+    fn tracker_best(
+        &self,
+        current: &VersionedView<D>,
+        radius: f64,
+        config: &SamplingConfig,
+    ) -> Option<Placement<D>> {
         // The flag must be read *under* the lock: a concurrent apply() that
         // inserts a negative weight sets it before installing the new view,
-        // so whatever view we now hold is consistently either all
+        // so whatever view the caller holds is consistently either all
         // non-negative or refused here.
         if self.saw_negative.load(Ordering::Relaxed) {
             return None;
         }
-        let view = current.clone();
         let mut trackers = self.trackers.lock().expect("tracker lock poisoned");
         let entry = trackers.entry(TrackerKey::new(radius, config)).or_insert_with(|| {
             let mut tracker = DynamicBallMaxRS::new(radius, *config);
             let mut ids = HashMap::new();
-            view.overlay.for_each_live_point(&view.generation, |wp, uid| {
+            current.overlay.for_each_live_point(&current.generation, |wp, uid| {
                 ids.insert(uid, tracker.insert(wp.point, wp.weight));
             });
             TrackerEntry { tracker, ids }
         });
-        let placement = match entry.tracker.peek_best() {
+        Some(match entry.tracker.peek_best() {
             None => Placement::empty(),
-            Some(approx) => {
-                // Certify the report: the engine contract is that reported
-                // values are the exact coverage of the returned center.
-                let value = view.ball_weight(&approx.center, radius);
-                Placement { center: approx.center, value }
-            }
-        };
-        drop(trackers);
-        drop(current);
-        Some((view, placement))
+            // Certify the report: the engine contract is that reported
+            // values are the exact coverage of the returned center.
+            Some(approx) => Placement {
+                center: approx.center,
+                value: current.ball_weight(&approx.center, radius),
+            },
+        })
     }
 }
 
@@ -1096,7 +1146,7 @@ mod tests {
         assert_eq!(view.point_count(), 1);
         // A clean overlay reuses the generation's resident index verbatim.
         assert!(Arc::ptr_eq(&view.index(), &view.index()));
-        assert!(Arc::ptr_eq(&view.live_points(), &dataset.view().live_points()));
+        assert!(std::ptr::eq(&*view.live_points(), &*dataset.view().live_points()));
     }
 
     #[test]
@@ -1250,7 +1300,7 @@ mod tests {
                 .sum();
             let overlay = view.ball_weight(&center, radius);
             assert!((overlay - brute).abs() < 1e-9, "{overlay} vs {brute}");
-            let (lo, hi) = AnswerIndex::ball_weight_bounds(&view, &center, radius, 1e-9);
+            let (lo, hi) = view.ball_weight_bounds(&center, radius, 1e-9);
             assert!(lo <= brute + 1e-9 && brute <= hi + 1e-9, "{lo} ≤ {brute} ≤ {hi}");
         }
     }

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use mrs_core::engine::{BatchRequest, MutationReport, VersionedDataset};
+use mrs_core::engine::{MutationReport, VersionedDataset};
 use mrs_core::input::{self, LoadError};
 
 /// A resident dataset in ambient dimension `D`: a versioned, mutable point
@@ -80,16 +80,6 @@ impl<const D: usize> DatasetCore<D> {
     /// Counts `n` more answered queries.
     pub fn count_requests(&self, n: u64) {
         self.requests.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// An empty batch request over the current version's live sets —
-    /// guaranteed to alias the `Arc`s the version's index is built over,
-    /// which is what
-    /// [`BatchExecutor::execute_with_index`] requires.
-    ///
-    /// [`BatchExecutor::execute_with_index`]: mrs_core::engine::BatchExecutor::execute_with_index
-    pub fn request(&self) -> BatchRequest<D> {
-        self.versioned.view().request()
     }
 }
 
@@ -450,17 +440,6 @@ mod tests {
         assert_eq!(swapped.dim(), 2);
         assert!(swapped.epoch() > line.epoch());
         assert!(catalog.load_line_csv("bad", "1,2,3\n").is_err());
-    }
-
-    #[test]
-    fn requests_share_the_index_arcs() {
-        let catalog = Catalog::new();
-        let dataset = catalog.load_planar_csv("d", "0,0\n").unwrap();
-        let core = dataset.as_planar().unwrap();
-        let request = core.request();
-        let view = core.versioned().view();
-        assert!(Arc::ptr_eq(&request.shared_points(), &view.index().shared_points()));
-        assert!(Arc::ptr_eq(&request.shared_sites(), &view.index().shared_sites()));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! 1. resolve the dataset in the [`Catalog`] (404 if absent);
 //! 2. look each query up in the [`AnswerCache`] under
 //!    `(epoch, solver, shape)` — hits return the stored rendered answer;
-//! 3. misses become one all-query script over the dataset's current
-//!    version, answered by [`BatchExecutor::execute_script_traced`] against
-//!    the catalog-resident [`SharedIndex`](mrs_core::engine::SharedIndex)
-//!    and delta overlay, so index structures are built at most once per
+//! 3. misses become one batch over the dataset's current version, answered
+//!    by [`BatchExecutor::execute_versioned_traced`] against the
+//!    catalog-resident [`SharedIndex`](mrs_core::engine::SharedIndex) and
+//!    delta overlay, so index structures are built at most once per
 //!    dataset generation;
 //! 4. computed answers are rendered to JSON once, stored in the cache, and
 //!    merged with the hits in request order.
@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use mrs_core::engine::{
     BatchCapability, BatchExecutor, BatchQuery, BatchStats, DimSupport, EngineConfig, EngineError,
     EngineResult, ExecutorConfig, GuaranteeClass, LatencySummary, Phase, ProblemKind, QueryTrace,
-    RangeShape, Registry, ScriptOutcome, ScriptStep, ShapeClass, SolverDescriptor, SolverReport,
-    TraceRecorder, WeightedInstance, WeightedSolver,
+    RangeShape, Registry, ShapeClass, SolverDescriptor, SolverReport, TraceRecorder,
+    WeightedInstance, WeightedSolver,
 };
 use mrs_core::Placement;
 
@@ -709,7 +709,7 @@ impl Service {
 
     /// Answers queries against a dataset of any supported dimension: cache
     /// lookups first (keyed by the dataset's epoch *and* current version),
-    /// then one engine script over the misses at the dataset's current
+    /// then one engine batch over the misses at the dataset's current
     /// version — every computed answer is certified against, stamped with,
     /// and cached under exactly the version it was computed at.
     ///
@@ -731,7 +731,7 @@ impl Service {
         let version = dataset.versioned().version();
         let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(queries.len());
         outcomes.resize_with(queries.len(), || None);
-        let mut steps: Vec<ScriptStep<D>> = Vec::new();
+        let mut misses: Vec<BatchQuery<D>> = Vec::new();
         let mut miss_positions: Vec<usize> = Vec::new();
         let mut miss_probe: Vec<Duration> = Vec::new();
         for (i, query) in queries.iter().enumerate() {
@@ -745,7 +745,7 @@ impl Service {
             }
             miss_positions.push(i);
             miss_probe.push(if use_cache { probe_start.elapsed() } else { Duration::ZERO });
-            steps.push(ScriptStep::Query(query.clone()));
+            misses.push(query.clone());
         }
 
         let mut stats = None;
@@ -763,12 +763,12 @@ impl Service {
                 self.metrics.add(Counter::Degraded, 1);
             }
             let mut recorder = TraceRecorder::new();
-            let report = executor.execute_script_traced(dataset.versioned(), &steps, &mut recorder);
-            let mut render_times = vec![Duration::ZERO; steps.len()];
-            for (slot, (&i, outcome)) in miss_positions.iter().zip(&report.outcomes).enumerate() {
-                let ScriptOutcome::Answer { version, certified, answer } = outcome else {
-                    unreachable!("an all-query script answers every step");
-                };
+            let report =
+                executor.execute_versioned_traced(dataset.versioned(), &misses, &mut recorder);
+            let version = report.version;
+            let mut render_times = vec![Duration::ZERO; misses.len()];
+            for (slot, &i) in miss_positions.iter().enumerate() {
+                let (answer, certified) = (&report.answers[slot], report.certified[slot]);
                 outcomes[i] = Some(match answer.error() {
                     Some(e) => {
                         if matches!(e, EngineError::DeadlineExceeded { .. }) {
@@ -777,15 +777,15 @@ impl Service {
                         Outcome::Failed(e.clone())
                     }
                     None => {
-                        let flag = *certified == Some(true);
+                        let flag = certified == Some(true);
                         let render_start = Instant::now();
-                        let rendered: Arc<str> = Arc::from(render_answer(answer, flag, *version));
+                        let rendered: Arc<str> = Arc::from(render_answer(answer, flag, version));
                         render_times[slot] = render_start.elapsed();
                         // Never cache a contract violation: it must stay
                         // loud, not be replayed from the LRU.
-                        if use_cache && *certified != Some(false) {
+                        if use_cache && certified != Some(false) {
                             self.cache.insert(
-                                CacheKey::for_query(epoch, *version, &queries[i]),
+                                CacheKey::for_query(epoch, version, &queries[i]),
                                 Arc::clone(&rendered),
                             );
                         }
@@ -807,7 +807,7 @@ impl Service {
             stats = Some(batch_stats);
 
             // Stamp, account and retain the traces: `trace.query` comes
-            // back as the script step position, which is the miss slot.
+            // back as the position in the batch, which is the miss slot.
             for mut trace in recorder.take() {
                 let slot = trace.query;
                 trace.id = rid.to_string();
@@ -1648,6 +1648,45 @@ mod tests {
         let answers = parsed.get("answers").unwrap().as_arr().unwrap();
         assert_eq!(answers[0].get("deadline_exceeded").and_then(Json::as_bool), Some(true));
         assert_eq!(parsed.get("stats").unwrap().get("failed").unwrap().as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn dynamic_ball_tracker_reads_honour_expired_deadlines() {
+        let service = service();
+        service.handle(&post("/datasets/demo", CSV));
+        let body = r#"{"dataset":"demo","solver":"dynamic-ball","shape":{"ball":1.0}}"#;
+        let timed_out = service.handle(&post_with_header("/query", body, "x-deadline-ms", "0"));
+        assert_eq!(timed_out.status, 504, "{:?}", String::from_utf8_lossy(&timed_out.body));
+        assert_eq!(service.metrics().get(Counter::DeadlineExceeded), 1);
+        // The late tracker answer was neither served nor cached.
+        let fresh = service.handle(&post("/query", body));
+        assert_eq!(fresh.status, 200);
+        let parsed = Json::parse(std::str::from_utf8(&fresh.body).unwrap()).unwrap();
+        assert_eq!(parsed.get("cached").unwrap().as_bool(), Some(false));
+        assert_eq!(parsed.get("answer").unwrap().get("certified").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn non_finite_mutation_bodies_are_refused_without_a_version_bump() {
+        let service = service();
+        service.handle(&post("/datasets/demo", CSV));
+        service.handle(&post("/datasets/ticks?dim=1", "0\n1,2\n"));
+        let bodies = [
+            ("/datasets/demo/insert", "nan,0\n"),
+            ("/datasets/demo/insert", "0,inf,1\n"),
+            ("/datasets/demo/insert", "0,0,1e999\n"),
+            ("/datasets/demo/delete", "nan,0\n"),
+            ("/datasets/ticks/insert", "1e999\n"),
+            ("/datasets/ticks/insert", "0,nan\n"),
+            ("/datasets/ticks/delete", "-inf\n"),
+        ];
+        for (target, body) in bodies {
+            let response = service.handle(&post(target, body));
+            assert_eq!(response.status, 400, "{target} {body:?}");
+        }
+        for name in ["demo", "ticks"] {
+            assert_eq!(service.catalog().get(name).unwrap().version(), 1, "{name}");
+        }
     }
 
     #[test]

@@ -792,7 +792,7 @@ pub fn run_batch_on_text(
         ExecutorConfig { threads, certify: true, deadline, ..ExecutorConfig::default() },
     );
     let mut recorder = if trace { TraceRecorder::new() } else { TraceRecorder::disabled() };
-    let report = executor.execute_script_traced(&dataset, &steps, &mut recorder);
+    let report = executor.execute_script(&dataset, &steps, &mut recorder);
 
     let mut out = String::new();
     for (i, (step, outcome)) in steps.iter().zip(&report.outcomes).enumerate() {

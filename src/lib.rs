@@ -88,10 +88,10 @@ pub mod prelude {
     pub use mrs_batched::{BatchedMaxRS1D, BatchedSei, IntervalPlacement, LinePoint};
     pub use mrs_core::config::{ColorSamplingConfig, SamplingConfig};
     pub use mrs_core::engine::{
-        BatchAnswer, BatchCapability, BatchExecutor, BatchQuery, BatchReport, BatchRequest,
-        BatchStats, ColoredInstance, ColoredSolver, EngineConfig, EngineError, ExecutorConfig,
-        Guarantee, RangeShape, Registry, SharedIndex, SolveStats, SolverDescriptor, SolverReport,
-        WeightedInstance, WeightedSolver,
+        BatchAnswer, BatchCapability, BatchExecutor, BatchQuery, BatchReport, BatchStats,
+        ColoredInstance, ColoredSolver, EngineConfig, EngineError, ExecutorConfig, Guarantee,
+        RangeShape, Registry, SharedIndex, SolveStats, SolverDescriptor, SolverReport,
+        TraceRecorder, VersionedDataset, WeightedInstance, WeightedSolver,
     };
     pub use mrs_core::exact::{max_disk_placement, max_interval_placement, max_rect_placement};
     pub use mrs_core::input::{

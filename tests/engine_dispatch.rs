@@ -340,12 +340,18 @@ fn negative_weights_are_accepted_or_refused_per_descriptor() {
 #[test]
 fn batch_executor_fails_individual_queries_with_typed_errors() {
     let registry = engine::registry();
-    let request = BatchRequest::over_points(weighted_points())
-        .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)))
-        .with_query(BatchQuery::weighted("exact-disk-2d", RangeShape::rect(1.0, 1.0)))
-        .with_query(BatchQuery::weighted("not-a-solver", RangeShape::ball(1.0)))
-        .with_query(BatchQuery::colored("exact-disk-2d", RangeShape::ball(1.0)));
-    let report = BatchExecutor::new(&registry).execute(&request);
+    let dataset = VersionedDataset::new(weighted_points(), Vec::new());
+    let queries = [
+        BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)),
+        BatchQuery::weighted("exact-disk-2d", RangeShape::rect(1.0, 1.0)),
+        BatchQuery::weighted("not-a-solver", RangeShape::ball(1.0)),
+        BatchQuery::colored("exact-disk-2d", RangeShape::ball(1.0)),
+    ];
+    let report = BatchExecutor::new(&registry).execute_versioned_traced(
+        &dataset,
+        &queries,
+        &mut TraceRecorder::disabled(),
+    );
     assert_eq!(report.weighted(0).unwrap().placement.value, 4.0);
     assert!(matches!(
         report.answers[1].error(),

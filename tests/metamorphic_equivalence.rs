@@ -30,9 +30,9 @@ use maxrs::engine::metamorphic::{
     weighted_variants, Variant,
 };
 use maxrs::engine::{
-    BatchExecutor, BatchQuery, BatchRequest, ColoredInstance, EngineConfig, ExecutorConfig,
-    GuaranteeClass, Mutation, ProblemKind, RangeShape, Registry, ScriptOutcome, ScriptStep,
-    ShapeClass, SolverReport, VersionedDataset, WeightedInstance,
+    BatchExecutor, BatchQuery, ColoredInstance, EngineConfig, ExecutorConfig, GuaranteeClass,
+    Mutation, ProblemKind, RangeShape, Registry, ScriptOutcome, ScriptStep, ShapeClass,
+    SolverReport, TraceRecorder, VersionedDataset, WeightedInstance,
 };
 use maxrs::geom::kernels::{kernel_mode, set_kernel_mode, KernelMode};
 use maxrs::geom::SimilarityMap;
@@ -111,13 +111,14 @@ fn weighted_report<const D: usize>(
     instance: &WeightedInstance<D>,
     threads: usize,
 ) -> SolverReport<Placement<D>> {
-    let request = BatchRequest::new(instance.points().to_vec(), Vec::new())
-        .with_query(BatchQuery::weighted(solver, *instance.shape()));
+    let dataset = VersionedDataset::new(instance.points().to_vec(), Vec::new());
+    let query = BatchQuery::weighted(solver, *instance.shape());
     let executor = BatchExecutor::with_config(
         registry,
         ExecutorConfig { threads: Some(threads), certify: true, ..ExecutorConfig::default() },
     );
-    let mut report = executor.execute(&request);
+    let mut report =
+        executor.execute_versioned_traced(&dataset, &[query], &mut TraceRecorder::disabled());
     assert_eq!(report.stats.certify_failures, 0, "{solver}: batch certification failed");
     let answer = report.answers.remove(0);
     answer
@@ -133,13 +134,14 @@ fn colored_report<const D: usize>(
     instance: &ColoredInstance<D>,
     threads: usize,
 ) -> SolverReport<ColoredPlacement<D>> {
-    let request = BatchRequest::new(Vec::new(), instance.sites().to_vec())
-        .with_query(BatchQuery::colored(solver, *instance.shape()));
+    let dataset = VersionedDataset::new(Vec::new(), instance.sites().to_vec());
+    let query = BatchQuery::colored(solver, *instance.shape());
     let executor = BatchExecutor::with_config(
         registry,
         ExecutorConfig { threads: Some(threads), certify: true, ..ExecutorConfig::default() },
     );
-    let mut report = executor.execute(&request);
+    let mut report =
+        executor.execute_versioned_traced(&dataset, &[query], &mut TraceRecorder::disabled());
     assert_eq!(report.stats.certify_failures, 0, "{solver}: batch certification failed");
     let answer = report.answers.remove(0);
     answer.colored().unwrap_or_else(|| panic!("{solver}: colored query failed: {answer:?}")).clone()
@@ -287,7 +289,7 @@ fn split_into_script_matches_cold_build_for_weighted_solvers() {
             &registry,
             ExecutorConfig { threads: Some(1), certify: true, ..ExecutorConfig::default() },
         );
-        let script = executor.execute_script(&dataset, &steps);
+        let script = executor.execute_script(&dataset, &steps, &mut TraceRecorder::disabled());
         assert!(script.all_ok(), "{}: {:?}", descriptor.name, script.outcomes);
         assert!(dataset.view().delta_size() > 0, "the query must run on a live overlay");
         let ScriptOutcome::Answer { answer, certified, .. } =
@@ -343,7 +345,7 @@ fn split_into_script_matches_cold_build_for_colored_solvers() {
             &registry,
             ExecutorConfig { threads: Some(1), certify: true, ..ExecutorConfig::default() },
         );
-        let script = executor.execute_script(&dataset, &steps);
+        let script = executor.execute_script(&dataset, &steps, &mut TraceRecorder::disabled());
         assert!(script.all_ok(), "{}: {:?}", descriptor.name, script.outcomes);
         let ScriptOutcome::Answer { answer, certified, .. } =
             script.outcomes.last().expect("script ends with the query")

@@ -10,8 +10,8 @@
 
 use maxrs::core::technique2::output_sensitive_colored_disk_with_stats;
 use maxrs::engine::{
-    registry, BatchExecutor, BatchQuery, BatchRequest, ExecutorConfig, RangeShape, SharedIndex,
-    TraceRecorder,
+    registry, BatchExecutor, BatchQuery, ExecutorConfig, RangeShape, TraceRecorder,
+    VersionedDataset,
 };
 use maxrs::geom::{HashGrid, Point2, WeightedPoint};
 use rand::prelude::*;
@@ -56,37 +56,40 @@ fn grid_query_work_is_output_plus_cells() {
     );
 }
 
-/// A batch over one shared index builds each structure exactly once: the
-/// first execution pays the builds, a second identical execution pays zero,
-/// and the per-query work counters are identical across both runs (the work
-/// is deterministic, not timing-dependent).
+/// A batch over one dataset builds each structure exactly once: the first
+/// execution pays the builds, a second identical execution pays zero, and
+/// the per-query work counters are identical across both runs (the work is
+/// deterministic, not timing-dependent).
 #[test]
 fn batch_reuses_the_shared_index_with_zero_rebuilds() {
     let points: Vec<WeightedPoint<2>> =
         uniform_points(500, 10.0, 11).into_iter().map(WeightedPoint::unit).collect();
-    let index = SharedIndex::new(points.into(), Vec::new().into());
-    let mut request = BatchRequest::from_shared(index.shared_points(), index.shared_sites());
-    for i in 0..10 {
-        // Two distinct radii → exactly two grids, regardless of query count.
-        let radius = if i % 2 == 0 { 0.8 } else { 1.3 };
-        request.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius)));
-    }
+    let dataset = VersionedDataset::new(points, Vec::new());
+    // Two distinct radii → exactly two grids, regardless of query count.
+    let queries: Vec<BatchQuery<2>> = (0..10)
+        .map(|i| {
+            let radius = if i % 2 == 0 { 0.8 } else { 1.3 };
+            BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius))
+        })
+        .collect();
     let registry = registry();
     let executor = BatchExecutor::with_config(
         &registry,
         ExecutorConfig { threads: Some(1), certify: false, ..ExecutorConfig::default() },
     );
+    let run =
+        || executor.execute_versioned_traced(&dataset, &queries, &mut TraceRecorder::disabled());
 
-    let first = executor.execute_with_index(&request, &index);
+    let first = run();
     assert!(first.all_ok());
-    assert_eq!(index.builds(), 2, "one CSR grid per distinct radius, nothing else");
+    assert_eq!(dataset.builds(), 2, "one CSR grid per distinct radius, nothing else");
     assert!(first.stats.candidates_examined > 0);
     assert!(first.stats.grid_cells_visited > 0);
 
-    let second = executor.execute_with_index(&request, &index);
+    let second = run();
     assert!(second.all_ok());
     assert_eq!(second.stats.index_builds, 0, "warm index must not rebuild");
-    assert_eq!(index.builds(), 2, "still exactly two structures");
+    assert_eq!(dataset.builds(), 2, "still exactly two structures");
     assert_eq!(
         first.stats.candidates_examined, second.stats.candidates_examined,
         "work counters are deterministic run to run"
@@ -100,22 +103,20 @@ fn batch_reuses_the_shared_index_with_zero_rebuilds() {
 fn sampler_batches_build_one_sample_set_per_radius() {
     let points: Vec<WeightedPoint<2>> =
         uniform_points(300, 8.0, 13).into_iter().map(WeightedPoint::unit).collect();
-    let index = SharedIndex::new(points.into(), Vec::new().into());
-    let mut request = BatchRequest::from_shared(index.shared_points(), index.shared_sites());
-    for _ in 0..8 {
-        request.push(BatchQuery::weighted("approx-static-ball", RangeShape::ball(1.0)));
-    }
+    let dataset = VersionedDataset::new(points, Vec::new());
+    let queries = vec![BatchQuery::weighted("approx-static-ball", RangeShape::ball(1.0)); 8];
     let registry = registry();
     let executor = BatchExecutor::with_config(
         &registry,
         ExecutorConfig { threads: Some(1), certify: true, ..ExecutorConfig::default() },
     );
-    let report = executor.execute_with_index(&request, &index);
+    let report =
+        executor.execute_versioned_traced(&dataset, &queries, &mut TraceRecorder::disabled());
     assert!(report.all_ok());
     assert_eq!(report.stats.certify_failures, 0);
     // One sample set shared by all eight queries, plus the one per-radius
     // grid the certification pass reuses — never a per-query rebuild.
-    assert_eq!(index.builds(), 2, "eight same-radius sampler queries share one sample set");
+    assert_eq!(dataset.builds(), 2, "eight same-radius sampler queries share one sample set");
     // All eight queries answered from the same set: identical placements.
     let first = report.weighted(0).unwrap().placement;
     for i in 1..8 {
@@ -166,11 +167,11 @@ fn sieve_rejects_at_least_half_the_candidates_on_the_loadgen_dataset() {
 fn batch_counters_carry_the_sieve_share() {
     let csv = mrs_bench::serve::planar_csv(10_000, 42);
     let set = maxrs::core::input::parse_point_set_csv(&csv).expect("loadgen CSV parses");
-    let index = SharedIndex::new(set.points.into(), set.sites.into());
-    let mut request = BatchRequest::from_shared(index.shared_points(), index.shared_sites());
+    let dataset = VersionedDataset::new(set.points, set.sites);
+    let mut queries = Vec::new();
     for radius in [0.5, 1.0] {
-        request.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius)));
-        request
+        queries.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius)));
+        queries
             .push(BatchQuery::colored("output-sensitive-colored-disk", RangeShape::ball(radius)));
     }
     let registry = registry();
@@ -178,7 +179,8 @@ fn batch_counters_carry_the_sieve_share() {
         &registry,
         ExecutorConfig { threads: Some(1), certify: false, ..ExecutorConfig::default() },
     );
-    let report = executor.execute_with_index(&request, &index);
+    let report =
+        executor.execute_versioned_traced(&dataset, &queries, &mut TraceRecorder::disabled());
     assert!(report.all_ok());
     let stats = &report.stats;
     assert!(stats.candidates_examined > 0);
@@ -216,10 +218,8 @@ fn auto_picks_the_measured_cheapest_solver_on_the_loadgen_mix() {
     let colored_set =
         maxrs::core::input::parse_point_set_csv(&mrs_bench::serve::planar_csv(160, 7))
             .expect("loadgen CSV parses");
-    let points: std::sync::Arc<[WeightedPoint<2>]> = weighted_set.points.into();
-    let sites: std::sync::Arc<[maxrs::geom::ColoredSite<2>]> = colored_set.sites.into();
-    let no_points: std::sync::Arc<[WeightedPoint<2>]> = Vec::new().into();
-    let no_sites: std::sync::Arc<[maxrs::geom::ColoredSite<2>]> = Vec::new().into();
+    let points = weighted_set.points;
+    let sites = colored_set.sites;
 
     // The loadgen shape mix: rectangle sweeps, ball queries across the fill
     // range, and the colored variants on the smaller colored slice.
@@ -234,21 +234,24 @@ fn auto_picks_the_measured_cheapest_solver_on_the_loadgen_mix() {
     ];
     let colored_shapes = [RangeShape::ball(0.3), RangeShape::ball(0.5), RangeShape::rect(3.0, 2.0)];
 
-    // One cold execution of one (solver, shape) query; returns the solve
-    // stats so the caller can put every candidate on the same work scale.
+    // One cold execution of one (solver, shape) query over a fresh dataset;
+    // returns the solve stats so the caller can put every candidate on the
+    // same work scale.
     let run = |solver: &str, shape: &RangeShape<2>, colored: bool| {
-        let request = if colored {
-            BatchRequest::from_shared(no_points.clone(), sites.clone())
-                .with_query(BatchQuery::colored(solver, *shape))
+        let (dataset, query) = if colored {
+            (VersionedDataset::new(Vec::new(), sites.clone()), BatchQuery::colored(solver, *shape))
         } else {
-            BatchRequest::from_shared(points.clone(), no_sites.clone())
-                .with_query(BatchQuery::weighted(solver, *shape))
+            (
+                VersionedDataset::new(points.clone(), Vec::new()),
+                BatchQuery::weighted(solver, *shape),
+            )
         };
         let executor = BatchExecutor::with_config(
             &registry,
             ExecutorConfig { threads: Some(1), certify: false, ..ExecutorConfig::default() },
         );
-        let mut report = executor.execute(&request);
+        let mut report =
+            executor.execute_versioned_traced(&dataset, &[query], &mut TraceRecorder::disabled());
         assert!(report.all_ok(), "{solver} failed on {shape:?}: {:?}", report.answers);
         report.answers.remove(0)
     };
@@ -355,13 +358,13 @@ fn tracing_overhead_stays_under_five_percent() {
     let mut enabled_min = Duration::MAX;
     for _ in 0..5 {
         let started = Instant::now();
-        let report = executor.execute_script(&dataset, &steps);
+        let report = executor.execute_script(&dataset, &steps, &mut TraceRecorder::disabled());
         assert!(report.all_ok());
         disabled_min = disabled_min.min(started.elapsed());
 
         let mut recorder = TraceRecorder::new();
         let started = Instant::now();
-        let report = executor.execute_script_traced(&dataset, &steps, &mut recorder);
+        let report = executor.execute_script(&dataset, &steps, &mut recorder);
         assert!(report.all_ok());
         enabled_min = enabled_min.min(started.elapsed());
         assert_eq!(recorder.traces().len(), steps.len(), "every query step leaves a trace");

@@ -4,11 +4,12 @@
 //! the answers against direct engine dispatch and the `/stats` counters
 //! against the resident-index and answer-cache contracts.
 
+use maxrs::geom::{ColoredSite, WeightedPoint};
 use maxrs::server::full_registry;
 use maxrs::server::{serve, Client, Json, ServerConfig};
 use mrs_core::engine::{
-    BatchExecutor, BatchQuery, BatchRequest, DimSupport, EngineConfig, ProblemKind, RangeShape,
-    ShapeClass,
+    BatchExecutor, BatchQuery, BatchReport, DimSupport, EngineConfig, ProblemKind, RangeShape,
+    Registry, ShapeClass, TraceRecorder, VersionedDataset,
 };
 
 /// The engine seed shared by the server and the direct-dispatch reference:
@@ -50,6 +51,21 @@ fn stat_of<'j>(stats: &'j Json, dataset: &str) -> &'j Json {
         .and_then(Json::as_arr)
         .and_then(|all| all.iter().find(|d| d.get("name").and_then(Json::as_str) == Some(dataset)))
         .unwrap_or_else(|| panic!("dataset {dataset} missing from /stats"))
+}
+
+/// One query through the engine over a fresh dataset.
+fn reference<const D: usize>(
+    registry: &Registry,
+    points: Vec<WeightedPoint<D>>,
+    sites: Vec<ColoredSite<D>>,
+    query: BatchQuery<D>,
+) -> BatchReport<D> {
+    let dataset = VersionedDataset::new(points, sites);
+    BatchExecutor::new(registry).execute_versioned_traced(
+        &dataset,
+        &[query],
+        &mut TraceRecorder::disabled(),
+    )
 }
 
 /// Every solver the server can dispatch for the uploaded datasets answers
@@ -103,15 +119,12 @@ fn every_dispatchable_solver_matches_direct_dispatch() {
         match descriptor.problem {
             ProblemKind::Weighted => {
                 let expected = if dataset == "ticks" {
-                    let request = BatchRequest::<1>::over_points(line_points.clone()).with_query(
-                        BatchQuery::weighted(descriptor.name, RangeShape::<1>::ball(1.0)),
-                    );
-                    let report = BatchExecutor::new(&registry).execute(&request);
+                    let query = BatchQuery::weighted(descriptor.name, RangeShape::<1>::ball(1.0));
+                    let report = reference(&registry, line_points.clone(), Vec::new(), query);
                     report.weighted(0).expect("reference answer").placement.value
                 } else {
-                    let request = BatchRequest::new(planar_set.points.clone(), Vec::new())
-                        .with_query(BatchQuery::weighted(descriptor.name, planar_shape));
-                    let report = BatchExecutor::new(&registry).execute(&request);
+                    let query = BatchQuery::weighted(descriptor.name, planar_shape);
+                    let report = reference(&registry, planar_set.points.clone(), Vec::new(), query);
                     report.weighted(0).expect("reference answer").placement.value
                 };
                 let got = answer.get("value").and_then(Json::as_f64).expect("value");
@@ -122,9 +135,8 @@ fn every_dispatchable_solver_matches_direct_dispatch() {
                 );
             }
             ProblemKind::Colored => {
-                let request = BatchRequest::new(Vec::new(), planar_set.sites.clone())
-                    .with_query(BatchQuery::colored(descriptor.name, planar_shape));
-                let report = BatchExecutor::new(&registry).execute(&request);
+                let query = BatchQuery::colored(descriptor.name, planar_shape);
+                let report = reference(&registry, Vec::new(), planar_set.sites.clone(), query);
                 let expected = report.colored(0).expect("reference answer").placement.distinct;
                 let got = answer.get("distinct").and_then(Json::as_f64).expect("distinct");
                 assert_eq!(got as usize, expected, "{}", descriptor.name);

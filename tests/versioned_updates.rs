@@ -7,8 +7,9 @@
 //! boundaries.
 
 use maxrs::engine::{
-    registry, BatchAnswer, BatchExecutor, BatchQuery, BatchRequest, EngineConfig, ExecutorConfig,
-    Mutation, RangeShape, Registry, ScriptOutcome, ScriptStep, VersionedDataset,
+    registry, BatchAnswer, BatchExecutor, BatchQuery, DynamicBallSolver, EngineConfig,
+    ExecutorConfig, Finite, Mutation, RangeShape, Registry, ScriptOutcome, ScriptStep,
+    TraceRecorder, VersionedDataset, WeightedInstance, WeightedSolver,
 };
 use mrs_core::config::SamplingConfig;
 use mrs_geom::{Point, Point2, WeightedPoint};
@@ -22,15 +23,29 @@ fn executor(registry: &Registry) -> BatchExecutor<'_> {
     )
 }
 
-/// Answers `query` from scratch over a materialized live snapshot — the
-/// bump-epoch baseline every overlay answer must match bit for bit.
+/// Runs a script through the one execution path, untraced.
+fn script<const D: usize>(
+    registry: &Registry,
+    dataset: &VersionedDataset<D>,
+    steps: &[ScriptStep<D>],
+) -> maxrs::engine::ScriptReport<D> {
+    executor(registry).execute_script(dataset, steps, &mut TraceRecorder::disabled())
+}
+
+/// Answers `query` from scratch over a materialized live snapshot — a fresh
+/// dataset, so nothing is reused: the bump-epoch baseline every overlay
+/// answer must match bit for bit.
 fn rebuild_answer<const D: usize>(
     registry: &Registry,
-    live: std::sync::Arc<[WeightedPoint<D>]>,
+    live: Finite<WeightedPoint<D>>,
     query: &BatchQuery<D>,
 ) -> BatchAnswer<D> {
-    let request = BatchRequest::from_shared(live, Vec::new().into()).with_query(query.clone());
-    let mut report = executor(registry).execute(&request);
+    let fresh = VersionedDataset::from_shared(live, Finite::default());
+    let mut report = executor(registry).execute_versioned_traced(
+        &fresh,
+        std::slice::from_ref(query),
+        &mut TraceRecorder::disabled(),
+    );
     assert_eq!(report.stats.certify_failures, 0, "rebuild must certify");
     report.answers.remove(0)
 }
@@ -91,7 +106,7 @@ fn planar_exact_solvers_byte_identical_at_every_version() {
             ScriptStep::Query(queries[0].clone()),
             ScriptStep::Query(queries[1].clone()),
         ];
-        let report = executor(&registry).execute_script(&dataset, &steps);
+        let report = script(&registry, &dataset, &steps);
         assert!(report.all_ok(), "step {step}: {:?}", report.outcomes);
         assert_eq!(report.stats.certify_failures, 0, "step {step}");
         let live = dataset.view().live_points();
@@ -145,7 +160,7 @@ fn line_solvers_byte_identical_through_updates_and_compactions() {
             ScriptStep::Query(queries[0].clone()),
             ScriptStep::Query(queries[1].clone()),
         ];
-        let report = executor(&registry).execute_script(&dataset, &steps);
+        let report = script(&registry, &dataset, &steps);
         assert!(report.all_ok(), "step {step}");
         if let ScriptOutcome::Mutated { compacted: c, .. } = &report.outcomes[0] {
             compacted |= c;
@@ -193,7 +208,7 @@ fn compaction_at_exact_alpha_boundary_is_strict() {
             }),
             ScriptStep::Query(query.clone()),
         ];
-        let report = executor(&registry).execute_script(&dataset, &steps);
+        let report = script(&registry, &dataset, &steps);
         assert!(report.all_ok(), "step {step}: {:?}", report.outcomes);
         let ScriptOutcome::Mutated { version, compacted, .. } = &report.outcomes[0] else {
             panic!("mutation steps report a mutation outcome");
@@ -233,6 +248,47 @@ fn compaction_at_exact_alpha_boundary_is_strict() {
     assert_eq!(dataset.view().live_points().len(), 96 + 33);
 }
 
+/// The precondition for answering every `dynamic-ball` query from the
+/// dataset's resident tracker: on a fresh dataset, the tracker's answer is
+/// bit-identical to a fresh `DynamicBallSolver::solve` over the same
+/// points.  Dyadic-lattice coordinates and integer weights keep every
+/// recount exact, so the two value recounts (instance scan vs. overlay
+/// grid) cannot differ by rounding.
+#[test]
+fn tracker_on_a_fresh_dataset_matches_a_fresh_solve() {
+    fn check<const D: usize>(seed: u64) {
+        let registry = Registry::with_config(EngineConfig::practical(0.25).with_seed(seed));
+        let solver = DynamicBallSolver::new(registry.config().sampling);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let points: Vec<WeightedPoint<D>> = (0..48)
+            .map(|_| {
+                let coords = std::array::from_fn(|_| rng.gen_range(0..16) as f64 * 0.25);
+                WeightedPoint::new(Point::new(coords), rng.gen_range(1..5) as f64)
+            })
+            .collect();
+        for radius in [0.3, 0.5, 1.0, 1.7] {
+            let fresh = solver
+                .solve(&WeightedInstance::ball(points.clone(), radius))
+                .expect("non-negative weights");
+            let dataset = VersionedDataset::new(points.clone(), Vec::new());
+            let query = BatchQuery::weighted("dynamic-ball", RangeShape::ball(radius));
+            let report = executor(&registry).execute_versioned_traced(
+                &dataset,
+                &[query],
+                &mut TraceRecorder::disabled(),
+            );
+            assert_eq!(report.certified, vec![Some(true)], "D={D} r={radius}");
+            assert_bits_equal(
+                &report.answers[0],
+                &BatchAnswer::Weighted(fresh),
+                &format!("D={D} r={radius}"),
+            );
+        }
+    }
+    check::<1>(0xD1);
+    check::<2>(0xD2);
+}
+
 proptest! {
     /// Interleaved insert/delete/query scripts pin the delta-overlay index
     /// and the dynamic sampler against a brute-force rebuild at every
@@ -270,7 +326,7 @@ proptest! {
                 ScriptStep::Mutate(mutation),
                 ScriptStep::Query(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius))),
             ];
-            let report = executor(&registry).execute_script(&dataset, &steps);
+            let report = script(&registry, &dataset, &steps);
             let view = dataset.view();
             let live = view.live_points();
 
