@@ -1,57 +1,25 @@
-//! Emits the committed kernel-layer baseline (`BENCH_kernels.json`).
+//! The per-kernel throughput gate CI runs.
 //!
-//! Run with `cargo run --release -p mrs-bench --bin kernel_baseline
-//! [--smoke] [out.json]` from the repository root.  Two phases:
-//!
-//! 1. **Per-kernel A/B** — the same clustered 100k-point CSR index queried
-//!    under each [`KernelMode`] (scalar f64 reference, laned f64, f32
-//!    sieve-then-verify), best of 3, reported as candidates filtered per
-//!    second.  Three workloads separate the regimes: `dense_r1` (radius =
-//!    cell side on clustered data, ~60% of candidates are true hits),
-//!    `wide_r4` (radius ≫ cell side, long contiguous slot rows), and
-//!    `sparse_r05` (radius = half the cell side, ~80% of candidates miss —
-//!    the sieve's home turf).  The modes return bit-identical hits (pinned
-//!    by `tests/kernel_invariance.rs`), so the deltas are pure kernel
-//!    throughput; the emitter asserts the laned kernel beats scalar on the
-//!    dense workload and the sieve beats scalar on the sparse one.  These
-//!    gates are relative — they hold on any machine — and are what CI's
-//!    bench job runs (`--smoke`).
-//! 2. **End-to-end** (skipped under `--smoke`) — the canonical
-//!    `planar_mixed` workload of `BENCH_planar.json` (60 mixed exact
-//!    queries over 400 clustered points).  The *candidates-bound* portion
-//!    (exact disk sweep + output-sensitive colored disk, the two solvers
-//!    whose time is dominated by grid-candidate filtering) must beat the
-//!    pre-kernel code by ≥ 2×.
-//!
-//! The recorded_* constants are the pre-kernel hot loops re-measured on the
-//! same single-core runner class this bin targets (best of 3).  The
-//! committed `BENCH_planar.json` history (862.990 ms batch, 827.3 ms
-//! candidates-bound breakdown) predates the kernel layer but was taken on a
-//! faster runner class; the JSON quotes both so drift stays visible.
+//! Run with `cargo run --release -p mrs-bench --bin kernel_baseline` from the
+//! repository root.  The same clustered 100k-point CSR index is queried
+//! under each [`KernelMode`] (scalar f64 reference, laned f64, f32
+//! sieve-then-verify), best of 3, and each mode is reported as candidates
+//! filtered per second.  Three workloads separate the regimes: `dense_r1`
+//! (radius = cell side on clustered data, ~60% of candidates are true hits),
+//! `wide_r4` (radius ≫ cell side, long contiguous slot rows), and
+//! `sparse_r05` (radius = half the cell side, ~80% of candidates miss — the
+//! sieve's home turf).  The modes return bit-identical hits (pinned by
+//! `tests/kernel_invariance.rs`), so the deltas are pure kernel throughput.
+//! The run fails unless the laned kernel beats scalar on the dense workload
+//! and the sieve beats scalar on the sparse one.  Both gates are ratios
+//! within one process, so they hold on any machine.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
-use mrs_bench::batch::mixed_planar_request;
 use mrs_bench::measure::time;
-use mrs_core::engine::{BatchAnswer, BatchExecutor, ExecutorConfig};
 use mrs_geom::kernels::{set_kernel_mode, KernelMode};
 use mrs_geom::{GridQueryStats, HashGrid, Point2};
 use rand::prelude::*;
-
-/// Cert-off `planar_mixed` batch wall clock of the pre-kernel code,
-/// re-measured on this runner class (best of 3).
-const RECORDED_PRE_KERNEL_BATCH_MS: f64 = 1036.6;
-/// Candidates-bound solver time (exact disk + output-sensitive colored
-/// disk, certified-run breakdown) of the pre-kernel code on this runner
-/// class (best of 3).
-const RECORDED_PRE_KERNEL_CANDIDATES_BOUND_MS: f64 = 1041.4;
-/// The committed `BENCH_planar.json` batch figure (faster runner class),
-/// quoted for history.
-const COMMITTED_PLANAR_BATCH_MS: f64 = 862.990;
-
-/// The two solvers whose wall time is candidates-bound.
-const CANDIDATES_BOUND_SOLVERS: [&str; 2] = ["exact-disk-2d", "output-sensitive-colored-disk"];
 
 const MODES: [KernelMode; 3] = [KernelMode::ScalarF64, KernelMode::LanedF64, KernelMode::SieveF32];
 
@@ -140,46 +108,9 @@ impl Workload {
         let row = self.rows.iter().find(|r| r.mode == mode).expect("mode measured");
         row.candidates_per_sec() / self.rows[0].candidates_per_sec()
     }
-
-    fn json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "{{\"kernel\": \"{}\", \"ms\": {:.3}, \"candidates\": {}, \"hits\": {}, \
-                     \"candidates_per_sec\": {:.0}, \"sieve_rejected\": {}}}",
-                    row.mode,
-                    row.best.as_secs_f64() * 1e3,
-                    row.candidates,
-                    row.hits,
-                    row.candidates_per_sec(),
-                    row.sieve_rejected,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"workload\": \"{}\", \"laned_speedup_vs_scalar\": {:.2}, \
-             \"sieve_speedup_vs_scalar\": {:.2}, \"kernels\": [{}]}}",
-            self.label,
-            self.speedup("laned_f64"),
-            self.speedup("sieve_f32"),
-            rows.join(", "),
-        )
-    }
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = "BENCH_kernels.json".to_string();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => out_path = other.to_string(),
-        }
-    }
-
-    // ---- Phase 1: per-kernel A/B over one CSR index. ---------------------
     let points = clustered_points(100_000, 42);
     // Query from the dataset itself so every query lands in a populated
     // neighbourhood and the candidate counts are non-trivial.
@@ -205,9 +136,9 @@ fn main() {
             workload.rows.iter().all(|r| r.hits == scalar.hits),
             "every mode returns the same hits"
         );
-        eprintln!("{}: {} candidates, {} hits", workload.label, scalar.candidates, scalar.hits);
+        println!("{}: {} candidates, {} hits", workload.label, scalar.candidates, scalar.hits);
         for row in &workload.rows {
-            eprintln!(
+            println!(
                 "  {:<10} {:>8.1} ms | {:>6.1}M candidates/s | {} sieve-rejected",
                 row.mode,
                 row.best.as_secs_f64() * 1e3,
@@ -218,104 +149,11 @@ fn main() {
     }
     let laned_dense = workloads[0].speedup("laned_f64");
     let sieve_sparse = workloads[2].speedup("sieve_f32");
+    println!("laned vs scalar on dense_r1: {laned_dense:.2}x");
+    println!("sieve vs scalar on sparse_r05: {sieve_sparse:.2}x");
 
-    // ---- Phase 2: the candidates-bound planar batch. ---------------------
-    let end_to_end = if smoke {
-        None
-    } else {
-        let registry = mrs_batched::engine::full_registry(Default::default());
-        let request = mixed_planar_request(400, 60, 91);
-
-        // Certified runs: correctness plus the per-solver breakdown, best of
-        // 3 on the candidates-bound sum (per-solver elapsed is as noisy as
-        // any other wall clock).
-        let mut candidates_bound = Duration::MAX;
-        let mut breakdown: BTreeMap<&'static str, Duration> = BTreeMap::new();
-        let mut counters = (0usize, 0usize);
-        for _ in 0..3 {
-            let certified = request.run_cold(&BatchExecutor::new(&registry));
-            assert!(certified.all_ok(), "every batch query must succeed");
-            assert_eq!(certified.stats.certify_failures, 0, "certification must hold");
-            let mut run: BTreeMap<&'static str, Duration> = BTreeMap::new();
-            for answer in &certified.answers {
-                match answer {
-                    BatchAnswer::Weighted(r) => {
-                        *run.entry(r.solver).or_default() += r.stats.elapsed
-                    }
-                    BatchAnswer::Colored(r) => *run.entry(r.solver).or_default() += r.stats.elapsed,
-                    BatchAnswer::Failed(_) => {}
-                }
-            }
-            let bound: Duration =
-                CANDIDATES_BOUND_SOLVERS.iter().filter_map(|solver| run.get(solver)).copied().sum();
-            if bound < candidates_bound {
-                candidates_bound = bound;
-                breakdown = run;
-            }
-            counters = (certified.stats.sieve_rejected, certified.stats.candidates_examined);
-        }
-
-        // Cert-off batch wall clock, best of 3 (matching BENCH_planar.json).
-        let timed = BatchExecutor::with_config(
-            &registry,
-            ExecutorConfig { threads: None, certify: false, ..ExecutorConfig::default() },
-        );
-        let mut batch = Duration::MAX;
-        for _ in 0..3 {
-            let (report, elapsed) = time(|| request.run_cold(&timed));
-            assert!(report.all_ok(), "every batch query must succeed");
-            batch = batch.min(elapsed);
-        }
-
-        let candidates_bound_ms = candidates_bound.as_secs_f64() * 1e3;
-        let batch_ms = batch.as_secs_f64() * 1e3;
-        let candidates_bound_speedup =
-            RECORDED_PRE_KERNEL_CANDIDATES_BOUND_MS / candidates_bound_ms;
-        let batch_speedup = RECORDED_PRE_KERNEL_BATCH_MS / batch_ms;
-        eprintln!(
-            "planar_mixed: candidates-bound {candidates_bound_ms:.0} ms \
-             ({candidates_bound_speedup:.2}x vs pre-kernel \
-             {RECORDED_PRE_KERNEL_CANDIDATES_BOUND_MS:.0} ms) | batch {batch_ms:.0} ms \
-             ({batch_speedup:.2}x vs pre-kernel {RECORDED_PRE_KERNEL_BATCH_MS:.0} ms)"
-        );
-        let breakdown_json: Vec<String> = breakdown
-            .iter()
-            .map(|(solver, elapsed)| format!("\"{solver}\": {:.3}", elapsed.as_secs_f64() * 1e3))
-            .collect();
-        let json = format!(
-            "{{\"n\": 400, \"m\": 60, \"batch_ms\": {batch_ms:.3}, \"candidates_bound_ms\": \
-             {candidates_bound_ms:.3}, \"recorded_pre_kernel_batch_ms\": \
-             {RECORDED_PRE_KERNEL_BATCH_MS}, \"recorded_pre_kernel_candidates_bound_ms\": \
-             {RECORDED_PRE_KERNEL_CANDIDATES_BOUND_MS}, \"committed_planar_batch_ms\": \
-             {COMMITTED_PLANAR_BATCH_MS}, \"speedup_candidates_bound\": \
-             {candidates_bound_speedup:.2}, \"speedup_batch\": {batch_speedup:.2}, \
-             \"sieve_rejected\": {}, \"candidates_examined\": {}, \"breakdown_ms\": {{{}}}}}",
-            counters.0,
-            counters.1,
-            breakdown_json.join(", "),
-        );
-        Some((json, candidates_bound_speedup, batch_speedup))
-    };
-
-    // ---- The committed artifact. ----------------------------------------
-    let workloads_json: Vec<String> = workloads.iter().map(Workload::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"maxrs-kernel-bench-v1\",\n  \"note\": \"multi-lane CSR filter \
-         kernels: scalar f64 reference vs laned f64 vs f32 sieve-then-verify over one clustered \
-         100k-point index, best-of-3; end_to_end gates compare the candidates-bound planar \
-         solvers against the pre-kernel hot loops re-measured on this runner class \
-         (committed_planar_batch_ms is the older faster-runner history)\",\n  \"workloads\": \
-         [\n    {}\n  ],\n  \"end_to_end\": {}\n}}\n",
-        workloads_json.join(",\n    "),
-        end_to_end.as_ref().map_or("null", |(json, _, _)| json.as_str()),
-    );
-    std::fs::write(&out_path, &json).expect("writing the baseline file must succeed");
-    println!("{json}");
-    println!("wrote {out_path}");
-
-    // ---- Gates. ----------------------------------------------------------
-    // Relative, machine-independent: each laned kernel must beat the scalar
-    // reference on its home workload, same machine, same process.
+    // Each kernel must beat the scalar reference on its home workload, same
+    // machine, same process.
     assert!(
         laned_dense >= 1.2,
         "laned f64 must beat the scalar reference by 1.2x on dense_r1 (got {laned_dense:.2}x)"
@@ -325,19 +163,4 @@ fn main() {
         "the f32 sieve must beat the scalar reference by 1.2x on sparse_r05 (got \
          {sieve_sparse:.2}x)"
     );
-    if let Some((_, candidates_bound_speedup, batch_speedup)) = end_to_end {
-        assert!(
-            candidates_bound_speedup >= 2.0,
-            "candidates-bound planar time must beat the pre-kernel loops by 2x \
-             (got {candidates_bound_speedup:.2}x)"
-        );
-        assert!(
-            batch_speedup >= 1.7,
-            "planar batch wall clock must beat the pre-kernel loops by 1.7x \
-             (got {batch_speedup:.2}x)"
-        );
-        println!("laned kernels beat the pre-kernel candidates-bound time by >= 2x");
-    } else {
-        println!("smoke mode: relative kernel gates only");
-    }
 }

@@ -1,11 +1,13 @@
 //! # mrs-bench — workload generators and measurement helpers
 //!
-//! Shared infrastructure for the Criterion benchmarks (`benches/`) and the
-//! experiment runner (`src/bin/experiments.rs`) that regenerates every table
-//! in EXPERIMENTS.md.  Nothing here is specific to a single experiment: the
-//! generators produce the uniform / clustered / planted-optimum workloads the
-//! paper's scenarios describe (hotspots, trajectories, customer clusters), and
-//! the measurement helpers time closures and format result tables.
+//! Shared infrastructure for the experiment runner (`src/bin/experiments.rs`,
+//! which prints the paper-reproduction tables E1–E11), the serving load
+//! generator, the kernel gate, the cost-model calibrator and the repository's
+//! benchmark (`perfbench/`).  Nothing here is specific to a single
+//! experiment: the generators produce the uniform / clustered /
+//! planted-optimum workloads the paper's scenarios describe (hotspots,
+//! trajectories, customer clusters), and the measurement helpers time
+//! closures and format result tables.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -169,9 +171,9 @@ pub mod workloads {
     }
 }
 
-/// Canonical batch-execution workloads, shared by the batch benchmark, the
-/// committed `BENCH_batch.json` baseline emitter, and the E11 experiment so
-/// all three measure the same thing.
+/// Canonical batch-execution workloads: the E11 experiment measures them, and
+/// `tests/engine_dispatch.rs` checks batch answers against per-query solves
+/// on them.
 pub mod batch {
     use mrs_core::engine::{
         BatchExecutor, BatchQuery, BatchReport, ColoredInstance, RangeShape, Registry,
@@ -285,8 +287,7 @@ pub mod batch {
 
 /// The canonical serving workload: dataset CSV generators and the mixed
 /// Zipf query pool, shared by `serve_loadgen` (the `BENCH_serve.json`
-/// emitter) and `planar_baseline` (the `BENCH_planar.json` emitter) so both
-/// measure the same traffic.
+/// emitter) and `perfbench` so both send the same traffic.
 pub mod serve {
     use rand::prelude::*;
 
@@ -363,8 +364,8 @@ pub mod serve {
 
     /// One record of the canonical 1-D update mix: a weighted event near a
     /// random hotspot center, deterministic in `(seed, i)`.  Shared by the
-    /// in-process `dynamic_baseline` emitter and the HTTP `serve_loadgen`
-    /// update-mix phase, so both mutate the same stream.
+    /// `serve_loadgen` update-mix phase and `perfbench`'s `line-update`
+    /// workload, so both mutate the same stream.
     pub fn line_update_record(seed: u64, i: u64) -> (f64, f64) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C0 ^ i.wrapping_mul(0x9E3779B97F4A7C15));
         let center = rng.gen_range(0.0..1_000.0f64);

@@ -3,9 +3,10 @@
 //! The paper's sample sizes (`t = Θ(ε^{-2} log n)` points per non-empty cell)
 //! and grid-family sizes (`(2/ε)^d` shifted grids, Lemma 2.1) hide constants
 //! that matter enormously in practice.  `SamplingConfig` exposes them: the
-//! defaults follow the theory, and the benchmark harness uses documented caps
-//! (see DESIGN.md, "Substitutions") whose effect on the measured approximation
-//! ratio EXPERIMENTS.md reports.
+//! defaults follow the theory, and [`SamplingConfig::practical`] caps them,
+//! trading Lemma 2.1's worst-case guarantee for speed.  The experiment runner
+//! (`cargo run --release -p mrs-bench --bin experiments`) reports the
+//! approximation ratios measured under such caps (E1–E3, E6).
 
 /// Configuration of the point-sampling technique (Section 3).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,7 +48,7 @@ impl SamplingConfig {
     /// A configuration with practical caps, suitable for benchmarks and large
     /// inputs: at most `max_grids` shifted grids and at most 64 samples per
     /// cell.  The worst-case guarantee of Lemma 2.1 is traded for speed; the
-    /// measured ratios in EXPERIMENTS.md quantify the effect.
+    /// sampling-vs-exact ratios of experiment E2 quantify the effect.
     pub fn practical(eps: f64) -> Self {
         let mut cfg = Self::new(eps);
         cfg.max_grids = Some(8);

@@ -748,10 +748,8 @@ enum TrackerOp<const D: usize> {
 /// policy.  All methods take `&self`.  Readers' critical sections are
 /// `O(1)` view clones; the writer's ([`Self::apply`]) copies the overlay
 /// masks and resolves coordinate deletes by linear scan, so one mutation
-/// batch holds the write lock for `O(n)` bitmask-copy work (a ~100 µs
-/// memcpy-bound pause at 100k points — the committed `BENCH_dynamic.json`
-/// measures ~8k single-record applies per second at that size, with
-/// compaction folded in).
+/// batch holds the write lock for `O(n)` bitmask-copy work (the benchmark's
+/// `line-update` workload reports it as `versioned.apply_us`).
 pub struct VersionedDataset<const D: usize> {
     current: RwLock<VersionedView<D>>,
     trackers: Mutex<HashMap<TrackerKey, TrackerEntry<D>>>,

@@ -11,7 +11,8 @@
 //! leaves the other color's union.  The total cost is
 //! `O(n log n + Σ_arc local + k log k)` where `k` is the number of
 //! boundary–boundary crossings — the same output-sensitive shape as the
-//! trapezoidal-map formulation of the paper (see DESIGN.md, "Substitutions").
+//! paper's trapezoidal-map formulation, which this arc sweep stands in for:
+//! it walks the exposed arcs directly instead of building the map.
 //!
 //! ## Hot-path layout
 //!

@@ -184,8 +184,8 @@ impl<const D: usize> ShiftedGrids<D> {
     /// Builds the family but keeps at most `max_grids` members, selected by a
     /// deterministic stride over the `z` lattice.  The theoretical guarantee of
     /// Lemma 2.1 needs the full family; capping trades the worst-case guarantee
-    /// for speed and is what the benchmark configurations use (see DESIGN.md
-    /// "Substitutions").
+    /// for speed and is what `mrs_core`'s practical sampling configuration
+    /// does (at most 8 grids).
     pub fn with_limit(side: f64, delta: f64, max_grids: usize) -> Self {
         assert!(side.is_finite() && side > 0.0, "grid side must be positive");
         assert!(delta.is_finite() && delta > 0.0, "delta must be positive");

@@ -86,8 +86,8 @@ pub const LANES: usize = 8;
 /// default is [`KernelMode::SieveF32`]; its halved-bandwidth first pass pays
 /// off when most candidates miss or the index outgrows the cache, while
 /// [`KernelMode::LanedF64`] wins when true hits dominate (every survivor
-/// pays the f64 verify on top of the f32 pass) — the committed
-/// `BENCH_kernels.json` records both regimes.
+/// pays the f64 verify on top of the f32 pass) — `kernel_baseline` (in
+/// `mrs-bench`) prints both regimes.
 ///
 /// [`sieve_rejected`]: crate::hashgrid::GridQueryStats::sieve_rejected
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

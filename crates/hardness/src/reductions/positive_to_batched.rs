@@ -21,8 +21,8 @@
 //! (co-located with the outermost guards): any placement that overshoots the
 //! guarded range on either side now picks up the wall penalty, every interval
 //! of the intended form `[i, 2n−1−j]` avoids both walls, and the rest of the
-//! paper's case analysis goes through verbatim.  See DESIGN.md ("Errata
-//! discovered during reproduction").
+//! paper's case analysis goes through verbatim.  The walls are the only
+//! departure from the published construction.
 
 use mrs_batched::{BatchedMaxRS1D, LinePoint};
 

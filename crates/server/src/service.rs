@@ -681,15 +681,12 @@ impl Service {
         // One name can serve both problem kinds (the `auto` router does);
         // an explicit `"problem"` field picks the side, otherwise the first
         // registered descriptor under that name wins.
-        let problem = match value.get("problem").and_then(Json::as_str) {
+        let kinds = "\"weighted\" or \"colored\"";
+        let problem = match optional_field(value, "problem", kinds, Json::as_str)? {
             None => None,
             Some("weighted") => Some(ProblemKind::Weighted),
             Some("colored") => Some(ProblemKind::Colored),
-            Some(other) => {
-                return Err(format!(
-                    "`problem` must be \"weighted\" or \"colored\", got `{other}`"
-                ));
-            }
+            Some(other) => return Err(format!("`problem` must be {kinds}, got `{other}`")),
         };
         let descriptor = descriptors
             .iter()
@@ -857,7 +854,10 @@ impl Service {
             Ok(spec) => spec,
             Err(message) => return error_response(400, &message),
         };
-        let use_cache = body.get("cache").and_then(Json::as_bool).unwrap_or(true);
+        let use_cache = match cache_flag(&body) {
+            Ok(use_cache) => use_cache,
+            Err(message) => return error_response(400, &message),
+        };
         let _dataset_permit = match self.admit_dataset(dataset_name) {
             Ok(permit) => permit,
             Err(response) => return response,
@@ -926,7 +926,10 @@ impl Service {
                 Err(message) => return error_response(400, &format!("query {i}: {message}")),
             }
         }
-        let use_cache = body.get("cache").and_then(Json::as_bool).unwrap_or(true);
+        let use_cache = match cache_flag(&body) {
+            Ok(use_cache) => use_cache,
+            Err(message) => return error_response(400, &message),
+        };
         let queries_len = specs.len();
         let _dataset_permit = match self.admit_dataset(dataset_name) {
             Ok(permit) => permit,
@@ -1106,6 +1109,26 @@ fn error_response(status: u16, message: &str) -> Response {
     Response::json(status, Json::Obj(vec![("error".into(), Json::str(message))]).render())
 }
 
+/// Reads an optional request field: absent is `None`, and a present value
+/// `as_type` does not accept is an error naming the field, so a mistyped
+/// field is refused instead of being read as absent.
+fn optional_field<'a, T>(
+    body: &'a Json,
+    field: &str,
+    expected: &str,
+    as_type: fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    body.get(field)
+        .map(|value| as_type(value).ok_or_else(|| format!("`{field}` must be {expected}")))
+        .transpose()
+}
+
+/// The `"cache"` flag of a `/query` or `/batch` body: on unless it is
+/// `false`.
+fn cache_flag(body: &Json) -> Result<bool, String> {
+    Ok(optional_field(body, "cache", "true or false", Json::as_bool)?.unwrap_or(true))
+}
+
 fn parse_body(request: &Request) -> Result<Json, Box<Response>> {
     let Some(text) = request.body_text() else {
         return Err(Box::new(error_response(400, "request body must be UTF-8 JSON")));
@@ -1230,6 +1253,47 @@ mod tests {
                 String::from_utf8_lossy(&response.body)
             );
         }
+    }
+
+    /// A field that is present but of the wrong type is a 400 naming it on
+    /// both query endpoints: `"cache":"false"` or `"cache":0` must not
+    /// silently read as "use the cache", nor `"problem":7` as no problem
+    /// kind.  The refused requests leave the cache counters where they were.
+    #[test]
+    fn wrongly_typed_fields_are_400s_naming_the_field() {
+        let service = service();
+        service.handle(&post("/datasets/demo", CSV));
+        let warm = r#"{"dataset":"demo","solver":"exact-disk-2d","shape":{"ball":1.0}}"#;
+        assert_eq!(service.handle(&post("/query", warm)).status, 200);
+        let cache_counters = || {
+            let stats = service.handle(&get("/stats"));
+            let stats = Json::parse(std::str::from_utf8(&stats.body).unwrap()).unwrap();
+            stats.get("cache").unwrap().clone()
+        };
+        let before = cache_counters();
+        let query = r#""solver":"exact-disk-2d","shape":{"ball":1.0}"#;
+        let cases = [
+            ("/query", format!(r#"{{"dataset":"demo",{query},"cache":"false"}}"#), "`cache`"),
+            ("/query", format!(r#"{{"dataset":"demo",{query},"cache":0}}"#), "`cache`"),
+            ("/query", format!(r#"{{"dataset":"demo",{query},"problem":7}}"#), "`problem`"),
+            (
+                "/batch",
+                format!(r#"{{"dataset":"demo","queries":[{{{query}}}],"cache":0}}"#),
+                "`cache`",
+            ),
+            (
+                "/batch",
+                format!(r#"{{"dataset":"demo","queries":[{{{query},"problem":7}}]}}"#),
+                "`problem`",
+            ),
+        ];
+        for (target, body, field) in cases {
+            let response = service.handle(&post(target, &body));
+            let text = String::from_utf8_lossy(&response.body);
+            assert_eq!(response.status, 400, "{target} {body} → {text}");
+            assert!(text.contains(field), "{target} {body} → {text}");
+        }
+        assert_eq!(cache_counters(), before, "a refused request must not touch the cache");
     }
 
     #[test]

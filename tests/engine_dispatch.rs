@@ -384,3 +384,101 @@ fn registry_descriptor_listing_is_consistent_with_dispatch() {
         assert!(found, "descriptor {} listed but not constructible", d.name);
     }
 }
+
+/// The batch path answers exactly as a fresh per-query solve does: for
+/// every exact solver in the registry and every shape it supports from a
+/// small list, the answer `execute_versioned_traced` gives (certified, two
+/// worker threads, indexes shared across the batch) has the same value bits
+/// (the same distinct count for colored solvers) and the same center bits as
+/// `solve` on a fresh instance.
+#[test]
+fn batch_answers_are_bit_identical_to_fresh_solves() {
+    let registry = engine::registry();
+    let executor = BatchExecutor::with_config(
+        &registry,
+        ExecutorConfig { threads: Some(2), certify: true, ..ExecutorConfig::default() },
+    );
+    let planar = mrs_bench::batch::mixed_planar_request(200, 0, 91);
+    let planar_shapes = [
+        RangeShape::ball(0.4),
+        RangeShape::ball(0.9),
+        RangeShape::rect(1.0, 1.0),
+        RangeShape::rect(1.6, 0.7),
+    ];
+    let line = mrs_bench::batch::interval_lengths_request(2000, 0, 23);
+    let line_shapes =
+        [RangeShape::interval(1.0), RangeShape::interval(20.0), RangeShape::interval(300.0)];
+    let compared = assert_batch_matches_fresh_solves(&registry, &executor, &planar, &planar_shapes)
+        + assert_batch_matches_fresh_solves(&registry, &executor, &line, &line_shapes);
+    // 6 planar exact solvers × 2 shapes each, 2 line solvers × 3 lengths.
+    assert_eq!(compared, 18);
+}
+
+/// Runs one batch of every (exact solver, supported shape) pair over the
+/// workload's points and sites, asserts each answer is bit-identical to a
+/// fresh `solve`, and returns how many pairs it compared.
+fn assert_batch_matches_fresh_solves<const D: usize>(
+    registry: &Registry,
+    executor: &BatchExecutor<'_>,
+    workload: &mrs_bench::batch::Workload<D>,
+    shapes: &[RangeShape<D>],
+) -> usize {
+    use maxrs::core::engine::ProblemKind;
+    let bits = |center: &Point<D>| -> [u64; D] { std::array::from_fn(|i| center[i].to_bits()) };
+
+    let descriptors = registry.descriptors();
+    let queries: Vec<BatchQuery<D>> = descriptors
+        .iter()
+        .filter(|d| d.name != "auto" && d.guarantee.is_exact())
+        .flat_map(|d| {
+            shapes.iter().filter(|s| d.supports(d.problem, s.class(), D)).map(|s| match d.problem {
+                ProblemKind::Weighted => BatchQuery::weighted(d.name, *s),
+                ProblemKind::Colored => BatchQuery::colored(d.name, *s),
+            })
+        })
+        .collect();
+    let dataset = VersionedDataset::new(workload.points.clone(), workload.sites.clone());
+    let report =
+        executor.execute_versioned_traced(&dataset, &queries, &mut TraceRecorder::disabled());
+    assert_eq!(report.stats.certify_failures, 0);
+    for (query, answer) in queries.iter().zip(&report.answers) {
+        match query {
+            BatchQuery::Weighted { solver, shape } => {
+                let batch = answer.weighted().unwrap_or_else(|| panic!("{solver}: {answer:?}"));
+                let fresh = registry
+                    .weighted::<D>(solver)
+                    .expect("the query names a registered solver")
+                    .solve(&WeightedInstance::new(workload.points.clone(), *shape))
+                    .expect("the fresh solve succeeds");
+                assert_eq!(
+                    batch.placement.value.to_bits(),
+                    fresh.placement.value.to_bits(),
+                    "{solver} {shape:?}: batch value"
+                );
+                assert_eq!(
+                    bits(&batch.placement.center),
+                    bits(&fresh.placement.center),
+                    "{solver} {shape:?}: batch center"
+                );
+            }
+            BatchQuery::Colored { solver, shape } => {
+                let batch = answer.colored().unwrap_or_else(|| panic!("{solver}: {answer:?}"));
+                let fresh = registry
+                    .colored::<D>(solver)
+                    .expect("the query names a registered solver")
+                    .solve(&ColoredInstance::new(workload.sites.clone(), *shape))
+                    .expect("the fresh solve succeeds");
+                assert_eq!(
+                    batch.placement.distinct, fresh.placement.distinct,
+                    "{solver} {shape:?}: batch distinct count"
+                );
+                assert_eq!(
+                    bits(&batch.placement.center),
+                    bits(&fresh.placement.center),
+                    "{solver} {shape:?}: batch center"
+                );
+            }
+        }
+    }
+    queries.len()
+}
