@@ -18,12 +18,13 @@ use mrs_core::engine::{
     BatchExecutor, ColoredInstance, EngineConfig, ExecutorConfig, RangeShape, Registry,
     WeightedInstance,
 };
+use mrs_core::input::ball_coverage_weight;
 use mrs_core::technique1::DynamicBallMaxRS;
 use mrs_geom::cap::{
     lemma32_configuration, lemma32_covered_fraction, monte_carlo_covered_fraction,
 };
 use mrs_geom::union_disks::{exposed_arc_intersections, union_boundary_arcs};
-use mrs_geom::Ball;
+use mrs_geom::{Ball, WeightedPoint};
 use mrs_hardness::convolution::min_plus_convolution;
 use mrs_hardness::reductions::{min_plus_via_batched_maxrs, min_plus_via_bsei};
 use rand::prelude::*;
@@ -71,21 +72,20 @@ fn e1_dynamic_updates() {
         let mut rng = StdRng::seed_from_u64(7);
 
         let mut dynamic = DynamicBallMaxRS::<2>::new(1.0, cfg);
-        let (_, build) = time(|| {
-            for p in &points {
-                dynamic.insert(p.point, p.weight);
-            }
-        });
+        // The live points beside their tracker ids: after the updates the
+        // tracker holds a different multiset than `points`, and quality is
+        // measured on the set it holds.
+        let mut live: Vec<(usize, WeightedPoint<2>)> =
+            points.iter().map(|p| (dynamic.insert(p.point, p.weight), *p)).collect();
         // Mixed update stream: delete a random live point, insert a fresh one.
         let updates = 1000usize;
-        let mut live: Vec<usize> = (0..n).collect();
         let (_, update_time) = time(|| {
             for i in 0..updates {
                 let victim = rng.gen_range(0..live.len());
-                let id = live.swap_remove(victim);
+                let (id, _) = live.swap_remove(victim);
                 dynamic.remove(id);
                 let p = points[i % n];
-                live.push(dynamic.insert(p.point, p.weight));
+                live.push((dynamic.insert(p.point, p.weight), p));
             }
         });
         let per_update = update_time / updates as u32;
@@ -97,16 +97,22 @@ fn e1_dynamic_updates() {
         let instance = WeightedInstance::ball(points.clone(), 1.0);
         let (_, rebuild) = time(|| static_solver.solve(&instance).unwrap());
 
-        // Solution quality against the exact planar algorithm (only affordable
-        // for the smaller sizes).
+        // Solution quality against the exact planar algorithm on the live
+        // set, with the tracker's center recounted on that set (only
+        // affordable for the smaller sizes).
         let quality = if n <= 2000 {
-            let exact = registry.weighted::<2>("exact-disk-2d").unwrap().solve(&instance).unwrap();
-            let answer = dynamic.best().map(|p| p.value).unwrap_or(0.0);
+            let live: Vec<WeightedPoint<2>> = live.iter().map(|&(_, p)| p).collect();
+            let exact = registry
+                .weighted::<2>("exact-disk-2d")
+                .unwrap()
+                .solve(&WeightedInstance::ball(live.clone(), 1.0))
+                .unwrap();
+            let answer =
+                dynamic.best().map_or(0.0, |p| ball_coverage_weight(&live, &p.center, 1.0));
             format!("{:.2}", answer / exact.placement.value)
         } else {
             "-".to_string()
         };
-        let _ = build;
         table_row(&[n.to_string(), us(per_update), ms(rebuild), quality]);
     }
 }

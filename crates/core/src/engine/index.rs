@@ -44,11 +44,12 @@ struct LineIndex {
 /// exactly once, then reused by every query that runs against the set.
 ///
 /// * [`Self::sorted_line`] — the sorted event list of the first coordinate
-///   (the structure behind the Theorem 1.3 batched solver);
-/// * [`Self::interval_weight`] — Fenwick-tree range sums over the sorted
-///   order, `O(log n)` per query;
-/// * [`Self::ball_weight`] / [`Self::ball_distinct`] — hash-grid ball
-///   queries, one grid per distinct radius, `O(local density)` per query.
+///   (the structure behind the Theorem 1.3 batched solver), with a Fenwick
+///   tree over its weights for [`Self::interval_weight_bounds`];
+/// * [`Self::point_grid`] / [`Self::site_grid`] — hash grids for ball
+///   queries, one per distinct radius;
+/// * [`Self::sorted_projection`] — per-axis point orders for the planar
+///   sweeps, and the Technique-1 sample sets of the samplers.
 ///
 /// A [`VersionedDataset`](super::VersionedDataset) keeps one per
 /// generation (amortization across every batch the dataset ever serves,
@@ -243,20 +244,6 @@ impl<const D: usize> SharedIndex<D> {
         true
     }
 
-    /// Total weight of points whose first coordinate lies in the closed
-    /// interval `[lo, hi]`, in `O(log n)` via the shared Fenwick tree.
-    pub fn interval_weight(&self, lo: f64, hi: f64) -> f64 {
-        let index = self.line_index();
-        let xs = index.line.xs();
-        let a = xs.partition_point(|&v| v < lo - 1e-12);
-        let b = xs.partition_point(|&v| v <= hi + 1e-12);
-        if a >= b {
-            0.0
-        } else {
-            index.fenwick.range_sum(a, b - 1)
-        }
-    }
-
     fn grid_for(
         &self,
         grids: &Mutex<HashMap<u64, Arc<HashGrid<D>>>>,
@@ -359,26 +346,6 @@ impl<const D: usize> SharedIndex<D> {
         set
     }
 
-    /// Total weight inside the closed ball of the given radius at `center`,
-    /// answered through the shared per-radius hash grid.
-    pub fn ball_weight(&self, center: &Point<D>, radius: f64) -> f64 {
-        let grid = self.point_grid(radius);
-        let mut total = 0.0;
-        grid.for_each_within(center, radius, |id| total += self.points[id].weight);
-        total
-    }
-
-    /// Distinct colors inside the closed ball of the given radius at
-    /// `center`, answered through the shared per-radius site grid.
-    pub fn ball_distinct(&self, center: &Point<D>, radius: f64) -> usize {
-        let grid = self.site_grid(radius);
-        let mut colors: Vec<usize> = Vec::new();
-        grid.for_each_within(center, radius, |id| colors.push(self.sites[id].color));
-        colors.sort_unstable();
-        colors.dedup();
-        colors.len()
-    }
-
     /// Lower/upper bounds on the weight in the closed interval `[lo, hi]`
     /// when endpoint comparisons may be off by `slack`: points deeper than
     /// `slack` inside count definitely, points within `slack` of an endpoint
@@ -424,21 +391,27 @@ mod tests {
         assert_eq!(index.builds(), 0);
         // The line index (sorted event list + Fenwick) builds once.
         let total: f64 = points.iter().map(|p| p.weight).sum();
-        assert!((index.interval_weight(-1.0, 1000.0) - total).abs() < 1e-9);
-        assert!(
-            (index.interval_weight(0.0, 0.5) - index.sorted_line().weight_in(0.0, 0.5)).abs()
-                < 1e-12
-        );
+        assert!((index.sorted_line().weight_in(-1.0, 1000.0) - total).abs() < 1e-9);
+        let slab = index.sorted_line().weight_in(0.0, 0.5);
+        let (lo, hi) = index.interval_weight_bounds(0.0, 0.5, 0.0);
+        assert!((lo - slab).abs() < 1e-12 && (hi - slab).abs() < 1e-12, "{lo} {hi} vs {slab}");
         assert_eq!(index.builds(), 2);
         // Ball queries build one grid per distinct radius, then reuse it.
-        let _ = index.ball_weight(&Point::new([1.0]), 0.5);
-        let _ = index.ball_weight(&Point::new([2.0]), 0.5);
+        let ball_weight = |center: f64, radius: f64| {
+            let mut total = 0.0;
+            index
+                .point_grid(radius)
+                .for_each_within(&Point::new([center]), radius, |id| total += points[id].weight);
+            total
+        };
+        let _ = ball_weight(1.0, 0.5);
+        let _ = ball_weight(2.0, 0.5);
         assert_eq!(index.builds(), 3);
-        let _ = index.ball_weight(&Point::new([2.0]), 0.75);
+        let _ = ball_weight(2.0, 0.75);
         assert_eq!(index.builds(), 4);
-        // Fenwick slab and grid ball agree in 1-D.
-        let a = index.interval_weight(1.0, 3.0);
-        let b = index.ball_weight(&Point::new([2.0]), 1.0);
+        // Sorted line slab and grid ball agree in 1-D.
+        let a = index.sorted_line().weight_in(1.0, 3.0);
+        let b = ball_weight(2.0, 1.0);
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 

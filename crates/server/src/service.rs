@@ -38,8 +38,13 @@ pub use crate::metrics::latency_json;
 use crate::metrics::{dataset_json, Counter, Endpoint, Metrics, Scrape};
 use crate::trace::{trace_json, TraceRing};
 
+/// Shards of the answer cache.
+const CACHE_SHARDS: usize = 8;
+/// Total capacity of the answer cache, in entries.
+const CACHE_CAPACITY: usize = 4096;
+
 /// Server configuration.  [`ServerConfig::default`] is ready for local use.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServerConfig {
     /// Address to bind, `HOST:PORT` (port 0 picks an ephemeral port).
     pub addr: String,
@@ -52,12 +57,6 @@ pub struct ServerConfig {
     /// config), which the end-to-end tests rely on; `None` leaves them
     /// entropy-seeded.
     pub seed: Option<u64>,
-    /// Shards of the answer cache.
-    pub cache_shards: usize,
-    /// Total capacity of the answer cache, in entries.
-    pub cache_capacity: usize,
-    /// Re-certify every computed answer against the resident index.
-    pub certify: bool,
     /// Slow-query threshold: an executed query whose phases sum past this
     /// gets one structured line on stderr (`None` disables the log).
     pub slow_query: Option<Duration>,
@@ -96,9 +95,6 @@ impl Default for ServerConfig {
             threads: 0,
             eps: 0.25,
             seed: None,
-            cache_shards: 8,
-            cache_capacity: 4096,
-            certify: true,
             slow_query: None,
             request_timeout: None,
             queue_capacity: 1024,
@@ -284,7 +280,7 @@ impl Service {
         Self {
             registry,
             catalog: Catalog::new(),
-            cache: AnswerCache::new(config.cache_shards, config.cache_capacity),
+            cache: AnswerCache::new(CACHE_SHARDS, CACHE_CAPACITY),
             metrics: Metrics::new(),
             traces: TraceRing::default(),
             next_request_id: AtomicU64::new(1),
@@ -748,13 +744,14 @@ impl Service {
         let mut stats = None;
         let mut latency = LatencySummary::default();
         if !miss_positions.is_empty() {
-            // The executor certifies per answer against the version's delta
-            // overlay, so the flag rendered (and cached) here is per answer
-            // — one contract violation in a batch cannot mislabel its
-            // neighbors, and certifying after a mutation rebuilds nothing.
+            // Every computed answer is certified, per answer, against the
+            // version's delta overlay, so the flag rendered (and cached) here
+            // is per answer — one contract violation in a batch cannot
+            // mislabel its neighbors, and certifying after a mutation
+            // rebuilds nothing.
             let executor = BatchExecutor::with_config(
                 &self.registry,
-                ExecutorConfig { threads: None, certify: self.config.certify, deadline, degraded },
+                ExecutorConfig { threads: None, certify: true, deadline, degraded },
             );
             if degraded {
                 self.metrics.add(Counter::Degraded, 1);

@@ -7,6 +7,7 @@ use std::process::ExitCode;
 use maxrs::cli::{
     input_path, parse_args, queries_path, run_batch_on_text, run_on_text, Command, USAGE,
 };
+use maxrs::server::ServerConfig;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,44 +19,26 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let file_text = match input_path(&command) {
+    let file_text = match input_path(&command).map(read) {
         None => String::new(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(error) => {
-                eprintln!("error: cannot read {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(Some(text)) => text,
+        Some(None) => return ExitCode::FAILURE,
     };
-    // Serve is the one long-lived command: load the startup datasets, bind,
-    // and park on the runtime until a `POST /shutdown` arrives.
-    if let Command::Serve { .. } = &command {
-        return run_server(&command);
-    }
-    // Mutate posts the file to a running server's insert/delete endpoint.
-    if let Command::Mutate { addr, dataset, delete, .. } = &command {
-        return run_mutate(addr, dataset, *delete, &file_text);
-    }
-    // Batch commands read a second file (the query list) and run through the
-    // shared-index executor; everything else is a single engine dispatch.
-    let outcome = match &command {
+    let outcome = match command {
+        // Serve is the one long-lived command: load the startup datasets,
+        // bind, and park on the runtime until a `POST /shutdown` arrives.
+        Command::Serve { config, datasets } => return run_server(config, &datasets),
+        // Mutate posts the file to a running server's insert/delete endpoint.
+        Command::Mutate { addr, dataset, delete, .. } => {
+            return run_mutate(&addr, &dataset, delete, &file_text)
+        }
+        // Batch commands read a second file (the query list); everything
+        // else runs on the one input file.
         Command::Batch { threads, eps, deadline_ms, trace, .. } => {
-            let queries = queries_path(&command).expect("batch commands carry a query path");
-            match std::fs::read_to_string(queries) {
-                Err(error) => {
-                    eprintln!("error: cannot read {queries}: {error}");
-                    return ExitCode::FAILURE;
-                }
-                Ok(queries_text) => run_batch_on_text(
-                    &file_text,
-                    &queries_text,
-                    *threads,
-                    *eps,
-                    *deadline_ms,
-                    *trace,
-                ),
-            }
+            let Some(queries_text) = queries_path(&command).and_then(read) else {
+                return ExitCode::FAILURE;
+            };
+            run_batch_on_text(&file_text, &queries_text, threads, eps, deadline_ms, trace)
         }
         _ => run_on_text(&command, &file_text),
     };
@@ -69,6 +52,13 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Reads `path`, or says on stderr why it cannot.
+fn read(path: &str) -> Option<String> {
+    std::fs::read_to_string(path)
+        .map_err(|error| eprintln!("error: cannot read {path}: {error}"))
+        .ok()
 }
 
 /// Posts a mutation body to a running server: `POST
@@ -130,49 +120,14 @@ fn run_mutate(addr: &str, dataset: &str, delete: bool, body: &str) -> ExitCode {
 /// Boots the query service: loads every `--dataset name=path` into the
 /// catalog, binds the address, prints one line per loaded dataset plus the
 /// bound address, then blocks until shutdown.
-fn run_server(command: &Command) -> ExitCode {
-    use maxrs::server::{serve_with, ServerConfig, Service};
+fn run_server(config: ServerConfig, datasets: &[(String, String, usize)]) -> ExitCode {
+    use maxrs::server::{serve_with, Service};
     use std::sync::Arc;
-    use std::time::Duration;
 
-    let Command::Serve {
-        addr,
-        threads,
-        eps,
-        seed,
-        slow_query_ms,
-        request_timeout_ms,
-        queue_capacity,
-        max_inflight,
-        overload_watermark,
-        chaos_solver,
-        datasets,
-    } = command
-    else {
-        unreachable!("run_server is only called on Command::Serve");
-    };
-    let defaults = ServerConfig::default();
-    let config = ServerConfig {
-        addr: addr.to_string(),
-        threads: threads.unwrap_or(0),
-        eps: *eps,
-        seed: *seed,
-        slow_query: slow_query_ms.map(Duration::from_millis),
-        request_timeout: request_timeout_ms.map(Duration::from_millis),
-        queue_capacity: queue_capacity.unwrap_or(defaults.queue_capacity),
-        max_inflight: max_inflight.unwrap_or(defaults.max_inflight),
-        overload_watermark: overload_watermark.unwrap_or(defaults.overload_watermark),
-        chaos_solver: *chaos_solver,
-        ..defaults
-    };
     let service = Arc::new(Service::new(config));
     for (name, path, dim) in datasets {
-        let csv = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(error) => {
-                eprintln!("error: cannot read {path}: {error}");
-                return ExitCode::FAILURE;
-            }
+        let Some(csv) = read(path) else {
+            return ExitCode::FAILURE;
         };
         let loaded = if *dim == 1 {
             service.catalog().load_line_csv(name, &csv)
@@ -193,9 +148,9 @@ fn run_server(command: &Command) -> ExitCode {
             }
         }
     }
-    match serve_with(service) {
+    match serve_with(Arc::clone(&service)) {
         Err(error) => {
-            eprintln!("error: cannot serve on {addr}: {error}");
+            eprintln!("error: cannot serve on {}: {error}", service.config().addr);
             ExitCode::FAILURE
         }
         Ok(handle) => {

@@ -3,59 +3,37 @@
 //! The binary (`src/bin/maxrs.rs`) is a thin wrapper around these functions so
 //! that everything interesting — CSV parsing, query-spec parsing, result
 //! formatting — is unit-testable without spawning processes.
+//!
+//! Two tables drive the command line.  `FLAGS` declares every flag once: what
+//! it takes and which subcommands accept it.  `QUERY_KINDS` declares every
+//! query kind once: problem, solver, shape, `ε` bound and report line; the
+//! single-query subcommands and the batch-script parser both read it.
 
 use std::fmt;
 use std::str::FromStr;
+use std::time::Duration;
 
 use mrs_geom::{ColoredSite, WeightedPoint};
 
 use crate::engine::{
-    registry_with, BatchAnswer, BatchExecutor, BatchQuery, ColoredInstance, DimSupport,
-    EngineConfig, EngineError, ExecutorConfig, Mutation, Phase, RangeShape, ScriptOutcome,
-    ScriptStep, SolveStats, TraceRecorder, VersionedDataset, WeightedInstance,
+    registry_with, BatchAnswer, BatchExecutor, BatchQuery, DimSupport, EngineConfig,
+    ExecutorConfig, Mutation, Phase, ProblemKind, RangeShape, ScriptOutcome, ScriptStep,
+    ShapeClass, SolveStats, TraceRecorder, VersionedDataset,
 };
+use crate::server::ServerConfig;
 
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// Exact disk MaxRS (`disk --radius R <file>`).
-    Disk {
-        /// Query radius.
-        radius: f64,
-        /// Input CSV path.
-        path: String,
-    },
-    /// Approximate disk MaxRS via Technique 1 (`disk-approx --radius R --eps E <file>`).
-    DiskApprox {
-        /// Query radius.
-        radius: f64,
-        /// Approximation parameter.
-        eps: f64,
-        /// Input CSV path.
-        path: String,
-    },
-    /// Exact rectangle MaxRS (`rect --width W --height H <file>`).
-    Rect {
-        /// Rectangle width.
-        width: f64,
-        /// Rectangle height.
-        height: f64,
-        /// Input CSV path.
-        path: String,
-    },
-    /// Exact colored disk MaxRS (`colored-disk --radius R <file>`).
-    ColoredDisk {
-        /// Query radius.
-        radius: f64,
-        /// Input CSV path.
-        path: String,
-    },
-    /// Approximate colored disk MaxRS via color sampling
-    /// (`colored-disk-approx --radius R --eps E <file>`).
-    ColoredDiskApprox {
-        /// Query radius.
-        radius: f64,
-        /// Approximation parameter.
+    /// One query over a CSV file, answered as a certified one-query batch
+    /// (`disk`, `disk-approx`, `rect`, `colored-disk`, `colored-disk-approx`).
+    Query {
+        /// The query kind (see [`QueryKind::subcommand`]).
+        kind: &'static QueryKind,
+        /// The range shape as given on the command line; it is checked when
+        /// the query runs.
+        shape: RangeShape<2>,
+        /// Approximation parameter (`--eps`, where the kind takes one).
         eps: f64,
         /// Input CSV path.
         path: String,
@@ -78,34 +56,10 @@ pub enum Command {
         /// Input CSV path.
         path: String,
     },
-    /// Long-lived query service (`serve --addr HOST:PORT [--threads N]
-    /// [--eps E] [--seed S] [--slow-query-ms MS] [--request-timeout-ms MS]
-    /// [--queue-capacity N] [--max-inflight N] [--overload-watermark F]
-    /// [--dataset name=path]...`).
+    /// Long-lived query service (`serve --addr HOST:PORT ...`; see [`USAGE`]).
     Serve {
-        /// Address to bind, `HOST:PORT`.
-        addr: String,
-        /// Worker threads (`None` lets the server pick).
-        threads: Option<usize>,
-        /// Approximation parameter for the approximate solvers.
-        eps: f64,
-        /// Seed for the randomized solvers (`None` = entropy-seeded).
-        seed: Option<u64>,
-        /// Slow-query log threshold in milliseconds (`None` disables it).
-        slow_query_ms: Option<u64>,
-        /// Default per-request compute deadline in milliseconds (`None`
-        /// disables it; `X-Deadline-Ms` overrides per request).
-        request_timeout_ms: Option<u64>,
-        /// Most live connections, idle keep-alives included (`None` =
-        /// default).
-        queue_capacity: Option<usize>,
-        /// Global in-flight query/batch limit (`None` = default).
-        max_inflight: Option<usize>,
-        /// Overload watermark in `[0, 1]` (`None` = default).
-        overload_watermark: Option<f64>,
-        /// Register the test-only always-panicking `chaos-panic` solver
-        /// (fault-injection harness only).
-        chaos_solver: bool,
+        /// The service configuration the flags describe.
+        config: ServerConfig,
         /// Datasets to load into the catalog at startup, as
         /// `(name, path, dim)` where `dim` is 1 (`name=path@1d`, 1-D
         /// `x[,weight]` CSV) or 2 (`name=path`, planar batch CSV).
@@ -165,14 +119,16 @@ USAGE:
     maxrs mutate --addr HOST:PORT --dataset NAME [--delete] <records.csv>
     maxrs solvers
 
-Every query dispatches through the solver engine; `maxrs solvers` lists the
-registered solvers with their capabilities and guarantees.  `maxrs batch`
-answers a whole file of queries over one point set through the shared-index
-batch executor (spatial indexes built once, queries fanned out over a
-worker pool).  `maxrs serve` keeps datasets resident behind an HTTP/1.1
-query service with per-dataset shared indexes and an answer cache; datasets
-are loaded at startup with repeated `--dataset name=path` flags (planar
-batch CSV; append `@1d` for 1-D `x[,weight]` CSV) or uploaded later via
+Every query runs through the solver engine's batch executor and is
+certified against its input: a single-query command is a one-query batch
+over its file, and an answer that fails certification is an error.
+`maxrs solvers` lists the registered solvers with their capabilities and
+guarantees.  `maxrs batch` answers a file of queries over one point set
+(spatial indexes built once, queries fanned out over a worker pool).
+`maxrs serve` keeps datasets resident behind an HTTP/1.1 query service
+with per-dataset shared indexes and an answer cache; datasets load at
+startup from repeated `--dataset name=path` flags (planar batch CSV;
+append `@1d` for 1-D `x[,weight]` CSV) or later via
 `POST /datasets/{name}[?dim=1]`.  Resident datasets are *versioned and
 mutable*: `maxrs mutate` posts a CSV of records to a running server's
 `POST /datasets/{name}/insert` (or `/delete` with `--delete`), bumping the
@@ -217,288 +173,275 @@ INPUT FORMATS (one record per line, '#' starts a comment):
                           delete,x,y
 ";
 
+/// The `--eps` every command uses unless it takes and is given another.
+const DEFAULT_EPS: f64 = 0.25;
+
+/// One query kind, declared once in `QUERY_KINDS`: the batch-script step
+/// `name,R` (ball kinds) or `name,W,H` (box kinds) and, when the kind has a
+/// report line, the single-query subcommand `maxrs name`.
+#[derive(Debug, PartialEq)]
+pub struct QueryKind {
+    name: &'static str,
+    problem: ProblemKind,
+    solver: &'static str,
+    /// `Ball` kinds take `--radius R`, `AxisBox` kinds `--width W --height H`.
+    shape: ShapeClass,
+    /// The samplers' `--eps` must lie in `(0, bound)`, and an empty file is
+    /// answered `empty input: nothing to place`.  `None`: no `--eps`.
+    eps_below: Option<f64>,
+    /// The subcommand's report line, with `{eps}`, `{at}` (the center, or a
+    /// box's lower-left anchor), `{value}` and `{n}` (records read) filled
+    /// in.  `None` for the script-only kinds.
+    report: Option<&'static str>,
+}
+
+const QUERY_KINDS: &[QueryKind] = {
+    use ProblemKind::{Colored, Weighted};
+    use ShapeClass::{AxisBox, Ball};
+    &[
+        kind("disk", Weighted, "exact-disk-2d", Ball)
+            .reports(None, "exact disk MaxRS: center = {at}, covered weight = {value}, points = {n}"),
+        kind("disk-approx", Weighted, "approx-static-ball", Ball).reports(
+            Some(0.5),
+            "approximate disk MaxRS (Theorem 1.2, ε = {eps}): center = {at}, covered weight = {value}",
+        ),
+        kind("disk-auto", Weighted, "auto", Ball),
+        kind("disk-dynamic", Weighted, "dynamic-ball", Ball),
+        kind("rect", Weighted, "exact-rect-2d", AxisBox)
+            .reports(None, "exact rectangle MaxRS: anchor = {at}, covered weight = {value}"),
+        kind("rect-auto", Weighted, "auto", AxisBox),
+        kind("colored-disk", Colored, "output-sensitive-colored-disk", Ball).reports(
+            None,
+            "exact colored disk MaxRS (Theorem 4.6): center = {at}, distinct colors = {value}",
+        ),
+        kind("colored-disk-approx", Colored, "approx-colored-disk-sampling", Ball).reports(
+            Some(1.0),
+            "approximate colored disk MaxRS (Theorem 1.6, ε = {eps}): center = {at}, distinct colors = {value}",
+        ),
+        kind("colored-disk-auto", Colored, "auto", Ball),
+    ]
+};
+
+/// A script-only query kind.
+const fn kind(
+    name: &'static str,
+    problem: ProblemKind,
+    solver: &'static str,
+    shape: ShapeClass,
+) -> QueryKind {
+    QueryKind { name, problem, solver, shape, eps_below: None, report: None }
+}
+
+impl QueryKind {
+    /// The kind with a single-query subcommand that prints `report`.
+    const fn reports(self, eps_below: Option<f64>, report: &'static str) -> Self {
+        Self { eps_below, report: Some(report), ..self }
+    }
+
+    /// The kind of the single-query subcommand `name`, if there is one.
+    pub fn subcommand(name: &str) -> Option<&'static QueryKind> {
+        QUERY_KINDS.iter().find(|kind| kind.name == name && kind.report.is_some())
+    }
+
+    /// This kind's query for one shape.
+    fn query(&self, shape: RangeShape<2>) -> BatchQuery<2> {
+        match self.problem {
+            ProblemKind::Weighted => BatchQuery::weighted(self.solver, shape),
+            ProblemKind::Colored => BatchQuery::colored(self.solver, shape),
+        }
+    }
+}
+
+/// The positional input file.  It has a row in `FLAGS` like a flag, so that
+/// one table also says which commands read a file.
+const FILE: &str = "<file>";
+
+/// One row of `FLAGS`.
+struct Flag {
+    name: &'static str,
+    takes: Takes,
+    /// The subcommands that accept it; on any other it is an error.
+    commands: &'static [&'static str],
+}
+
+/// What follows a flag on the command line.
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// Nothing either: the row is the positional file itself.
+    Itself,
+    /// Free text; the string is what the error for a missing value asks for.
+    Text(&'static str),
+    /// A value the check accepts; the string names it in the error for one
+    /// the check refuses.
+    Value(&'static str, fn(&str) -> bool),
+}
+
+/// Any `f64`: `--radius`, `--width`, `--height` and `--eps` are range-checked
+/// where they are used.
+const NUMBER: fn(&str) -> bool = |raw| raw.parse::<f64>().is_ok();
+const INTEGER: fn(&str) -> bool = |raw| raw.parse::<u64>().is_ok();
+const COUNT: fn(&str) -> bool = |raw| raw.parse::<usize>().is_ok_and(|n| n >= 1);
+const FRACTION: fn(&str) -> bool = |raw| raw.parse::<f64>().is_ok_and(|w| w.is_finite() && w > 0.0);
+
+/// Every flag, declared once.
+const FLAGS: &[Flag] = {
+    use Takes::{Itself, Nothing, Text, Value};
+    &[
+        Flag {
+            name: FILE,
+            takes: Itself,
+            commands: &[
+                "disk",
+                "disk-approx",
+                "rect",
+                "colored-disk",
+                "colored-disk-approx",
+                "batch",
+                "mutate",
+            ],
+        },
+        Flag {
+            name: "--radius",
+            takes: Value("number", NUMBER),
+            commands: &["disk", "disk-approx", "colored-disk", "colored-disk-approx"],
+        },
+        Flag { name: "--width", takes: Value("number", NUMBER), commands: &["rect"] },
+        Flag { name: "--height", takes: Value("number", NUMBER), commands: &["rect"] },
+        Flag {
+            name: "--eps",
+            takes: Value("number", NUMBER),
+            commands: &["disk-approx", "colored-disk-approx", "batch", "serve"],
+        },
+        Flag { name: "--queries", takes: Text("a file path"), commands: &["batch"] },
+        Flag { name: "--threads", takes: Value("count", COUNT), commands: &["batch", "serve"] },
+        Flag { name: "--deadline-ms", takes: Value("deadline", INTEGER), commands: &["batch"] },
+        Flag { name: "--trace", takes: Nothing, commands: &["batch"] },
+        Flag { name: "--addr", takes: Text("HOST:PORT"), commands: &["serve", "mutate"] },
+        Flag { name: "--dataset", takes: Text("a value"), commands: &["serve", "mutate"] },
+        Flag { name: "--delete", takes: Nothing, commands: &["mutate"] },
+        Flag { name: "--seed", takes: Value("seed", INTEGER), commands: &["serve"] },
+        Flag { name: "--slow-query-ms", takes: Value("threshold", INTEGER), commands: &["serve"] },
+        Flag {
+            name: "--request-timeout-ms",
+            takes: Value("timeout", INTEGER),
+            commands: &["serve"],
+        },
+        Flag { name: "--queue-capacity", takes: Value("capacity", COUNT), commands: &["serve"] },
+        Flag { name: "--max-inflight", takes: Value("limit", COUNT), commands: &["serve"] },
+        Flag {
+            name: "--overload-watermark",
+            takes: Value("fraction", FRACTION),
+            commands: &["serve"],
+        },
+        Flag { name: "--chaos-solver", takes: Nothing, commands: &["serve"] },
+    ]
+};
+
+/// A command line checked against `FLAGS`: the command, and each flag's raw
+/// value in the order given (a switch's value is empty).
+struct Args<'a> {
+    command: &'a str,
+    values: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(command: &'a str, args: &'a [String]) -> Result<Self, CliError> {
+        let mut values: Vec<(&'static str, &'a str)> = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let name = if arg.starts_with("--") { arg.as_str() } else { FILE };
+            let Some(flag) = FLAGS.iter().find(|flag| flag.name == name) else {
+                return err(format!("unknown flag {arg}"));
+            };
+            if !flag.commands.contains(&command) {
+                let hint = if command == "serve" { "; use --dataset name=path" } else { "" };
+                return err(match name {
+                    FILE => format!("{command} takes no positional file (got `{arg}`){hint}"),
+                    _ => format!("{name} does not apply to `{command}`"),
+                });
+            }
+            let value = match flag.takes {
+                Takes::Nothing => "",
+                Takes::Itself if values.iter().any(|(name, _)| *name == FILE) => {
+                    return err(format!("unexpected extra argument {arg}"));
+                }
+                Takes::Itself => arg,
+                Takes::Text(wanted) => {
+                    rest.next().ok_or_else(|| CliError(format!("{name} requires {wanted}")))?
+                }
+                Takes::Value(noun, check) => {
+                    let raw =
+                        rest.next().ok_or_else(|| CliError(format!("{name} requires a value")))?;
+                    if !check(raw) {
+                        return err(format!("{name}: invalid {noun} {raw}"));
+                    }
+                    raw
+                }
+            };
+            values.push((flag.name, value));
+        }
+        Ok(Self { command, values })
+    }
+
+    /// Every value given for `flag`, in order.
+    fn all(&self, flag: &str) -> Vec<&'a str> {
+        self.values.iter().filter(|(name, _)| *name == flag).map(|(_, value)| *value).collect()
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.values.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The last value given for `flag`; its row's check already passed, so
+    /// it parses as the type that check parses.
+    fn get<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.all(flag).last()?.parse().ok()
+    }
+
+    /// The value of a flag the command cannot do without.
+    fn need<T: FromStr>(&self, flag: &str) -> Result<T, CliError> {
+        self.get(flag).ok_or_else(|| CliError(format!("{} requires {flag}", self.command)))
+    }
+
+    fn file(&self) -> Result<String, CliError> {
+        self.get(FILE).ok_or_else(|| CliError("missing input file path".into()))
+    }
+}
+
 /// Parses the command-line arguments (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let Some(command) = args.first() else {
-        return Ok(Command::Help);
+    let command = match args.first().map(String::as_str) {
+        None => return Ok(Command::Help),
+        Some("--help" | "-h") => "help",
+        Some(command) => command,
     };
-    let mut radius = None;
-    let mut eps = None;
-    let mut width = None;
-    let mut height = None;
-    let mut queries = None;
-    let mut threads = None;
-    let mut addr = None;
-    let mut seed = None;
-    let mut slow_query_ms = None;
-    let mut request_timeout_ms = None;
-    let mut deadline_ms = None;
-    let mut queue_capacity = None;
-    let mut max_inflight = None;
-    let mut overload_watermark = None;
-    let mut chaos_solver = false;
-    let mut trace = false;
-    let mut raw_datasets: Vec<String> = Vec::new();
-    let mut delete = false;
-    let mut path = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                let Some(value) = args.get(i + 1) else {
-                    return err("--addr requires HOST:PORT");
-                };
-                addr = Some(value.clone());
-                i += 2;
-            }
-            "--seed" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--seed requires a value");
-                };
-                let value: u64 =
-                    raw.parse().map_err(|_| CliError(format!("--seed: invalid seed {raw}")))?;
-                seed = Some(value);
-                i += 2;
-            }
-            "--dataset" => {
-                let Some(value) = args.get(i + 1) else {
-                    return err("--dataset requires a value");
-                };
-                raw_datasets.push(value.clone());
-                i += 2;
-            }
-            "--delete" => {
-                delete = true;
-                i += 1;
-            }
-            "--trace" => {
-                trace = true;
-                i += 1;
-            }
-            "--slow-query-ms" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--slow-query-ms requires a value");
-                };
-                let value: u64 = raw
-                    .parse()
-                    .map_err(|_| CliError(format!("--slow-query-ms: invalid threshold {raw}")))?;
-                slow_query_ms = Some(value);
-                i += 2;
-            }
-            "--request-timeout-ms" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--request-timeout-ms requires a value");
-                };
-                let value: u64 = raw.parse().map_err(|_| {
-                    CliError(format!("--request-timeout-ms: invalid timeout {raw}"))
-                })?;
-                request_timeout_ms = Some(value);
-                i += 2;
-            }
-            "--deadline-ms" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--deadline-ms requires a value");
-                };
-                let value: u64 = raw
-                    .parse()
-                    .map_err(|_| CliError(format!("--deadline-ms: invalid deadline {raw}")))?;
-                deadline_ms = Some(value);
-                i += 2;
-            }
-            "--queue-capacity" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--queue-capacity requires a value");
-                };
-                let value: usize =
-                    raw.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError(format!("--queue-capacity: invalid capacity {raw}"))
-                    })?;
-                queue_capacity = Some(value);
-                i += 2;
-            }
-            "--max-inflight" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--max-inflight requires a value");
-                };
-                let value: usize = raw
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError(format!("--max-inflight: invalid limit {raw}")))?;
-                max_inflight = Some(value);
-                i += 2;
-            }
-            "--overload-watermark" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--overload-watermark requires a value");
-                };
-                let value: f64 =
-                    raw.parse().ok().filter(|w: &f64| w.is_finite() && *w > 0.0).ok_or_else(
-                        || CliError(format!("--overload-watermark: invalid fraction {raw}")),
-                    )?;
-                overload_watermark = Some(value);
-                i += 2;
-            }
-            "--chaos-solver" => {
-                chaos_solver = true;
-                i += 1;
-            }
-            "--radius" => {
-                radius = Some(parse_flag_value(args, &mut i, "--radius")?);
-            }
-            "--eps" => {
-                eps = Some(parse_flag_value(args, &mut i, "--eps")?);
-            }
-            "--width" => {
-                width = Some(parse_flag_value(args, &mut i, "--width")?);
-            }
-            "--height" => {
-                height = Some(parse_flag_value(args, &mut i, "--height")?);
-            }
-            "--queries" => {
-                let Some(value) = args.get(i + 1) else {
-                    return err("--queries requires a file path");
-                };
-                queries = Some(value.clone());
-                i += 2;
-            }
-            "--threads" => {
-                let Some(raw) = args.get(i + 1) else {
-                    return err("--threads requires a value");
-                };
-                let value: usize = raw
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError(format!("--threads: invalid count {raw}")))?;
-                threads = Some(value);
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                return err(format!("unknown flag {flag}"));
-            }
-            positional => {
-                if path.is_some() {
-                    return err(format!("unexpected extra argument {positional}"));
-                }
-                path = Some(positional.to_string());
-                i += 1;
-            }
-        }
+    let kind = QueryKind::subcommand(command);
+    if kind.is_none() && !["help", "solvers", "batch", "serve", "mutate"].contains(&command) {
+        return err(format!("unknown command {command}; run `maxrs help`"));
     }
-    let need_path = |path: Option<String>| -> Result<String, CliError> {
-        path.ok_or_else(|| CliError("missing input file path".into()))
-    };
-    // Reject flags the selected subcommand does not consume, so a typo like
-    // `colored-disk --eps 0.3` (instead of `colored-disk-approx`) errors
-    // instead of silently ignoring the flag.
-    let reject_unused = |command: &str, unused: &[(&str, bool)]| -> Result<(), CliError> {
-        for (flag, present) in unused {
-            if *present {
-                return err(format!("{flag} does not apply to `{command}`"));
-            }
-        }
-        Ok(())
-    };
-    if command != "batch" && command != "serve" {
-        reject_unused(
-            command,
-            &[("--queries", queries.is_some()), ("--threads", threads.is_some())],
-        )?;
+    let args = Args::parse(command, &args[1..])?;
+    if let Some(kind) = kind {
+        let shape = match kind.shape {
+            ShapeClass::Ball => RangeShape::Ball { radius: args.need("--radius")? },
+            _ => RangeShape::AxisBox { extents: [args.need("--width")?, args.need("--height")?] },
+        };
+        let eps = args.get("--eps").unwrap_or(DEFAULT_EPS);
+        return Ok(Command::Query { kind, shape, eps, path: args.file()? });
     }
-    if command != "serve" && command != "mutate" {
-        reject_unused(
-            command,
-            &[
-                ("--addr", addr.is_some()),
-                ("--dataset", !raw_datasets.is_empty()),
-                ("--delete", delete),
-            ],
-        )?;
-    }
-    if command != "serve" {
-        reject_unused(
-            command,
-            &[
-                ("--seed", seed.is_some()),
-                ("--slow-query-ms", slow_query_ms.is_some()),
-                ("--request-timeout-ms", request_timeout_ms.is_some()),
-                ("--queue-capacity", queue_capacity.is_some()),
-                ("--max-inflight", max_inflight.is_some()),
-                ("--overload-watermark", overload_watermark.is_some()),
-                ("--chaos-solver", chaos_solver),
-            ],
-        )?;
-    }
-    if command != "mutate" {
-        reject_unused(command, &[("--delete", delete)])?;
-    }
-    if command != "batch" {
-        reject_unused(command, &[("--trace", trace), ("--deadline-ms", deadline_ms.is_some())])?;
-    }
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "solvers" => Ok(Command::Solvers),
-        "serve" => {
-            reject_unused(
-                "serve",
-                &[
-                    ("--radius", radius.is_some()),
-                    ("--width", width.is_some()),
-                    ("--height", height.is_some()),
-                    ("--queries", queries.is_some()),
-                ],
-            )?;
-            if let Some(extra) = path {
-                return err(format!(
-                    "serve takes no positional file (got `{extra}`); use --dataset name=path"
-                ));
-            }
-            let mut datasets: Vec<(String, String, usize)> = Vec::new();
-            for value in &raw_datasets {
-                let Some((name, file)) = value.split_once('=') else {
-                    return err(format!("--dataset: expected name=path, got `{value}`"));
-                };
-                let (file, dim) = match file.strip_suffix("@1d") {
-                    Some(stripped) => (stripped, 1),
-                    None => (file, 2),
-                };
-                if name.is_empty() || file.is_empty() {
-                    return err(format!("--dataset: expected name=path, got `{value}`"));
-                }
-                datasets.push((name.to_string(), file.to_string(), dim));
-            }
-            let eps = eps.unwrap_or(0.25);
-            // Same validation as the query subcommands: a bad ε must be a
-            // CLI error, not an engine-config panic at startup.
-            check_eps(eps, 1.0)?;
-            Ok(Command::Serve {
-                addr: addr.ok_or_else(|| CliError("serve requires --addr HOST:PORT".into()))?,
-                threads,
-                eps,
-                seed,
-                slow_query_ms,
-                request_timeout_ms,
-                queue_capacity,
-                max_inflight,
-                overload_watermark,
-                chaos_solver,
-                datasets,
-            })
-        }
+    match command {
+        "batch" => Ok(Command::Batch {
+            queries: args.need("--queries")?,
+            threads: args.get("--threads"),
+            eps: args.get("--eps").unwrap_or(DEFAULT_EPS),
+            deadline_ms: args.get("--deadline-ms"),
+            trace: args.has("--trace"),
+            path: args.file()?,
+        }),
+        "serve" => serve_command(&args),
         "mutate" => {
-            reject_unused(
-                "mutate",
-                &[
-                    ("--radius", radius.is_some()),
-                    ("--eps", eps.is_some()),
-                    ("--width", width.is_some()),
-                    ("--height", height.is_some()),
-                    ("--queries", queries.is_some()),
-                    ("--threads", threads.is_some()),
-                ],
-            )?;
-            let [name] = raw_datasets.as_slice() else {
+            let datasets = args.all("--dataset");
+            let [name] = datasets.as_slice() else {
                 return err("mutate requires exactly one --dataset NAME");
             };
             if name.contains('=') {
@@ -507,101 +450,56 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 ));
             }
             Ok(Command::Mutate {
-                addr: addr.ok_or_else(|| CliError("mutate requires --addr HOST:PORT".into()))?,
-                dataset: name.clone(),
-                delete,
-                path: need_path(path)?,
+                addr: args
+                    .get("--addr")
+                    .ok_or_else(|| CliError("mutate requires --addr HOST:PORT".into()))?,
+                dataset: name.to_string(),
+                delete: args.has("--delete"),
+                path: args.file()?,
             })
         }
-        "batch" => {
-            reject_unused(
-                "batch",
-                &[
-                    ("--radius", radius.is_some()),
-                    ("--width", width.is_some()),
-                    ("--height", height.is_some()),
-                ],
-            )?;
-            Ok(Command::Batch {
-                queries: queries.ok_or_else(|| CliError("batch requires --queries".into()))?,
-                threads,
-                eps: eps.unwrap_or(0.25),
-                deadline_ms,
-                trace,
-                path: need_path(path)?,
-            })
-        }
-        "disk" => {
-            reject_unused(
-                "disk",
-                &[
-                    ("--eps", eps.is_some()),
-                    ("--width", width.is_some()),
-                    ("--height", height.is_some()),
-                ],
-            )?;
-            Ok(Command::Disk {
-                radius: radius.ok_or_else(|| CliError("disk requires --radius".into()))?,
-                path: need_path(path)?,
-            })
-        }
-        "disk-approx" => {
-            reject_unused(
-                "disk-approx",
-                &[("--width", width.is_some()), ("--height", height.is_some())],
-            )?;
-            Ok(Command::DiskApprox {
-                radius: radius.ok_or_else(|| CliError("disk-approx requires --radius".into()))?,
-                eps: eps.unwrap_or(0.25),
-                path: need_path(path)?,
-            })
-        }
-        "rect" => {
-            reject_unused("rect", &[("--radius", radius.is_some()), ("--eps", eps.is_some())])?;
-            Ok(Command::Rect {
-                width: width.ok_or_else(|| CliError("rect requires --width".into()))?,
-                height: height.ok_or_else(|| CliError("rect requires --height".into()))?,
-                path: need_path(path)?,
-            })
-        }
-        "colored-disk" => {
-            reject_unused(
-                "colored-disk",
-                &[
-                    ("--eps", eps.is_some()),
-                    ("--width", width.is_some()),
-                    ("--height", height.is_some()),
-                ],
-            )?;
-            Ok(Command::ColoredDisk {
-                radius: radius.ok_or_else(|| CliError("colored-disk requires --radius".into()))?,
-                path: need_path(path)?,
-            })
-        }
-        "colored-disk-approx" => {
-            reject_unused(
-                "colored-disk-approx",
-                &[("--width", width.is_some()), ("--height", height.is_some())],
-            )?;
-            Ok(Command::ColoredDiskApprox {
-                radius: radius
-                    .ok_or_else(|| CliError("colored-disk-approx requires --radius".into()))?,
-                eps: eps.unwrap_or(0.25),
-                path: need_path(path)?,
-            })
-        }
-        other => err(format!("unknown command {other}; run `maxrs help`")),
+        "solvers" => Ok(Command::Solvers),
+        _ => Ok(Command::Help),
     }
 }
 
-fn parse_flag_value(args: &[String], i: &mut usize, flag: &str) -> Result<f64, CliError> {
-    let Some(raw) = args.get(*i + 1) else {
-        return err(format!("{flag} requires a value"));
+/// Builds the `serve` command: the [`ServerConfig`] its flags describe, and
+/// the startup datasets.
+fn serve_command(args: &Args<'_>) -> Result<Command, CliError> {
+    let mut datasets: Vec<(String, String, usize)> = Vec::new();
+    for value in args.all("--dataset") {
+        let parsed = value.split_once('=').map(|(name, file)| match file.strip_suffix("@1d") {
+            Some(file) => (name, file, 1),
+            None => (name, file, 2),
+        });
+        match parsed {
+            Some((name, file, dim)) if !name.is_empty() && !file.is_empty() => {
+                datasets.push((name.to_string(), file.to_string(), dim));
+            }
+            _ => return err(format!("--dataset: expected name=path, got `{value}`")),
+        }
+    }
+    let eps = args.get("--eps").unwrap_or(DEFAULT_EPS);
+    // Same validation as the query subcommands: a bad ε must be a CLI error,
+    // not an engine-config panic at startup.
+    check_eps(eps, 1.0)?;
+    let defaults = ServerConfig::default();
+    let config = ServerConfig {
+        addr: args
+            .get("--addr")
+            .ok_or_else(|| CliError("serve requires --addr HOST:PORT".into()))?,
+        threads: args.get("--threads").unwrap_or(0),
+        eps,
+        seed: args.get("--seed"),
+        slow_query: args.get("--slow-query-ms").map(Duration::from_millis),
+        request_timeout: args.get("--request-timeout-ms").map(Duration::from_millis),
+        queue_capacity: args.get("--queue-capacity").unwrap_or(defaults.queue_capacity),
+        max_inflight: args.get("--max-inflight").unwrap_or(defaults.max_inflight),
+        overload_watermark: args.get("--overload-watermark").unwrap_or(defaults.overload_watermark),
+        chaos_solver: args.has("--chaos-solver"),
+        ..defaults
     };
-    let value =
-        f64::from_str(raw).map_err(|_| CliError(format!("{flag}: invalid number {raw}")))?;
-    *i += 2;
-    Ok(value)
+    Ok(Command::Serve { config, datasets })
 }
 
 /// Parses weighted points from CSV text (`x,y[,weight]` per line).
@@ -645,14 +543,12 @@ pub fn parse_batch_csv(
 }
 
 /// Parses a batch **script** file: one step per line (`#` starts a
-/// comment).  Query steps use `kind,params` with the same kinds and solver
-/// mapping as the single-query subcommands (`disk,R`, `disk-approx,R`,
-/// `disk-dynamic,R`, `rect,W,H`, `colored-disk,R`,
-/// `colored-disk-approx,R`), plus the `-auto` variants (`disk-auto,R`,
-/// `rect-auto,W,H`, `colored-disk-auto,R`) that hand the query to the
-/// cost-model router; update steps mutate the dataset between
-/// queries (`insert,x,y[,weight[,color]]`, `delete,x,y`), so one file
-/// expresses the paper's interleaved update+query setting.
+/// comment).  Query steps are `kind,R` or `kind,W,H` for every query kind
+/// (the single-query subcommands' kinds with the same solvers, plus
+/// `disk-dynamic,R` and the cost-model routed `disk-auto,R`,
+/// `rect-auto,W,H` and `colored-disk-auto,R`); update steps mutate the
+/// dataset between queries (`insert,x,y[,weight[,color]]`, `delete,x,y`),
+/// so one file expresses the paper's interleaved update+query setting.
 pub fn parse_batch_script(text: &str) -> Result<Vec<ScriptStep<2>>, CliError> {
     let mut steps = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -663,76 +559,46 @@ pub fn parse_batch_script(text: &str) -> Result<Vec<ScriptStep<2>>, CliError> {
         let fields: Vec<&str> = line.split(',').map(str::trim).collect();
         let arity_error =
             |want: &str| CliError(format!("line {}: `{}` expects `{want}`", lineno + 1, fields[0]));
-        let step = match (fields[0], fields.len()) {
-            ("disk", 2) => ScriptStep::Query(BatchQuery::weighted(
-                "exact-disk-2d",
-                RangeShape::ball(checked_radius(fields[1], lineno)?),
-            )),
-            ("disk-approx", 2) => ScriptStep::Query(BatchQuery::weighted(
-                "approx-static-ball",
-                RangeShape::ball(checked_radius(fields[1], lineno)?),
-            )),
-            ("disk-auto", 2) => ScriptStep::Query(BatchQuery::weighted(
-                "auto",
-                RangeShape::ball(checked_radius(fields[1], lineno)?),
-            )),
-            ("disk-dynamic", 2) => ScriptStep::Query(BatchQuery::weighted(
-                "dynamic-ball",
-                RangeShape::ball(checked_radius(fields[1], lineno)?),
-            )),
-            (kind @ ("rect" | "rect-auto"), 3) => {
-                let width = parse_number(fields[1], lineno)?;
-                let height = parse_number(fields[2], lineno)?;
-                if !(width.is_finite() && width > 0.0 && height.is_finite() && height > 0.0) {
-                    return err(format!("line {}: rect extents must be positive", lineno + 1));
+        let step = if let Some(kind) = QUERY_KINDS.iter().find(|kind| kind.name == fields[0]) {
+            let at_line = |e: CliError| CliError(format!("line {}: {}", lineno + 1, e.0));
+            let shape = match (kind.shape, &fields[1..]) {
+                (ShapeClass::Ball, [radius]) => {
+                    let radius = parse_number(radius, lineno)?;
+                    check_positive("radius", radius).map_err(at_line)?;
+                    RangeShape::ball(radius)
                 }
-                let solver = if kind == "rect" { "exact-rect-2d" } else { "auto" };
-                ScriptStep::Query(BatchQuery::weighted(solver, RangeShape::rect(width, height)))
-            }
-            ("colored-disk", 2) => ScriptStep::Query(BatchQuery::colored(
-                "output-sensitive-colored-disk",
-                RangeShape::ball(checked_radius(fields[1], lineno)?),
-            )),
-            ("colored-disk-approx", 2) => ScriptStep::Query(BatchQuery::colored(
-                "approx-colored-disk-sampling",
-                RangeShape::ball(checked_radius(fields[1], lineno)?),
-            )),
-            ("colored-disk-auto", 2) => ScriptStep::Query(BatchQuery::colored(
-                "auto",
-                RangeShape::ball(checked_radius(fields[1], lineno)?),
-            )),
-            // Update records delegate to the shared `mrs_core::input`
-            // mutation parsers — the *same* record semantics (weight
-            // default, negative-weight rejection, color parsing) the
-            // server's mutation bodies use, so CLI scripts and `POST
-            // /datasets/{name}/insert|delete` can never drift apart.
-            ("insert", 3..=5) => ScriptStep::Mutate(parse_mutation_record(
-                mrs_core::input::parse_planar_inserts_csv,
-                &fields[1..],
-                lineno,
-            )?),
-            ("delete", 3) => ScriptStep::Mutate(parse_mutation_record(
-                mrs_core::input::parse_planar_deletes_csv,
-                &fields[1..],
-                lineno,
-            )?),
-            (
-                "disk"
-                | "disk-approx"
-                | "disk-auto"
-                | "disk-dynamic"
-                | "colored-disk"
-                | "colored-disk-approx"
-                | "colored-disk-auto",
-                _,
-            ) => {
-                return Err(arity_error("kind,R"));
-            }
-            ("rect" | "rect-auto", _) => return Err(arity_error("kind,W,H")),
-            ("insert", _) => return Err(arity_error("insert,x,y[,weight[,color]]")),
-            ("delete", _) => return Err(arity_error("delete,x,y")),
-            (other, _) => {
-                return err(format!("line {}: unknown step kind `{other}`", lineno + 1));
+                (ShapeClass::Ball, _) => return Err(arity_error("kind,R")),
+                (_, [width, height]) => {
+                    let (width, height) =
+                        (parse_number(width, lineno)?, parse_number(height, lineno)?);
+                    check_positive("rect extents", width.min(height)).map_err(at_line)?;
+                    RangeShape::rect(width, height)
+                }
+                _ => return Err(arity_error("kind,W,H")),
+            };
+            ScriptStep::Query(kind.query(shape))
+        } else {
+            match (fields[0], fields.len()) {
+                // Update records delegate to the shared `mrs_core::input`
+                // mutation parsers — the *same* record semantics (weight
+                // default, negative-weight rejection, color parsing) the
+                // server's mutation bodies use, so CLI scripts and `POST
+                // /datasets/{name}/insert|delete` can never drift apart.
+                ("insert", 3..=5) => ScriptStep::Mutate(parse_mutation_record(
+                    mrs_core::input::parse_planar_inserts_csv,
+                    &fields[1..],
+                    lineno,
+                )?),
+                ("delete", 3) => ScriptStep::Mutate(parse_mutation_record(
+                    mrs_core::input::parse_planar_deletes_csv,
+                    &fields[1..],
+                    lineno,
+                )?),
+                ("insert", _) => return Err(arity_error("insert,x,y[,weight[,color]]")),
+                ("delete", _) => return Err(arity_error("delete,x,y")),
+                (other, _) => {
+                    return err(format!("line {}: unknown step kind `{other}`", lineno + 1));
+                }
             }
         };
         steps.push(step);
@@ -752,15 +618,6 @@ fn parse_mutation_record(
         .map_err(|e| load_error(mrs_core::input::LoadError { line: lineno + 1, kind: e.kind }))?;
     debug_assert_eq!(mutations.len(), 1, "one record parses to one mutation");
     Ok(mutations.remove(0))
-}
-
-fn checked_radius(raw: &str, lineno: usize) -> Result<f64, CliError> {
-    let radius = parse_number(raw, lineno)?;
-    if radius.is_finite() && radius > 0.0 {
-        Ok(radius)
-    } else {
-        err(format!("line {}: radius must be positive", lineno + 1))
-    }
 }
 
 /// Executes a batch command against already-loaded file contents: parses
@@ -784,7 +641,7 @@ pub fn run_batch_on_text(
     }
     let dataset = VersionedDataset::new(points, sites);
 
-    let registry = registry_with(cli_config(eps));
+    let registry = registry_with(EngineConfig::practical(eps));
     let deadline =
         deadline_ms.map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
     let executor = BatchExecutor::with_config(
@@ -922,43 +779,6 @@ fn render_step(step: &ScriptStep<2>) -> String {
     }
 }
 
-/// The engine configuration the CLI dispatches with: practical sampling caps
-/// at the requested `ε` (see [`EngineConfig::practical`] for the `ε ≥ 1/2`
-/// clamping rule).
-fn cli_config(eps: f64) -> EngineConfig {
-    EngineConfig::practical(eps)
-}
-
-/// Looks a weighted solver up and dispatches the instance through it.
-fn dispatch_weighted(
-    solver_name: &str,
-    eps: f64,
-    instance: &WeightedInstance<2>,
-) -> Result<crate::engine::SolverReport<mrs_core::input::Placement<2>>, CliError> {
-    let registry = registry_with(cli_config(eps));
-    let solver = registry
-        .weighted::<2>(solver_name)
-        .ok_or_else(|| CliError(format!("solver `{solver_name}` is not registered")))?;
-    solver.solve(instance).map_err(engine_error)
-}
-
-/// Looks a colored solver up and dispatches the instance through it.
-fn dispatch_colored(
-    solver_name: &str,
-    eps: f64,
-    instance: &ColoredInstance<2>,
-) -> Result<crate::engine::SolverReport<mrs_core::input::ColoredPlacement<2>>, CliError> {
-    let registry = registry_with(cli_config(eps));
-    let solver = registry
-        .colored::<2>(solver_name)
-        .ok_or_else(|| CliError(format!("solver `{solver_name}` is not registered")))?;
-    solver.solve(instance).map_err(engine_error)
-}
-
-fn engine_error(e: EngineError) -> CliError {
-    CliError(e.to_string())
-}
-
 /// Renders the registry listing for `maxrs solvers`: every solver's name,
 /// problem kind, shape class, supported dimensions, guarantee, batch
 /// capability, and source reference.
@@ -998,16 +818,8 @@ fn render_solvers() -> String {
     out
 }
 
-fn check_radius(radius: f64) -> Result<(), CliError> {
-    if radius.is_finite() && radius > 0.0 {
-        Ok(())
-    } else {
-        err("radius must be positive")
-    }
-}
-
-fn check_extent(name: &str, extent: f64) -> Result<(), CliError> {
-    if extent.is_finite() && extent > 0.0 {
+fn check_positive(name: &str, value: f64) -> Result<(), CliError> {
+    if value.is_finite() && value > 0.0 {
         Ok(())
     } else {
         err(format!("{name} must be positive"))
@@ -1022,101 +834,80 @@ fn check_eps(eps: f64, hi: f64) -> Result<(), CliError> {
     }
 }
 
+/// Answers one single-query subcommand: the file becomes a
+/// [`VersionedDataset`] at version 1, and the query a one-query batch
+/// through the executor `maxrs batch` uses (see [`EngineConfig::practical`]
+/// for the `ε ≥ 1/2` clamping rule), certified against the file.  A failed
+/// or uncertified answer is an error, not a report.
+fn run_query(
+    kind: &QueryKind,
+    shape: &RangeShape<2>,
+    eps: f64,
+    file_text: &str,
+) -> Result<String, CliError> {
+    let (points, sites) = match kind.problem {
+        ProblemKind::Weighted => (parse_weighted_csv(file_text)?, Vec::new()),
+        ProblemKind::Colored => (Vec::new(), parse_colored_csv(file_text)?),
+    };
+    let n = points.len() + sites.len();
+    match *shape {
+        RangeShape::Ball { radius } => check_positive("radius", radius)?,
+        RangeShape::AxisBox { extents: [width, height] } => {
+            check_positive("--width", width)?;
+            check_positive("--height", height)?;
+        }
+    }
+    // Outside the samplers `ε` only sizes the engine configuration, which
+    // admits `(0, 1)`.
+    check_eps(eps, kind.eps_below.unwrap_or(1.0))?;
+    if kind.eps_below.is_some() && n == 0 {
+        return Ok("empty input: nothing to place".to_string());
+    }
+    let registry = registry_with(EngineConfig::practical(eps));
+    // The default executor configuration certifies every answer.
+    let executor = BatchExecutor::new(&registry);
+    let dataset = VersionedDataset::new(points, sites);
+    let report = executor.execute_versioned_traced(
+        &dataset,
+        &[kind.query(*shape)],
+        &mut TraceRecorder::disabled(),
+    );
+    let (center, value) = match &report.answers[0] {
+        BatchAnswer::Failed(error) => return err(error.to_string()),
+        BatchAnswer::Weighted(r) => (r.placement.center, format!("{:.6}", r.placement.value)),
+        BatchAnswer::Colored(r) => (r.placement.center, r.placement.distinct.to_string()),
+    };
+    if report.certified[0] != Some(true) {
+        return err(format!("the {} answer failed certification against the input", kind.solver));
+    }
+    let (x, y) = match shape.box_extents() {
+        Some([width, height]) => (center.x() - width / 2.0, center.y() - height / 2.0),
+        None => (center.x(), center.y()),
+    };
+    let report = kind.report.expect("a subcommand's kind has a report line");
+    Ok(report
+        .replace("{eps}", &eps.to_string())
+        .replace("{at}", &format!("({x:.6}, {y:.6})"))
+        .replace("{value}", &value)
+        .replace("{n}", &n.to_string()))
+}
+
 /// Executes a parsed command against already-loaded file contents and returns
-/// the report text.  Every query dispatches through the solver engine; the
-/// function stays pure so it can be tested without touching the filesystem.
+/// the report text.  The function stays pure so it can be tested without
+/// touching the filesystem.
 pub fn run_on_text(command: &Command, file_text: &str) -> Result<String, CliError> {
-    const DEFAULT_EPS: f64 = 0.25;
     match command {
         Command::Help => Ok(USAGE.to_string()),
         Command::Solvers => Ok(render_solvers()),
-        Command::Batch { threads, eps, .. } => {
-            // The binary resolves the query file separately and calls
-            // `run_batch_on_text` with both contents; reaching this arm means
-            // the caller only loaded the point file.
-            let _ = (threads, eps);
+        Command::Query { kind, shape, eps, .. } => run_query(kind, shape, *eps, file_text),
+        Command::Batch { .. } => {
             err("batch commands need the query file too; use run_batch_on_text")
         }
         Command::Serve { .. } => {
-            // Serving binds sockets and blocks; the binary dispatches it to
-            // `mrs_server` directly instead of through this pure function.
             err("serve runs a long-lived network service; the binary handles it directly")
         }
         Command::Mutate { .. } => {
-            // Mutations talk to a running server over TCP; the binary owns
-            // that path.
             err("mutate talks to a running server; the binary handles it directly")
-        }
-        Command::Disk { radius, .. } => {
-            let points = parse_weighted_csv(file_text)?;
-            check_radius(*radius)?;
-            let n = points.len();
-            let instance = WeightedInstance::ball(points, *radius);
-            let report = dispatch_weighted("exact-disk-2d", DEFAULT_EPS, &instance)?;
-            Ok(format!(
-                "exact disk MaxRS: center = ({:.6}, {:.6}), covered weight = {:.6}, points = {}",
-                report.placement.center.x(),
-                report.placement.center.y(),
-                report.placement.value,
-                n
-            ))
-        }
-        Command::DiskApprox { radius, eps, .. } => {
-            let points = parse_weighted_csv(file_text)?;
-            check_radius(*radius)?;
-            check_eps(*eps, 0.5)?;
-            if points.is_empty() {
-                return Ok("empty input: nothing to place".to_string());
-            }
-            let instance = WeightedInstance::ball(points, *radius);
-            let report = dispatch_weighted("approx-static-ball", *eps, &instance)?;
-            Ok(format!(
-                "approximate disk MaxRS (Theorem 1.2, ε = {eps}): center = ({:.6}, {:.6}), covered weight = {:.6}",
-                report.placement.center.x(),
-                report.placement.center.y(),
-                report.placement.value
-            ))
-        }
-        Command::Rect { width, height, .. } => {
-            let points = parse_weighted_csv(file_text)?;
-            check_extent("--width", *width)?;
-            check_extent("--height", *height)?;
-            let instance = WeightedInstance::axis_box(points, [*width, *height]);
-            let report = dispatch_weighted("exact-rect-2d", DEFAULT_EPS, &instance)?;
-            Ok(format!(
-                "exact rectangle MaxRS: anchor = ({:.6}, {:.6}), covered weight = {:.6}",
-                report.placement.center.x() - width / 2.0,
-                report.placement.center.y() - height / 2.0,
-                report.placement.value
-            ))
-        }
-        Command::ColoredDisk { radius, .. } => {
-            let sites = parse_colored_csv(file_text)?;
-            check_radius(*radius)?;
-            let instance = ColoredInstance::ball(sites, *radius);
-            let report = dispatch_colored("output-sensitive-colored-disk", DEFAULT_EPS, &instance)?;
-            Ok(format!(
-                "exact colored disk MaxRS (Theorem 4.6): center = ({:.6}, {:.6}), distinct colors = {}",
-                report.placement.center.x(),
-                report.placement.center.y(),
-                report.placement.distinct
-            ))
-        }
-        Command::ColoredDiskApprox { radius, eps, .. } => {
-            let sites = parse_colored_csv(file_text)?;
-            check_radius(*radius)?;
-            check_eps(*eps, 1.0)?;
-            if sites.is_empty() {
-                return Ok("empty input: nothing to place".to_string());
-            }
-            let instance = ColoredInstance::ball(sites, *radius);
-            let report = dispatch_colored("approx-colored-disk-sampling", *eps, &instance)?;
-            Ok(format!(
-                "approximate colored disk MaxRS (Theorem 1.6, ε = {eps}): center = ({:.6}, {:.6}), distinct colors = {}",
-                report.placement.center.x(),
-                report.placement.center.y(),
-                report.placement.distinct
-            ))
         }
     }
 }
@@ -1125,11 +916,7 @@ pub fn run_on_text(command: &Command, file_text: &str) -> Result<String, CliErro
 pub fn input_path(command: &Command) -> Option<&str> {
     match command {
         Command::Help | Command::Solvers | Command::Serve { .. } => None,
-        Command::Disk { path, .. }
-        | Command::DiskApprox { path, .. }
-        | Command::Rect { path, .. }
-        | Command::ColoredDisk { path, .. }
-        | Command::ColoredDiskApprox { path, .. }
+        Command::Query { path, .. }
         | Command::Mutate { path, .. }
         | Command::Batch { path, .. } => Some(path),
     }
@@ -1151,20 +938,29 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    fn query(kind: &str, shape: RangeShape<2>, eps: f64, path: &str) -> Command {
+        let kind = QueryKind::subcommand(kind).expect("a single-query subcommand");
+        Command::Query { kind, shape, eps, path: path.into() }
+    }
+
+    const fn ball(radius: f64) -> RangeShape<2> {
+        RangeShape::Ball { radius }
+    }
+
     #[test]
     fn parses_every_command() {
         assert_eq!(
             parse_args(&args(&["disk", "--radius", "2.5", "pts.csv"])).unwrap(),
-            Command::Disk { radius: 2.5, path: "pts.csv".into() }
+            query("disk", ball(2.5), 0.25, "pts.csv")
         );
         assert_eq!(
             parse_args(&args(&["rect", "--width", "1", "--height", "2", "pts.csv"])).unwrap(),
-            Command::Rect { width: 1.0, height: 2.0, path: "pts.csv".into() }
+            query("rect", RangeShape::AxisBox { extents: [1.0, 2.0] }, 0.25, "pts.csv")
         );
         assert_eq!(
             parse_args(&args(&["colored-disk-approx", "--radius", "1", "--eps", "0.1", "c.csv"]))
                 .unwrap(),
-            Command::ColoredDiskApprox { radius: 1.0, eps: 0.1, path: "c.csv".into() }
+            query("colored-disk-approx", ball(1.0), 0.1, "c.csv")
         );
         assert_eq!(parse_args(&args(&["help"])).unwrap(), Command::Help);
         assert_eq!(parse_args(&args(&["solvers"])).unwrap(), Command::Solvers);
@@ -1196,6 +992,44 @@ mod tests {
     }
 
     #[test]
+    fn commands_refuse_flags_and_files_they_do_not_take() {
+        assert_eq!(
+            parse_args(&args(&["help", "--width", "3"])),
+            Err(CliError("--width does not apply to `help`".into()))
+        );
+        assert_eq!(
+            parse_args(&args(&["solvers", "--radius", "1"])),
+            Err(CliError("--radius does not apply to `solvers`".into()))
+        );
+        assert_eq!(
+            parse_args(&args(&["solvers", "stray.csv"])),
+            Err(CliError("solvers takes no positional file (got `stray.csv`)".into()))
+        );
+    }
+
+    /// Each single-query subcommand accepts exactly the shape flags of its
+    /// kind's shape, `--eps` exactly when its kind has an `ε` bound, and a
+    /// file; every flag has one row.
+    #[test]
+    fn the_flag_table_agrees_with_the_query_kind_table() {
+        let accepts = |flag: &str, command: &str| {
+            FLAGS.iter().any(|f| f.name == flag && f.commands.contains(&command))
+        };
+        for kind in QUERY_KINDS.iter().filter(|kind| kind.report.is_some()) {
+            let ball = kind.shape == ShapeClass::Ball;
+            assert_eq!(accepts("--radius", kind.name), ball, "{}", kind.name);
+            assert_eq!(accepts("--width", kind.name), !ball, "{}", kind.name);
+            assert_eq!(accepts("--height", kind.name), !ball, "{}", kind.name);
+            assert_eq!(accepts("--eps", kind.name), kind.eps_below.is_some(), "{}", kind.name);
+            assert!(accepts(FILE, kind.name), "{}", kind.name);
+        }
+        let mut names: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FLAGS.len());
+    }
+
+    #[test]
     fn parses_weighted_and_colored_csv() {
         let weighted = "0,0\n1.5, 2.5, 3  # heavy point\n\n# comment line\n";
         let points = parse_weighted_csv(weighted).unwrap();
@@ -1216,16 +1050,16 @@ mod tests {
     #[test]
     fn runs_queries_end_to_end_on_text_input() {
         let csv = "0,0\n0.5,0\n0.5,0.5\n9,9\n";
-        let disk = Command::Disk { radius: 1.0, path: "ignored".into() };
+        let disk = query("disk", ball(1.0), 0.25, "ignored");
         let report = run_on_text(&disk, csv).unwrap();
         assert!(report.contains("covered weight = 3.0"), "{report}");
 
-        let rect = Command::Rect { width: 1.0, height: 1.0, path: "ignored".into() };
+        let rect = query("rect", RangeShape::AxisBox { extents: [1.0, 1.0] }, 0.25, "ignored");
         let report = run_on_text(&rect, csv).unwrap();
         assert!(report.contains("covered weight = 3.0"), "{report}");
 
         let colored_csv = "0,0,0\n0.4,0,1\n0.4,0.3,1\n9,9,2\n";
-        let colored = Command::ColoredDisk { radius: 1.0, path: "ignored".into() };
+        let colored = query("colored-disk", ball(1.0), 0.25, "ignored");
         let report = run_on_text(&colored, colored_csv).unwrap();
         assert!(report.contains("distinct colors = 2"), "{report}");
 
@@ -1236,18 +1070,21 @@ mod tests {
     #[test]
     fn invalid_parameters_are_clean_errors_not_panics() {
         let csv = "0,0\n1,1\n";
-        let bad_eps = Command::DiskApprox { radius: 1.0, eps: 0.9, path: "x".into() };
+        let bad_eps = query("disk-approx", ball(1.0), 0.9, "x");
         assert!(run_on_text(&bad_eps, csv).unwrap_err().0.contains("--eps"));
-        let bad_rect = Command::Rect { width: -1.0, height: 1.0, path: "x".into() };
+        let bad_rect = query("rect", RangeShape::AxisBox { extents: [-1.0, 1.0] }, 0.25, "x");
         assert!(run_on_text(&bad_rect, csv).unwrap_err().0.contains("--width"));
-        let bad_radius = Command::ColoredDisk { radius: -2.0, path: "x".into() };
+        let bad_radius = query("colored-disk", ball(-2.0), 0.25, "x");
         assert!(run_on_text(&bad_radius, "0,0,1\n").unwrap_err().0.contains("radius"));
-        let bad_colored_eps =
-            Command::ColoredDiskApprox { radius: 1.0, eps: 1.5, path: "x".into() };
+        let bad_colored_eps = query("colored-disk-approx", ball(1.0), 1.5, "x");
         assert!(run_on_text(&bad_colored_eps, "0,0,1\n").unwrap_err().0.contains("--eps"));
+        // An exact kind takes no `--eps`, but a hand-built command's ε still
+        // sizes the engine configuration: out of range, it is refused too.
+        let exact_bad_eps = query("disk", ball(1.0), 1.5, "x");
+        assert!(run_on_text(&exact_bad_eps, csv).unwrap_err().0.contains("--eps"));
         // ε ∈ [1/2, 1) is legal for the (1 − ε) color sampler even though the
         // Technique 1 estimator inside it only admits ε < 1/2.
-        let high_eps = Command::ColoredDiskApprox { radius: 1.0, eps: 0.6, path: "x".into() };
+        let high_eps = query("colored-disk-approx", ball(1.0), 0.6, "x");
         assert!(run_on_text(&high_eps, "0,0,1\n0.1,0,2\n").unwrap().contains("distinct colors"));
     }
 
@@ -1301,13 +1138,13 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
     fn approx_commands_run_and_report() {
         let csv: String =
             (0..50).map(|i| format!("{},{}\n", 0.01 * i as f64, 0.0)).collect::<String>();
-        let cmd = Command::DiskApprox { radius: 1.0, eps: 0.25, path: "ignored".into() };
+        let cmd = query("disk-approx", ball(1.0), 0.25, "ignored");
         let report = run_on_text(&cmd, &csv).unwrap();
         assert!(report.contains("approximate disk MaxRS"), "{report}");
 
         let colored_csv: String =
             (0..30).map(|i| format!("{},0,{}\n", 0.02 * i as f64, i % 5)).collect::<String>();
-        let cmd = Command::ColoredDiskApprox { radius: 1.0, eps: 0.25, path: "ignored".into() };
+        let cmd = query("colored-disk-approx", ball(1.0), 0.25, "ignored");
         let report = run_on_text(&cmd, &colored_csv).unwrap();
         assert!(report.contains("distinct colors = 5"), "{report}");
     }
@@ -1315,7 +1152,7 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
     #[test]
     fn input_path_extraction() {
         assert_eq!(input_path(&Command::Help), None);
-        assert_eq!(input_path(&Command::Disk { radius: 1.0, path: "a.csv".into() }), Some("a.csv"));
+        assert_eq!(input_path(&query("disk", ball(1.0), 0.25, "a.csv")), Some("a.csv"));
         let batch = Command::Batch {
             queries: "q.txt".into(),
             threads: Some(2),
@@ -1387,16 +1224,11 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
             ]))
             .unwrap(),
             Command::Serve {
-                addr: "127.0.0.1:7070".into(),
-                threads: Some(4),
-                eps: 0.25,
-                seed: None,
-                slow_query_ms: None,
-                request_timeout_ms: None,
-                queue_capacity: None,
-                max_inflight: None,
-                overload_watermark: None,
-                chaos_solver: false,
+                config: ServerConfig {
+                    addr: "127.0.0.1:7070".into(),
+                    threads: 4,
+                    ..ServerConfig::default()
+                },
                 datasets: vec![("demo".into(), "examples/data/batch_points.csv".into(), 2)],
             }
         );
@@ -1423,13 +1255,16 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
             ]))
             .unwrap(),
             Command::Serve {
-                request_timeout_ms: Some(250),
-                queue_capacity: Some(64),
-                max_inflight: Some(8),
-                overload_watermark: Some(watermark),
-                chaos_solver: true,
+                config: ServerConfig {
+                    request_timeout: Some(timeout),
+                    queue_capacity: 64,
+                    max_inflight: 8,
+                    overload_watermark,
+                    chaos_solver: true,
+                    ..
+                },
                 ..
-            } if watermark == 0.5
+            } if timeout == Duration::from_millis(250) && overload_watermark == 0.5
         ));
         assert!(parse_args(&args(&["serve", "--addr", "x:1", "--queue-capacity", "0"])).is_err());
         assert!(parse_args(&args(&["serve", "--addr", "x:1", "--max-inflight", "no"])).is_err());
@@ -1441,7 +1276,8 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
         // `--slow-query-ms` arms the slow-query log; serve-only.
         assert!(matches!(
             parse_args(&args(&["serve", "--addr", "x:1", "--slow-query-ms", "250"])).unwrap(),
-            Command::Serve { slow_query_ms: Some(250), .. }
+            Command::Serve { config: ServerConfig { slow_query: Some(threshold), .. }, .. }
+                if threshold == Duration::from_millis(250)
         ));
         assert!(parse_args(&args(&["serve", "--addr", "x:1", "--slow-query-ms", "fast"])).is_err());
         assert!(parse_args(&args(&["disk", "--radius", "1", "--slow-query-ms", "9", "a"])).is_err());
@@ -1455,7 +1291,7 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
         assert!(parse_args(&args(&["serve", "--addr", "x:1", "--dataset", "t=@1d"])).is_err());
         assert!(matches!(
             parse_args(&args(&["serve", "--addr", "x:1", "--seed", "7"])).unwrap(),
-            Command::Serve { seed: Some(7), .. }
+            Command::Serve { config: ServerConfig { seed: Some(7), .. }, .. }
         ));
         assert!(parse_args(&args(&["serve", "--addr", "x:1", "--seed", "-2"])).is_err());
         // A bad ε is a clean CLI error, not an engine-config panic.
@@ -1472,16 +1308,7 @@ registered solvers (name | problem | shape | dims | guarantee | batch | updates 
         assert!(parse_args(&args(&["disk", "--radius", "1", "--addr", "x:1", "a.csv"])).is_err());
         // The pure text runner refuses to serve; the binary owns that path.
         let serve = Command::Serve {
-            addr: "127.0.0.1:0".into(),
-            threads: None,
-            eps: 0.25,
-            seed: None,
-            slow_query_ms: None,
-            request_timeout_ms: None,
-            queue_capacity: None,
-            max_inflight: None,
-            overload_watermark: None,
-            chaos_solver: false,
+            config: ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() },
             datasets: Vec::new(),
         };
         assert!(run_on_text(&serve, "").is_err());

@@ -386,14 +386,17 @@ fn registry_descriptor_listing_is_consistent_with_dispatch() {
 }
 
 /// The batch path answers exactly as a fresh per-query solve does: for
-/// every exact solver in the registry and every shape it supports from a
-/// small list, the answer `execute_versioned_traced` gives (certified, two
-/// worker threads, indexes shared across the batch) has the same value bits
-/// (the same distinct count for colored solvers) and the same center bits as
-/// `solve` on a fresh instance.
+/// every exact solver in the registry, and for the two index-shared
+/// samplers (`approx-static-ball`, `approx-colored-ball`, whose batch path
+/// queries a sample set shared across the batch), and every shape each
+/// supports from a small list, the answer `execute_versioned_traced` gives
+/// (certified, two worker threads, indexes shared across the batch) has the
+/// same value bits (the same distinct count for colored solvers) and the same
+/// center bits as `solve` on a fresh instance.  The registry is seeded, so
+/// the samplers draw the same samples on both paths.
 #[test]
 fn batch_answers_are_bit_identical_to_fresh_solves() {
-    let registry = engine::registry();
+    let registry = engine::registry_with(EngineConfig::practical(0.25).with_seed(17));
     let executor = BatchExecutor::with_config(
         &registry,
         ExecutorConfig { threads: Some(2), certify: true, ..ExecutorConfig::default() },
@@ -410,13 +413,16 @@ fn batch_answers_are_bit_identical_to_fresh_solves() {
         [RangeShape::interval(1.0), RangeShape::interval(20.0), RangeShape::interval(300.0)];
     let compared = assert_batch_matches_fresh_solves(&registry, &executor, &planar, &planar_shapes)
         + assert_batch_matches_fresh_solves(&registry, &executor, &line, &line_shapes);
-    // 6 planar exact solvers × 2 shapes each, 2 line solvers × 3 lengths.
-    assert_eq!(compared, 18);
+    // 6 planar exact solvers and 2 planar samplers × 2 shapes each, 2 line
+    // solvers and the weighted sampler × 3 lengths (the line workload has no
+    // colored sites).
+    assert_eq!(compared, 25);
 }
 
-/// Runs one batch of every (exact solver, supported shape) pair over the
-/// workload's points and sites, asserts each answer is bit-identical to a
-/// fresh `solve`, and returns how many pairs it compared.
+/// Runs one batch of every (exact or index-shared solver, supported shape)
+/// pair over the workload's points and sites (colored solvers only when the
+/// workload has sites), asserts each answer is bit-identical to a fresh
+/// `solve`, and returns how many pairs it compared.
 fn assert_batch_matches_fresh_solves<const D: usize>(
     registry: &Registry,
     executor: &BatchExecutor<'_>,
@@ -429,7 +435,8 @@ fn assert_batch_matches_fresh_solves<const D: usize>(
     let descriptors = registry.descriptors();
     let queries: Vec<BatchQuery<D>> = descriptors
         .iter()
-        .filter(|d| d.name != "auto" && d.guarantee.is_exact())
+        .filter(|d| d.name != "auto" && (d.guarantee.is_exact() || d.batch.is_shared()))
+        .filter(|d| d.problem == ProblemKind::Weighted || !workload.sites.is_empty())
         .flat_map(|d| {
             shapes.iter().filter(|s| d.supports(d.problem, s.class(), D)).map(|s| match d.problem {
                 ProblemKind::Weighted => BatchQuery::weighted(d.name, *s),

@@ -3,7 +3,7 @@
 //! exercised together on shared workloads.
 
 use maxrs::batched::{batched_disk_maxrs, batched_rect_maxrs};
-use maxrs::cli::{parse_args, run_on_text, Command};
+use maxrs::cli::{parse_args, run_on_text, Command, QueryKind};
 use maxrs::core::exact::colored_rect2d::exact_colored_rect;
 use maxrs::prelude::*;
 use rand::prelude::*;
@@ -95,7 +95,15 @@ fn cli_round_trip_matches_the_library() {
     let args: Vec<String> =
         ["disk", "--radius", "1.0", "points.csv"].iter().map(|s| s.to_string()).collect();
     let command = parse_args(&args).unwrap();
-    assert_eq!(command, Command::Disk { radius: 1.0, path: "points.csv".into() });
+    assert_eq!(
+        command,
+        Command::Query {
+            kind: QueryKind::subcommand("disk").unwrap(),
+            shape: RangeShape::Ball { radius: 1.0 },
+            eps: 0.25,
+            path: "points.csv".into(),
+        }
+    );
     let report = run_on_text(&command, &csv).unwrap();
     let expected_fragment = format!("covered weight = {:.6}", expected.value);
     assert!(
