@@ -1,14 +1,13 @@
 //! Engine integration: expose the batched 1-D solver through the
 //! `mrs_core::engine` dispatch layer.
 //!
-//! [`BatchedIntervalSolver`] wraps [`BatchedMaxRS1D`]: one engine `solve`
-//! builds the sorted structure and answers the instance's single interval
-//! length with the `O(n)` sorted-line sweep — the one `exact-interval-1d`
-//! runs, so both solvers return identical placements.  For genuinely batched
-//! workloads (many lengths over one point set) use
-//! [`BatchedIntervalSolver::solve_lengths`] or [`BatchedMaxRS1D`] directly —
-//! the per-length cost then drops to `O(n)` with the `O(n log n)` build paid
-//! once.
+//! [`BatchedIntervalSolver`] answers every interval length of a batch off
+//! the shared index's one sorted event list with the `O(n)` sorted-line
+//! sweep — the one `exact-interval-1d` runs, so both solvers return
+//! identical placements.  Its engine `solve` is a one-query batch over a
+//! one-off index, so it sorts once per call; many lengths over one point set
+//! belong in one batch, [`BatchedIntervalSolver::solve_lengths`] or
+//! [`BatchedMaxRS1D`], where the `O(n log n)` build is paid once.
 //!
 //! [`register`] plugs the solver into a [`Registry`]; the `maxrs` facade's
 //! `engine::registry()` calls it so the solver is visible to every consumer
@@ -78,19 +77,10 @@ impl WeightedSolver<1> for BatchedIntervalSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, instance: &WeightedInstance<1>) -> EngineResult<SolverReport<Placement<1>>> {
-        let name = Self::DESCRIPTOR.name;
-        let len = interval_length(name, instance.shape())?;
-        let start = Instant::now();
-        let solver = BatchedMaxRS1D::new(&to_line_points(instance));
-        Ok(interval_report(name, solver.solve_one(len), start.elapsed()))
-    }
-
-    /// The index-sharing batch path (the reference `IndexShared`
-    /// implementation): sweep the executor's shared sorted event list in
-    /// place — built once per batch, never copied — so a batch of `m`
-    /// queries costs `O(n log n + m·n)` total instead of `m` independent
-    /// `O(n log n)` builds.
+    /// Sweeps the shared sorted event list in place — built once per point
+    /// set, never copied — so a batch of `m` queries costs
+    /// `O(n log n + m·n)` total instead of `m` independent `O(n log n)`
+    /// builds.
     fn solve_all(
         &self,
         _base: &WeightedInstance<1>,

@@ -146,8 +146,8 @@ fn e2_static_ball_vs_exact() {
         let instance = WeightedInstance::ball(points, 1.0);
         let (approx, t_approx) = time(|| sampler.solve(&instance).unwrap());
         let (exact, t_exact) = time(|| exact_disk.solve(&instance).unwrap());
-        let ball = instance.as_ball_instance().expect("E2 instances are balls");
-        let (prior, t_prior) = time(|| approx_disk_by_input_sampling(&ball, input_sampling));
+        let (prior, t_prior) =
+            time(|| approx_disk_by_input_sampling(instance.points(), 1.0, input_sampling));
         table_row(&[
             name.to_string(),
             n.to_string(),

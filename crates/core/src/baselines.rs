@@ -18,7 +18,7 @@ use mrs_geom::WeightedPoint;
 
 use crate::config::SamplingConfig;
 use crate::exact::disk2d::max_disk_placement;
-use crate::input::{Placement, WeightedBallInstance};
+use crate::input::{ball_coverage_weight, Placement};
 use crate::technique1::static_ball::approx_static_ball;
 
 /// Configuration for the input-sampling baseline.
@@ -59,17 +59,22 @@ impl InputSamplingConfig {
 ///
 /// For small instances (or small `opt`) the sample is the whole input and the
 /// answer is exact.
+///
+/// # Panics
+/// Panics if `radius` is not strictly positive or any weight is negative.
 pub fn approx_disk_by_input_sampling(
-    instance: &WeightedBallInstance<2>,
+    points: &[WeightedPoint<2>],
+    radius: f64,
     config: InputSamplingConfig,
 ) -> Placement<2> {
-    let n = instance.len();
+    // Step 1: constant-factor estimate of opt (Theorem 1.2 with ε = 1/4),
+    // which also refuses a non-positive radius or a negative weight.
+    let estimator_cfg = SamplingConfig { eps: 0.25, ..config.estimator };
+    let estimate = approx_static_ball(points, radius, estimator_cfg).value.max(1e-9);
+    let n = points.len();
     if n == 0 {
         return Placement::empty();
     }
-    // Step 1: constant-factor estimate of opt (Theorem 1.2 with ε = 1/4).
-    let estimator_cfg = SamplingConfig { eps: 0.25, ..config.estimator };
-    let estimate = approx_static_ball(instance, estimator_cfg).value.max(1e-9);
 
     // Step 2: keep probability.  `estimate` is at least opt/4 w.h.p., so the
     // expected sampled weight near the optimum is Θ(c·log n / ε²).
@@ -78,17 +83,18 @@ pub fn approx_disk_by_input_sampling(
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let sample: Vec<WeightedPoint<2>> =
-        instance.points.iter().copied().filter(|_| rng.gen_bool(keep)).collect();
+        points.iter().copied().filter(|_| rng.gen_bool(keep)).collect();
     if sample.is_empty() {
         // Degenerate draw: fall back to the estimator's placement.
-        let center = approx_static_ball(instance, estimator_cfg).center;
-        return Placement { center, value: instance.value_at(&center) };
+        let center = approx_static_ball(points, radius, estimator_cfg).center;
+        return Placement { center, value: ball_coverage_weight(points, &center, radius) };
     }
 
     // Step 3: exact sweep on the sample, then certify the chosen center
     // against the full input.
-    let on_sample = max_disk_placement(&sample, instance.radius);
-    Placement { center: on_sample.center, value: instance.value_at(&on_sample.center) }
+    let on_sample = max_disk_placement(&sample, radius);
+    let value = ball_coverage_weight(points, &on_sample.center, radius);
+    Placement { center: on_sample.center, value }
 }
 
 #[cfg(test)]
@@ -98,8 +104,10 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let inst = WeightedBallInstance::<2>::new(vec![], 1.0);
-        assert_eq!(approx_disk_by_input_sampling(&inst, InputSamplingConfig::new(0.2)).value, 0.0);
+        assert_eq!(
+            approx_disk_by_input_sampling(&[], 1.0, InputSamplingConfig::new(0.2)).value,
+            0.0
+        );
     }
 
     #[test]
@@ -111,8 +119,8 @@ mod tests {
             WeightedPoint::unit(Point2::xy(0.5, 0.0)),
             WeightedPoint::unit(Point2::xy(4.0, 0.0)),
         ];
-        let inst = WeightedBallInstance::new(points.clone(), 1.0);
-        let res = approx_disk_by_input_sampling(&inst, InputSamplingConfig::new(0.3).with_seed(1));
+        let config = InputSamplingConfig::new(0.3).with_seed(1);
+        let res = approx_disk_by_input_sampling(&points, 1.0, config);
         let exact = max_disk_placement(&points, 1.0);
         assert_eq!(res.value, exact.value);
     }
@@ -135,9 +143,9 @@ mod tests {
                 rng.gen_range(5.0..25.0),
             )));
         }
-        let inst = WeightedBallInstance::new(points.clone(), 1.0);
         let exact = max_disk_placement(&points, 1.0);
-        let res = approx_disk_by_input_sampling(&inst, InputSamplingConfig::new(0.2).with_seed(2));
+        let config = InputSamplingConfig::new(0.2).with_seed(2);
+        let res = approx_disk_by_input_sampling(&points, 1.0, config);
         assert!(
             res.value >= 0.8 * exact.value,
             "input sampling found {} vs exact {}",
@@ -145,7 +153,7 @@ mod tests {
             exact.value
         );
         // And the reported value is certified against the full input.
-        assert!((inst.value_at(&res.center) - res.value).abs() < 1e-9);
+        assert!((ball_coverage_weight(&points, &res.center, 1.0) - res.value).abs() < 1e-9);
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! * `auto` picks among *built-ins* only — externally registered solvers
 //!   have no committed cost row.
 
-use std::time::Instant;
-
 use super::cancel;
 use super::cost::{self, InstanceProfile};
 use super::descriptor::{
@@ -127,25 +125,6 @@ impl<const D: usize> WeightedSolver<D> for AutoWeightedSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
-        let name = Self::DESCRIPTOR.name;
-        if instance.has_negative_weights() {
-            return Err(EngineError::NegativeWeights { solver: name });
-        }
-        let start = Instant::now();
-        let profile = InstanceProfile::of_points(instance.points());
-        let Some((solver, predicted)) = self.pick(instance.shape(), &profile) else {
-            return Err(EngineError::UnsupportedShape {
-                solver: name,
-                shape: instance.shape().class(),
-            });
-        };
-        let mut report = solver.solve(instance)?;
-        stamp(&mut report, solver.name(), predicted, instance.len());
-        report.stats.elapsed = start.elapsed();
-        Ok(report)
-    }
-
     fn solve_all(
         &self,
         base: &WeightedInstance<D>,
@@ -196,11 +175,7 @@ impl<const D: usize> WeightedSolver<D> for AutoWeightedSolver {
             }
         }
         for route in routes {
-            let inner = if route.solver.descriptor().batch.is_shared() {
-                route.solver.solve_all(base, &route.shapes, index, threads)
-            } else {
-                route.shapes.iter().map(|s| route.solver.solve(&base.with_shape(*s))).collect()
-            };
+            let inner = route.solver.solve_all(base, &route.shapes, index, threads);
             for ((&i, &predicted), result) in route.indices.iter().zip(&route.predicted).zip(inner)
             {
                 results[i] = Some(result.map(|mut report| {
@@ -271,25 +246,6 @@ impl<const D: usize> ColoredSolver<D> for AutoColoredSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(
-        &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
-        let name = Self::DESCRIPTOR.name;
-        let start = Instant::now();
-        let profile = InstanceProfile::of_sites(instance.sites());
-        let Some((solver, predicted)) = self.pick(instance.shape(), &profile) else {
-            return Err(EngineError::UnsupportedShape {
-                solver: name,
-                shape: instance.shape().class(),
-            });
-        };
-        let mut report = solver.solve(instance)?;
-        stamp(&mut report, solver.name(), predicted, instance.len());
-        report.stats.elapsed = start.elapsed();
-        Ok(report)
-    }
-
     fn solve_all(
         &self,
         base: &ColoredInstance<D>,
@@ -334,11 +290,7 @@ impl<const D: usize> ColoredSolver<D> for AutoColoredSolver {
             }
         }
         for route in routes {
-            let inner = if route.solver.descriptor().batch.is_shared() {
-                route.solver.solve_all(base, &route.shapes, index, threads)
-            } else {
-                route.shapes.iter().map(|s| route.solver.solve(&base.with_shape(*s))).collect()
-            };
+            let inner = route.solver.solve_all(base, &route.shapes, index, threads);
             for ((&i, &predicted), result) in route.indices.iter().zip(&route.predicted).zip(inner)
             {
                 results[i] = Some(result.map(|mut report| {

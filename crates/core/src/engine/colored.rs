@@ -14,11 +14,10 @@ use super::index::SharedIndex;
 use super::instance::{ColoredInstance, RangeShape};
 use super::report::{Guarantee, SolveStats, SolverReport};
 use super::weighted::{require_ball, require_box, require_dim};
-use super::{ColoredSolver, EngineResult};
+use super::{each_shape, ColoredSolver, EngineResult};
 use crate::config::{ColorSamplingConfig, SamplingConfig};
 use crate::exact::{exact_colored_disk, exact_colored_rect};
 use crate::input::{ball_distinct_colors, ColoredPlacement};
-use crate::technique1::approx_colored_ball;
 use crate::technique2::{
     approx_colored_disk_sampling_with_details, exact_colored_disk_by_union,
     output_sensitive_colored_disk_with_stats, ColorSamplingBranch,
@@ -48,21 +47,25 @@ impl<const D: usize> ColoredSolver<D> for ExactColoredDiskEnumSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(
+    fn solve_all(
         &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
+        base: &ColoredInstance<D>,
+        shapes: &[RangeShape<D>],
+        _index: &SharedIndex<D>,
+        _threads: usize,
+    ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
         let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 2)?;
-        let radius = require_ball(name, instance.shape())?;
-        let start = Instant::now();
-        let sites = repack_sites::<D, 2>(instance.sites());
-        let best = exact_colored_disk(&sites, radius);
-        Ok(SolverReport {
-            solver: name,
-            placement: repack_colored_placement(&best),
-            guarantee: Guarantee::Exact,
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
+        each_shape(shapes, |shape| {
+            require_dim::<D>(name, 2)?;
+            let radius = require_ball(name, shape)?;
+            let sites = repack_sites::<D, 2>(base.sites());
+            let best = exact_colored_disk(&sites, radius);
+            Ok(SolverReport {
+                solver: name,
+                placement: repack_colored_placement(&best),
+                guarantee: Guarantee::Exact,
+                stats: SolveStats::default(),
+            })
         })
     }
 }
@@ -91,21 +94,25 @@ impl<const D: usize> ColoredSolver<D> for ExactColoredDiskUnionSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(
+    fn solve_all(
         &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
+        base: &ColoredInstance<D>,
+        shapes: &[RangeShape<D>],
+        _index: &SharedIndex<D>,
+        _threads: usize,
+    ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
         let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 2)?;
-        let radius = require_ball(name, instance.shape())?;
-        let start = Instant::now();
-        let sites = repack_sites::<D, 2>(instance.sites());
-        let best = exact_colored_disk_by_union(&sites, radius);
-        Ok(SolverReport {
-            solver: name,
-            placement: repack_colored_placement(&best),
-            guarantee: Guarantee::Exact,
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
+        each_shape(shapes, |shape| {
+            require_dim::<D>(name, 2)?;
+            let radius = require_ball(name, shape)?;
+            let sites = repack_sites::<D, 2>(base.sites());
+            let best = exact_colored_disk_by_union(&sites, radius);
+            Ok(SolverReport {
+                solver: name,
+                placement: repack_colored_placement(&best),
+                guarantee: Guarantee::Exact,
+                stats: SolveStats::default(),
+            })
         })
     }
 }
@@ -135,31 +142,33 @@ impl<const D: usize> ColoredSolver<D> for OutputSensitiveColoredDiskSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(
+    fn solve_all(
         &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
+        base: &ColoredInstance<D>,
+        shapes: &[RangeShape<D>],
+        _index: &SharedIndex<D>,
+        _threads: usize,
+    ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
         let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 2)?;
-        let radius = require_ball(name, instance.shape())?;
-        let start = Instant::now();
-        let sites = repack_sites::<D, 2>(instance.sites());
-        let (best, stats) = output_sensitive_colored_disk_with_stats(&sites, radius);
-        Ok(SolverReport {
-            solver: name,
-            placement: repack_colored_placement(&best),
-            guarantee: Guarantee::Exact,
-            stats: SolveStats {
-                elapsed: start.elapsed(),
-                grids: Some(stats.grids),
-                cells: Some(stats.cells),
-                samples: None,
-                candidates: Some(stats.boundary_intersections),
-                candidates_examined: Some(stats.grid_queries.candidates),
-                grid_cells_visited: Some(stats.grid_queries.cells),
-                sieve_rejected: Some(stats.grid_queries.sieve_rejected),
-                ..SolveStats::default()
-            },
+        each_shape(shapes, |shape| {
+            require_dim::<D>(name, 2)?;
+            let radius = require_ball(name, shape)?;
+            let sites = repack_sites::<D, 2>(base.sites());
+            let (best, stats) = output_sensitive_colored_disk_with_stats(&sites, radius);
+            Ok(SolverReport {
+                solver: name,
+                placement: repack_colored_placement(&best),
+                guarantee: Guarantee::Exact,
+                stats: SolveStats {
+                    grids: Some(stats.grids),
+                    cells: Some(stats.cells),
+                    candidates: Some(stats.boundary_intersections),
+                    candidates_examined: Some(stats.grid_queries.candidates),
+                    grid_cells_visited: Some(stats.grid_queries.cells),
+                    sieve_rejected: Some(stats.grid_queries.sieve_rejected),
+                    ..SolveStats::default()
+                },
+            })
         })
     }
 }
@@ -207,29 +216,10 @@ impl<const D: usize> ColoredSolver<D> for ColoredBallSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(
-        &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
-        let name = Self::DESCRIPTOR.name;
-        require_ball(name, instance.shape())?;
-        let ball = instance.as_ball_instance().expect("checked: shape is a ball");
-        let start = Instant::now();
-        let placement = approx_colored_ball(&ball, self.config);
-        Ok(SolverReport {
-            solver: name,
-            placement,
-            guarantee: Guarantee::HalfMinusEps { eps: self.config.eps },
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-        })
-    }
-
-    /// The index-shared batch path: the colored Technique 1 sample set
-    /// (dual balls inserted grouped by color, Section 3.2) is built once per
-    /// distinct radius in the shared index; each query reads it through the
-    /// non-mutating `peek_best` and certifies the chosen center with an
-    /// exact distinct-color recount — the same center and count a fresh
-    /// per-query build reports.
+    /// The colored Technique 1 sample set (dual balls inserted grouped by
+    /// color, Section 3.2) is built once per distinct radius in the shared
+    /// index; each query reads it through the non-mutating `peek_best` and
+    /// certifies the chosen center with an exact distinct-color recount.
     fn solve_all(
         &self,
         base: &ColoredInstance<D>,
@@ -309,31 +299,33 @@ impl<const D: usize> ColoredSolver<D> for ColoredDiskSamplingSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(
+    fn solve_all(
         &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
+        base: &ColoredInstance<D>,
+        shapes: &[RangeShape<D>],
+        _index: &SharedIndex<D>,
+        _threads: usize,
+    ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
         let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 2)?;
-        let radius = require_ball(name, instance.shape())?;
-        let start = Instant::now();
-        let ball2 =
-            crate::input::ColoredBallInstance::new(repack_sites::<D, 2>(instance.sites()), radius);
-        let details = approx_colored_disk_sampling_with_details(&ball2, self.config);
-        let kept = match details.branch {
-            ColorSamplingBranch::ExactOnFullInput => None,
-            ColorSamplingBranch::SampledColors { kept_colors, .. } => Some(kept_colors),
-        };
-        Ok(SolverReport {
-            solver: name,
-            placement: repack_colored_placement(&details.placement),
-            guarantee: Guarantee::OneMinusEps { eps: self.config.eps },
-            stats: SolveStats {
-                elapsed: start.elapsed(),
-                samples: kept,
-                candidates: Some(details.opt_estimate),
-                ..SolveStats::default()
-            },
+        each_shape(shapes, |shape| {
+            require_dim::<D>(name, 2)?;
+            let radius = require_ball(name, shape)?;
+            let sites = repack_sites::<D, 2>(base.sites());
+            let details = approx_colored_disk_sampling_with_details(&sites, radius, self.config);
+            let kept = match details.branch {
+                ColorSamplingBranch::ExactOnFullInput => None,
+                ColorSamplingBranch::SampledColors { kept_colors, .. } => Some(kept_colors),
+            };
+            Ok(SolverReport {
+                solver: name,
+                placement: repack_colored_placement(&details.placement),
+                guarantee: Guarantee::OneMinusEps { eps: self.config.eps },
+                stats: SolveStats {
+                    samples: kept,
+                    candidates: Some(details.opt_estimate),
+                    ..SolveStats::default()
+                },
+            })
         })
     }
 }
@@ -362,22 +354,26 @@ impl<const D: usize> ColoredSolver<D> for ExactColoredRectSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(
+    fn solve_all(
         &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
+        base: &ColoredInstance<D>,
+        shapes: &[RangeShape<D>],
+        _index: &SharedIndex<D>,
+        _threads: usize,
+    ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
         let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 2)?;
-        let extents = require_box(name, instance.shape())?;
-        let start = Instant::now();
-        let sites = repack_sites::<D, 2>(instance.sites());
-        let best = exact_colored_rect(&sites, extents[0], extents[1]);
-        let center2 = best.rect.lo.lerp(&best.rect.hi, 0.5);
-        Ok(SolverReport {
-            solver: name,
-            placement: ColoredPlacement { center: repack_point(&center2), distinct: best.distinct },
-            guarantee: Guarantee::Exact,
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
+        each_shape(shapes, |shape| {
+            require_dim::<D>(name, 2)?;
+            let extents = require_box(name, shape)?;
+            let sites = repack_sites::<D, 2>(base.sites());
+            let best = exact_colored_rect(&sites, extents[0], extents[1]);
+            let center = repack_point(&best.rect.lo.lerp(&best.rect.hi, 0.5));
+            Ok(SolverReport {
+                solver: name,
+                placement: ColoredPlacement { center, distinct: best.distinct },
+                guarantee: Guarantee::Exact,
+                stats: SolveStats::default(),
+            })
         })
     }
 }

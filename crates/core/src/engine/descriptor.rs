@@ -57,11 +57,11 @@ impl DimSupport {
 /// shared point set, see [`crate::engine::executor`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchCapability {
-    /// Queries are answered one at a time; the executor parallelizes across
-    /// individual queries but no work is shared between them.
+    /// Queries are answered one at a time: the executor calls `solve_all`
+    /// once per query, so queries run in parallel but share no work.
     Independent,
-    /// The solver overrides `solve_all` and amortizes one shared build (a
-    /// sorted event list, a Fenwick tree, a hash grid) across the whole
+    /// The solver's `solve_all` amortizes one shared build (a sorted event
+    /// list, a Fenwick tree, a hash grid, a sample set) across the whole
     /// batch, so the executor hands it all of its queries in one call.
     IndexShared,
 }

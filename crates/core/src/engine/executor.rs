@@ -44,7 +44,7 @@ use super::obs::{Phase, QueryTrace, TraceRecorder};
 use super::registry::{Registry, SharedColoredSolver, SharedWeightedSolver};
 use super::report::{Guarantee, SolveStats, SolverReport};
 use super::versioned::{ScriptOutcome, ScriptReport, ScriptStep, VersionedDataset, VersionedView};
-use super::{EngineError, PartialWork, ProblemKind};
+use super::{EngineError, EngineResult, PartialWork, ProblemKind, SolverDescriptor};
 use crate::config::SamplingConfig;
 use crate::input::Placement;
 
@@ -78,31 +78,12 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// One schedulable unit of work: either a whole index-sharing solver group
-/// or a single independent query.
+/// One schedulable unit of work: one `solve_all` call over some of a solver
+/// group's shapes (the whole group for an index-sharing solver, one query
+/// otherwise), whose answers land at `indices`.
 enum Task<const D: usize> {
-    WeightedGroup {
-        solver: SharedWeightedSolver<D>,
-        base: WeightedInstance<D>,
-        indices: Vec<usize>,
-        shapes: Vec<RangeShape<D>>,
-    },
-    WeightedOne {
-        solver: SharedWeightedSolver<D>,
-        instance: WeightedInstance<D>,
-        index: usize,
-    },
-    ColoredGroup {
-        solver: SharedColoredSolver<D>,
-        base: ColoredInstance<D>,
-        indices: Vec<usize>,
-        shapes: Vec<RangeShape<D>>,
-    },
-    ColoredOne {
-        solver: SharedColoredSolver<D>,
-        instance: ColoredInstance<D>,
-        index: usize,
-    },
+    Weighted { solver: SharedWeightedSolver<D>, indices: Vec<usize>, shapes: Vec<RangeShape<D>> },
+    Colored { solver: SharedColoredSolver<D>, indices: Vec<usize>, shapes: Vec<RangeShape<D>> },
 }
 
 /// What every task of one batch runs against: the dataset, the view all
@@ -115,68 +96,59 @@ struct Target<'a, const D: usize> {
 }
 
 impl<const D: usize> Target<'_, D> {
-    /// Answers a ball query for a solver declaring `dynamic` support from
+    /// Answers ball queries for a solver declaring `dynamic` support from
     /// the dataset's resident tracker at this batch's view.  `None` falls
     /// through to a fresh solve: another solver or shape, a dataset that
     /// ever held negative weights, or a view a mutation has moved past.
-    fn tracker_read(
+    fn tracker_reads(
         &self,
         solver: &SharedWeightedSolver<D>,
-        instance: &WeightedInstance<D>,
-    ) -> Option<SolverReport<Placement<D>>> {
+        shapes: &[RangeShape<D>],
+    ) -> Option<Vec<EngineResult<SolverReport<Placement<D>>>>> {
         let descriptor = solver.descriptor();
-        let radius = instance.shape().ball_radius().filter(|_| descriptor.dynamic)?;
-        let start = Instant::now();
-        let placement = self.dataset.dynamic_ball_at(self.view, radius, &self.sampling)?;
-        Some(SolverReport {
-            solver: descriptor.name,
-            placement,
-            guarantee: Guarantee::HalfMinusEps { eps: self.sampling.eps },
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-        })
+        if !descriptor.dynamic {
+            return None;
+        }
+        shapes
+            .iter()
+            .map(|shape| {
+                let radius = shape.ball_radius()?;
+                let start = Instant::now();
+                let placement = self.dataset.dynamic_ball_at(self.view, radius, &self.sampling)?;
+                Some(Ok(SolverReport {
+                    solver: descriptor.name,
+                    placement,
+                    guarantee: Guarantee::HalfMinusEps { eps: self.sampling.eps },
+                    stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
+                }))
+            })
+            .collect()
     }
 }
 
 impl<const D: usize> Task<D> {
     fn run(&self, target: &Target<'_, D>, threads: usize) -> Vec<(usize, BatchAnswer<D>)> {
-        match self {
-            Task::WeightedGroup { solver, base, indices, shapes } => {
-                let results = solver.solve_all(base, shapes, target.index, threads);
-                indices
-                    .iter()
-                    .zip(results)
-                    .map(|(&i, r)| {
-                        (i, r.map(BatchAnswer::Weighted).unwrap_or_else(BatchAnswer::Failed))
-                    })
+        let answers: Vec<BatchAnswer<D>> = match self {
+            Task::Weighted { solver, shapes, .. } => {
+                let base = WeightedInstance::from_shared(target.index.shared_points(), shapes[0]);
+                target
+                    .tracker_reads(solver, shapes)
+                    .unwrap_or_else(|| solver.solve_all(&base, shapes, target.index, threads))
+                    .into_iter()
+                    .map(|r| r.map_or_else(BatchAnswer::Failed, BatchAnswer::Weighted))
                     .collect()
             }
-            Task::WeightedOne { solver, instance, index: i } => {
-                let answer = target
-                    .tracker_read(solver, instance)
-                    .map(Ok)
-                    .unwrap_or_else(|| solver.solve(instance))
-                    .map(BatchAnswer::Weighted)
-                    .unwrap_or_else(BatchAnswer::Failed);
-                vec![(*i, answer)]
-            }
-            Task::ColoredGroup { solver, base, indices, shapes } => {
-                let results = solver.solve_all(base, shapes, target.index, threads);
-                indices
-                    .iter()
-                    .zip(results)
-                    .map(|(&i, r)| {
-                        (i, r.map(BatchAnswer::Colored).unwrap_or_else(BatchAnswer::Failed))
-                    })
+            Task::Colored { solver, shapes, .. } => {
+                let base = ColoredInstance::from_shared(target.index.shared_sites(), shapes[0]);
+                solver
+                    .solve_all(&base, shapes, target.index, threads)
+                    .into_iter()
+                    .map(|r| r.map_or_else(BatchAnswer::Failed, BatchAnswer::Colored))
                     .collect()
             }
-            Task::ColoredOne { solver, instance, index: i } => {
-                let answer = solver
-                    .solve(instance)
-                    .map(BatchAnswer::Colored)
-                    .unwrap_or_else(BatchAnswer::Failed);
-                vec![(*i, answer)]
-            }
-        }
+        };
+        let (Task::Weighted { indices, .. } | Task::Colored { indices, .. }) = self;
+        indices.iter().copied().zip(answers).collect()
     }
 }
 
@@ -232,7 +204,7 @@ impl<'r> BatchExecutor<'r> {
         let build_time_before = index.build_time();
         let mut answers: Vec<Option<BatchAnswer<D>>> = vec![None; queries.len()];
         let plan_start = Instant::now();
-        let tasks = self.plan(queries, &index, &mut answers);
+        let tasks = self.plan(queries, &mut answers);
         let plan_time = plan_start.elapsed();
 
         // The thread *budget* is what the caller configured (or the machine
@@ -436,12 +408,10 @@ impl<'r> BatchExecutor<'r> {
 
     /// Groups queries per `(problem, solver)`, resolves each solver once,
     /// fails unknown names in place, and emits one task per index-sharing
-    /// group or per independent query, all over the index's sets (`O(1)`
-    /// per group: the sets were checked where they entered).
+    /// group or per independent query.
     fn plan<const D: usize>(
         &self,
         queries: &[BatchQuery<D>],
-        index: &SharedIndex<D>,
         answers: &mut [Option<BatchAnswer<D>>],
     ) -> Vec<Task<D>> {
         struct Group<const D: usize> {
@@ -472,51 +442,31 @@ impl<'r> BatchExecutor<'r> {
 
         let mut tasks: Vec<Task<D>> = Vec::new();
         for group in order {
+            // An index-sharing solver answers its whole group in one call; an
+            // independent one gets a task per query, so its queries fan out.
+            let chunks = |descriptor: &SolverDescriptor| {
+                let len = if descriptor.batch.is_shared() { group.indices.len() } else { 1 };
+                group
+                    .indices
+                    .chunks(len)
+                    .map(<[_]>::to_vec)
+                    .zip(group.shapes.chunks(len).map(<[_]>::to_vec))
+            };
             match group.kind {
                 ProblemKind::Weighted => match self.registry.weighted::<D>(&group.name) {
                     None => fail_group(answers, &group.indices, &group.name),
                     Some(solver) => {
-                        let base =
-                            WeightedInstance::from_shared(index.shared_points(), group.shapes[0]);
-                        if solver.descriptor().batch.is_shared() {
-                            tasks.push(Task::WeightedGroup {
-                                solver,
-                                base,
-                                indices: group.indices,
-                                shapes: group.shapes,
-                            });
-                        } else {
-                            for (&i, shape) in group.indices.iter().zip(&group.shapes) {
-                                tasks.push(Task::WeightedOne {
-                                    solver: Arc::clone(&solver),
-                                    instance: base.with_shape(*shape),
-                                    index: i,
-                                });
-                            }
-                        }
+                        tasks.extend(chunks(solver.descriptor()).map(|(indices, shapes)| {
+                            Task::Weighted { solver: Arc::clone(&solver), indices, shapes }
+                        }))
                     }
                 },
                 ProblemKind::Colored => match self.registry.colored::<D>(&group.name) {
                     None => fail_group(answers, &group.indices, &group.name),
                     Some(solver) => {
-                        let base =
-                            ColoredInstance::from_shared(index.shared_sites(), group.shapes[0]);
-                        if solver.descriptor().batch.is_shared() {
-                            tasks.push(Task::ColoredGroup {
-                                solver,
-                                base,
-                                indices: group.indices,
-                                shapes: group.shapes,
-                            });
-                        } else {
-                            for (&i, shape) in group.indices.iter().zip(&group.shapes) {
-                                tasks.push(Task::ColoredOne {
-                                    solver: Arc::clone(&solver),
-                                    instance: base.with_shape(*shape),
-                                    index: i,
-                                });
-                            }
-                        }
+                        tasks.extend(chunks(solver.descriptor()).map(|(indices, shapes)| {
+                            Task::Colored { solver: Arc::clone(&solver), indices, shapes }
+                        }))
                     }
                 },
             }

@@ -16,12 +16,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use mrs_geom::{Ball, ColoredSite, Fenwick, HashGrid, Point, WeightedPoint};
+use mrs_geom::{ColoredSite, Fenwick, HashGrid, Point, WeightedPoint};
 
 use super::instance::Finite;
 use crate::config::SamplingConfig;
 use crate::exact::interval1d::{LinePoint, SortedLine};
-use crate::technique1::SampleSet;
+use crate::technique1::{self, SampleSet};
 
 /// The 1-D view of the shared point set: the sorted event list the Section 5
 /// batched solver builds from, plus a Fenwick tree over the sorted weights
@@ -294,33 +294,21 @@ impl<const D: usize> SharedIndex<D> {
     }
 
     /// The Technique-1 *weighted* sample set for query radius `radius` under
-    /// `config`, built exactly once per `(radius, config)` and shared by
-    /// every query that asks for it.  The set is fed the dual unit balls of
-    /// the indexed points in input order (exactly what a fresh
-    /// `approx_static_ball` run would build), so querying it via
-    /// [`SampleSet::peek_best`] reproduces the per-query solver bit for bit.
+    /// `config` ([`technique1::weighted_sample_set`] over the indexed
+    /// points), built exactly once per `(radius, config)` and shared by every
+    /// query that asks for it.
     pub fn weighted_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampleSet<D>> {
-        self.sample_set(radius, false, config, |set| {
-            let inv = 1.0 / radius;
-            for wp in self.points.iter() {
-                set.insert_ball(&Ball::unit(wp.point.scale(inv)), wp.weight);
-            }
+        self.sample_set(radius, false, config, || {
+            technique1::weighted_sample_set(&self.points, radius, *config)
         })
     }
 
     /// The Technique-1 *colored* sample set for query radius `radius` under
-    /// `config`: dual unit balls of the indexed sites, inserted grouped by
-    /// color (Section 3.2's ordering requirement), exactly as a fresh
-    /// `approx_colored_ball` run would insert them.
+    /// `config` ([`technique1::colored_sample_set`] over the indexed sites),
+    /// built exactly once per `(radius, config)`.
     pub fn colored_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampleSet<D>> {
-        self.sample_set(radius, true, config, |set| {
-            let inv = 1.0 / radius;
-            let mut dual: Vec<(Point<D>, usize)> =
-                self.sites.iter().map(|s| (s.point.scale(inv), s.color)).collect();
-            dual.sort_by_key(|(_, color)| *color);
-            for (center, color) in dual {
-                set.insert_colored_ball(&Ball::unit(center), color);
-            }
+        self.sample_set(radius, true, config, || {
+            technique1::colored_sample_set(&self.sites, radius, *config)
         })
     }
 
@@ -329,7 +317,7 @@ impl<const D: usize> SharedIndex<D> {
         radius: f64,
         colored: bool,
         config: &SamplingConfig,
-        fill: impl FnOnce(&mut SampleSet<D>),
+        build: impl FnOnce() -> SampleSet<D>,
     ) -> Arc<SampleSet<D>> {
         let key = SampleSetKey::new(radius, colored, config);
         let mut map = self.sample_sets.lock().expect("sample-set lock poisoned");
@@ -337,10 +325,7 @@ impl<const D: usize> SharedIndex<D> {
             return Arc::clone(set);
         }
         let start = Instant::now();
-        let expected = if colored { self.sites.len() } else { self.points.len() };
-        let mut set = SampleSet::new(*config, expected);
-        fill(&mut set);
-        let set = Arc::new(set);
+        let set = Arc::new(build());
         self.record_build(1, start.elapsed());
         map.insert(key, Arc::clone(&set));
         set

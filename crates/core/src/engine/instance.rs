@@ -14,7 +14,6 @@ use std::sync::Arc;
 use mrs_geom::{Ball, ColoredSite, Point, WeightedPoint};
 
 use super::descriptor::ShapeClass;
-use crate::input::{ColoredBallInstance, WeightedBallInstance};
 
 /// A record the engine's one finiteness check applies to: a weighted point
 /// (coordinates and weight) or a colored site (coordinates).
@@ -298,19 +297,6 @@ impl<const D: usize> WeightedInstance<D> {
             .map(|wp| wp.weight)
             .sum()
     }
-
-    /// The ball-problem view of this instance, if the shape is a ball.
-    pub fn as_ball_instance(&self) -> Option<WeightedBallInstance<D>> {
-        let radius = self.shape.ball_radius()?;
-        Some(WeightedBallInstance::new(self.points.to_vec(), radius))
-    }
-}
-
-impl<const D: usize> From<WeightedBallInstance<D>> for WeightedInstance<D> {
-    fn from(value: WeightedBallInstance<D>) -> Self {
-        let radius = value.radius;
-        Self::ball(value.points, radius)
-    }
 }
 
 /// A colored MaxRS instance: colored sites plus a query-range shape.
@@ -401,19 +387,6 @@ impl<const D: usize> ColoredInstance<D> {
         colors.dedup();
         colors.len()
     }
-
-    /// The ball-problem view of this instance, if the shape is a ball.
-    pub fn as_ball_instance(&self) -> Option<ColoredBallInstance<D>> {
-        let radius = self.shape.ball_radius()?;
-        Some(ColoredBallInstance::new(self.sites.to_vec(), radius))
-    }
-}
-
-impl<const D: usize> From<ColoredBallInstance<D>> for ColoredInstance<D> {
-    fn from(value: ColoredBallInstance<D>) -> Self {
-        let radius = value.radius;
-        Self::ball(value.sites, radius)
-    }
 }
 
 #[cfg(test)]
@@ -457,14 +430,13 @@ mod tests {
         assert!(!inst.is_empty());
         assert_eq!(inst.total_weight(), 10.0);
         assert_eq!(inst.value_at(&Point2::xy(0.5, 0.0)), 5.0);
-        let ball = inst.as_ball_instance().unwrap();
-        assert_eq!(ball.radius, 2.0);
+        assert_eq!(inst.shape().ball_radius(), Some(2.0));
 
         let boxed =
             WeightedInstance::axis_box(vec![WeightedPoint::unit(Point2::xy(0.6, 0.0))], [1.0, 1.0]);
         assert_eq!(boxed.value_at(&Point2::xy(0.0, 0.0)), 0.0);
         assert_eq!(boxed.value_at(&Point2::xy(0.2, 0.0)), 1.0);
-        assert!(boxed.as_ball_instance().is_none());
+        assert!(boxed.shape().ball_radius().is_none());
     }
 
     #[test]
@@ -480,7 +452,7 @@ mod tests {
         );
         assert_eq!(inst.distinct_colors(), 3);
         assert_eq!(inst.distinct_at(&Point2::xy(0.0, 0.0)), 2);
-        assert_eq!(inst.as_ball_instance().unwrap().radius, 1.0);
+        assert_eq!(inst.shape().ball_radius(), Some(1.0));
     }
 
     #[test]
@@ -537,17 +509,5 @@ mod tests {
     #[should_panic(expected = "record 0 has a non-finite coordinate or weight")]
     fn instance_constructors_panic_naming_the_record() {
         WeightedInstance::ball(vec![WeightedPoint::new(Point2::xy(0.0, 0.0), f64::NAN)], 1.0);
-    }
-
-    #[test]
-    fn round_trips_with_ball_instance_types() {
-        let inst = WeightedBallInstance::unweighted(vec![Point2::xy(0.0, 0.0)], 1.5);
-        let engine: WeightedInstance<2> = inst.into();
-        assert_eq!(engine.shape().ball_radius(), Some(1.5));
-
-        let colored =
-            ColoredBallInstance::new(vec![ColoredSite::new(Point2::xy(0.0, 0.0), 4)], 2.5);
-        let engine: ColoredInstance<2> = colored.into();
-        assert_eq!(engine.shape().ball_radius(), Some(2.5));
     }
 }

@@ -80,6 +80,8 @@ pub use weighted::{
     ExactRectSolver, StaticBallSolver,
 };
 
+use std::time::Instant;
+
 use crate::input::{ColoredPlacement, Placement};
 
 /// Why a solver refused an instance.
@@ -193,19 +195,16 @@ pub trait WeightedSolver<const D: usize>: Send + Sync {
     /// Capability metadata (name, shape class, dimensions, guarantee class).
     fn descriptor(&self) -> &SolverDescriptor;
 
-    /// Solves the instance, or explains why it cannot.
-    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>>;
-
-    /// Answers many query shapes over one shared point set (the batch
-    /// execution path, see [`executor::BatchExecutor`]).
+    /// Answers many query shapes over one shared point set: the one solving
+    /// method a solver implements, which the batch executor
+    /// ([`executor::BatchExecutor`]) and [`Self::solve`] both call.
     ///
-    /// The default treats every query as independent: it derives a sibling
-    /// instance per shape (an `O(1)` operation — instances share their
-    /// points) and calls [`Self::solve`] on each.  Solvers whose descriptor
-    /// declares [`BatchCapability::IndexShared`] override this to amortize
-    /// one build across the whole batch, reusing the executor's
-    /// [`SharedIndex`] structures (per-radius grids, sorted projections,
-    /// cached sample sets).
+    /// `base` carries the point set (its own shape is not read) and `index`
+    /// is built over the same set.  Solvers whose descriptor declares
+    /// [`BatchCapability::IndexShared`] amortize one build across the whole
+    /// batch by reusing the index's structures (per-radius grids, sorted
+    /// projections, cached sample sets); the others answer each shape on its
+    /// own through [`each_shape`].
     ///
     /// `threads` is the worker budget the executor grants this call for
     /// *internal* fan-out (chunking one expensive query over
@@ -217,9 +216,16 @@ pub trait WeightedSolver<const D: usize>: Send + Sync {
         shapes: &[RangeShape<D>],
         index: &SharedIndex<D>,
         threads: usize,
-    ) -> Vec<EngineResult<SolverReport<Placement<D>>>> {
-        let _ = (index, threads);
-        shapes.iter().map(|shape| self.solve(&base.with_shape(*shape))).collect()
+    ) -> Vec<EngineResult<SolverReport<Placement<D>>>>;
+
+    /// Solves one instance, or explains why it cannot: [`Self::solve_all`]
+    /// for the instance's shape over a one-off [`SharedIndex`] of its
+    /// points, on one thread.
+    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
+        let index = SharedIndex::over(instance.shared_points(), Finite::default());
+        let mut reports =
+            self.solve_all(instance, std::slice::from_ref(instance.shape()), &index, 1);
+        reports.pop().expect("solve_all answers every shape")
     }
 
     /// The registry name, shorthand for `descriptor().name`.
@@ -234,28 +240,49 @@ pub trait ColoredSolver<const D: usize>: Send + Sync {
     /// Capability metadata (name, shape class, dimensions, guarantee class).
     fn descriptor(&self) -> &SolverDescriptor;
 
-    /// Solves the instance, or explains why it cannot.
-    fn solve(
-        &self,
-        instance: &ColoredInstance<D>,
-    ) -> EngineResult<SolverReport<ColoredPlacement<D>>>;
-
     /// Answers many query shapes over one shared site set.  See
-    /// [`WeightedSolver::solve_all`] for the contract; the default derives an
-    /// `O(1)` sibling instance per shape and calls [`Self::solve`].
+    /// [`WeightedSolver::solve_all`] for the contract.
     fn solve_all(
         &self,
         base: &ColoredInstance<D>,
         shapes: &[RangeShape<D>],
         index: &SharedIndex<D>,
         threads: usize,
-    ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
-        let _ = (index, threads);
-        shapes.iter().map(|shape| self.solve(&base.with_shape(*shape))).collect()
+    ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>>;
+
+    /// Solves one instance, or explains why it cannot: [`Self::solve_all`]
+    /// for the instance's shape over a one-off [`SharedIndex`] of its
+    /// sites, on one thread.
+    fn solve(
+        &self,
+        instance: &ColoredInstance<D>,
+    ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
+        let index = SharedIndex::over(Finite::default(), instance.shared_sites());
+        let mut reports =
+            self.solve_all(instance, std::slice::from_ref(instance.shape()), &index, 1);
+        reports.pop().expect("solve_all answers every shape")
     }
 
     /// The registry name, shorthand for `descriptor().name`.
     fn name(&self) -> &'static str {
         self.descriptor().name
     }
+}
+
+/// The `solve_all` body of a solver that shares nothing across queries:
+/// answers each shape on its own with `solve_one` and stamps each report
+/// with the time its call took.
+pub fn each_shape<const D: usize, P>(
+    shapes: &[RangeShape<D>],
+    mut solve_one: impl FnMut(&RangeShape<D>) -> EngineResult<SolverReport<P>>,
+) -> Vec<EngineResult<SolverReport<P>>> {
+    shapes
+        .iter()
+        .map(|shape| {
+            let start = Instant::now();
+            let mut report = solve_one(shape)?;
+            report.stats.elapsed = start.elapsed();
+            Ok(report)
+        })
+        .collect()
 }

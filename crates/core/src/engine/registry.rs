@@ -296,7 +296,8 @@ fn builtin_colored<const D: usize>(config: &EngineConfig) -> Vec<SharedColoredSo
 mod tests {
     use super::*;
     use crate::engine::{
-        ColoredInstance, EngineResult, ProblemKind, ShapeClass, SolverReport, WeightedInstance,
+        each_shape, ColoredInstance, EngineResult, ProblemKind, RangeShape, ShapeClass,
+        SharedIndex, SolverReport, WeightedInstance,
     };
     use crate::input::{ColoredPlacement, Placement};
     use mrs_geom::{Point2, WeightedPoint};
@@ -387,15 +388,20 @@ mod tests {
                 };
                 &STUB
             }
-            fn solve(
+            fn solve_all(
                 &self,
-                _instance: &WeightedInstance<D>,
-            ) -> EngineResult<SolverReport<Placement<D>>> {
-                Ok(SolverReport {
-                    solver: "exact-disk-2d",
-                    placement: Placement { center: mrs_geom::Point::origin(), value: -1.0 },
-                    guarantee: crate::engine::Guarantee::Exact,
-                    stats: crate::engine::SolveStats::default(),
+                _base: &WeightedInstance<D>,
+                shapes: &[RangeShape<D>],
+                _index: &SharedIndex<D>,
+                _threads: usize,
+            ) -> Vec<EngineResult<SolverReport<Placement<D>>>> {
+                each_shape(shapes, |_| {
+                    Ok(SolverReport {
+                        solver: "exact-disk-2d",
+                        placement: Placement { center: mrs_geom::Point::origin(), value: -1.0 },
+                        guarantee: crate::engine::Guarantee::Exact,
+                        stats: crate::engine::SolveStats::default(),
+                    })
                 })
             }
         }
@@ -429,15 +435,20 @@ mod tests {
                 };
                 &STUB
             }
-            fn solve(
+            fn solve_all(
                 &self,
-                _instance: &ColoredInstance<D>,
-            ) -> EngineResult<SolverReport<ColoredPlacement<D>>> {
-                Ok(SolverReport {
-                    solver: "stub-colored",
-                    placement: ColoredPlacement::empty(),
-                    guarantee: crate::engine::Guarantee::Exact,
-                    stats: crate::engine::SolveStats::default(),
+                _base: &ColoredInstance<D>,
+                shapes: &[RangeShape<D>],
+                _index: &SharedIndex<D>,
+                _threads: usize,
+            ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
+                each_shape(shapes, |_| {
+                    Ok(SolverReport {
+                        solver: "stub-colored",
+                        placement: ColoredPlacement::empty(),
+                        guarantee: crate::engine::Guarantee::Exact,
+                        stats: crate::engine::SolveStats::default(),
+                    })
                 })
             }
         }

@@ -6,21 +6,20 @@ use std::time::{Duration, Instant};
 
 use mrs_geom::Point;
 
-use super::convert::{repack_placement, repack_point, repack_weighted};
+use super::convert::{repack_point, repack_weighted};
 use super::descriptor::{
     BatchCapability, DimSupport, GuaranteeClass, ProblemKind, ShapeClass, SolverDescriptor,
 };
 use super::index::SharedIndex;
 use super::instance::{RangeShape, WeightedInstance};
 use super::report::{Guarantee, SolveStats, SolverReport};
-use super::{EngineError, EngineResult, WeightedSolver};
+use super::{each_shape, EngineError, EngineResult, WeightedSolver};
 use crate::config::SamplingConfig;
 use crate::exact::disk2d::max_disk_placement_chunked;
-use crate::exact::interval1d::{max_interval_placement, IntervalPlacement, LinePoint};
+use crate::exact::interval1d::IntervalPlacement;
 use crate::exact::rect2d::max_rect_placement_presorted;
-use crate::exact::{max_disk_placement, max_rect_placement};
 use crate::input::{ball_coverage_weight, Placement};
-use crate::technique1::{approx_static_ball_with_stats, DynamicBallMaxRS};
+use crate::technique1::DynamicBallMaxRS;
 
 pub(super) fn require_dim<const D: usize>(solver: &'static str, wanted: usize) -> EngineResult<()> {
     if D == wanted {
@@ -80,21 +79,9 @@ impl<const D: usize> WeightedSolver<D> for ExactIntervalSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
-        let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 1)?;
-        let len = interval_length(name, instance.shape())?;
-        let start = Instant::now();
-        let line: Vec<LinePoint> =
-            instance.points().iter().map(|wp| LinePoint::new(wp.point[0], wp.weight)).collect();
-        Ok(interval_report(name, max_interval_placement(&line, len), start.elapsed()))
-    }
-
-    /// The index-shared batch path: answer every interval length off the
-    /// shared sorted event list (built once per point-set lifetime), so a
-    /// batch of `m` queries costs `O(n log n + m·n)` instead of `m`
-    /// independent sorts.  The sorted line is built by the same stable sort
-    /// a fresh solve runs, so answers are identical.
+    /// Answers every interval length off the shared sorted event list
+    /// (built once per point-set lifetime), so a batch of `m` queries costs
+    /// `O(n log n + m·n)` instead of `m` independent sorts.
     fn solve_all(
         &self,
         _base: &WeightedInstance<D>,
@@ -174,28 +161,9 @@ impl<const D: usize> WeightedSolver<D> for ExactRectSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
-        let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 2)?;
-        let extents = require_box(name, instance.shape())?;
-        require_nonnegative(name, instance)?;
-        let start = Instant::now();
-        let points = repack_weighted::<D, 2>(instance.points());
-        let best = max_rect_placement(&points, extents[0], extents[1]);
-        let center2 = best.rect.lo.lerp(&best.rect.hi, 0.5);
-        Ok(SolverReport {
-            solver: name,
-            placement: Placement { center: repack_point(&center2), value: best.value },
-            guarantee: Guarantee::Exact,
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-        })
-    }
-
-    /// The index-shared batch path: the points are repacked once and both
-    /// sorted projections come from the shared index (built once per
-    /// point-set lifetime), so each query runs the sort-free
-    /// [`max_rect_placement_presorted`] sweep.  Identical placements to the
-    /// per-query path, bit for bit.
+    /// The points are repacked once and both sorted projections come from
+    /// the shared index (built once per point-set lifetime), so each query
+    /// runs the sort-free [`max_rect_placement_presorted`] sweep.
     fn solve_all(
         &self,
         base: &WeightedInstance<D>,
@@ -256,29 +224,12 @@ impl<const D: usize> WeightedSolver<D> for ExactDiskSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
-        let name = Self::DESCRIPTOR.name;
-        require_dim::<D>(name, 2)?;
-        let radius = require_ball(name, instance.shape())?;
-        require_nonnegative(name, instance)?;
-        let start = Instant::now();
-        let points = repack_weighted::<D, 2>(instance.points());
-        let best = max_disk_placement(&points, radius);
-        Ok(SolverReport {
-            solver: name,
-            placement: repack_placement(&best),
-            guarantee: Guarantee::Exact,
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
-        })
-    }
-
-    /// The index-shared batch path: the neighbour grid comes from the shared
-    /// index (one CSR build per distinct radius, cached for the point set's
-    /// whole lifetime) and each sweep fans its candidate centers out over
-    /// `threads` chunk workers — so `--threads` accelerates a *single*
-    /// expensive query, not just query-level parallelism.  Chunk results
-    /// merge deterministically; placements are identical at every thread
-    /// count.
+    /// The neighbour grid comes from the shared index (one CSR build per
+    /// distinct radius, cached for the point set's whole lifetime) and each
+    /// sweep fans its candidate centers out over `threads` chunk workers — so
+    /// `--threads` accelerates a *single* expensive query, not just
+    /// query-level parallelism.  Chunk results merge deterministically;
+    /// placements are identical at every thread count.
     fn solve_all(
         &self,
         base: &WeightedInstance<D>,
@@ -361,33 +312,11 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
-        let name = Self::DESCRIPTOR.name;
-        require_ball(name, instance.shape())?;
-        require_nonnegative(name, instance)?;
-        let ball = instance.as_ball_instance().expect("checked: shape is a ball");
-        let start = Instant::now();
-        let (placement, stats) = approx_static_ball_with_stats(&ball, self.config);
-        Ok(SolverReport {
-            solver: name,
-            placement,
-            guarantee: Guarantee::HalfMinusEps { eps: self.config.eps },
-            stats: SolveStats {
-                elapsed: start.elapsed(),
-                grids: Some(stats.grids),
-                cells: Some(stats.cells),
-                samples: Some(stats.samples),
-                ..SolveStats::default()
-            },
-        })
-    }
-
-    /// The index-shared batch path: the Technique 1 sample set is built once
-    /// per distinct radius (cached in the shared index for the point set's
-    /// whole lifetime) and every query reads it through the non-mutating
+    /// The Technique 1 sample set is built once per distinct radius (cached
+    /// in the shared index for the point set's whole lifetime) and every
+    /// query reads it through the non-mutating
     /// [`crate::technique1::SampleSet::peek_best`], then certifies the
-    /// chosen center by an exact recount — the same center and value a
-    /// fresh per-query build reports, without rebuilding anything.
+    /// chosen center by an exact recount.
     fn solve_all(
         &self,
         base: &WeightedInstance<D>,
@@ -413,8 +342,8 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
                         Some((scaled_center, _)) => {
                             let center = scaled_center.scale(radius);
                             // Certify: report the exact covered weight of the
-                            // chosen center (see `approx_static_ball_with_stats`
-                            // for why the sampled depth is not reported as-is).
+                            // chosen center (see `approx_static_ball` for why
+                            // the sampled depth is not reported as-is).
                             let value = ball_coverage_weight(base.points(), &center, radius);
                             Placement { center, value }
                         }
@@ -483,28 +412,35 @@ impl<const D: usize> WeightedSolver<D> for DynamicBallSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
+    fn solve_all(
+        &self,
+        base: &WeightedInstance<D>,
+        shapes: &[RangeShape<D>],
+        _index: &SharedIndex<D>,
+        _threads: usize,
+    ) -> Vec<EngineResult<SolverReport<Placement<D>>>> {
         let name = Self::DESCRIPTOR.name;
-        let radius = require_ball(name, instance.shape())?;
-        require_nonnegative(name, instance)?;
-        let start = Instant::now();
-        let mut tracker = DynamicBallMaxRS::<D>::new(radius, self.config);
-        for wp in instance.points() {
-            tracker.insert(wp.point, wp.weight);
-        }
-        let mut placement = tracker.best().unwrap_or_else(Placement::empty);
-        if !instance.is_empty() {
-            // Certify the report: the tracker's sampled depth matches the
-            // center's true coverage only up to floating-point boundary ties
-            // (see `approx_static_ball_with_stats`), and the engine contract
-            // is that reported values are exact for the returned center.
-            placement.value = instance.value_at(&placement.center);
-        }
-        Ok(SolverReport {
-            solver: name,
-            placement,
-            guarantee: Guarantee::HalfMinusEps { eps: self.config.eps },
-            stats: SolveStats { elapsed: start.elapsed(), ..SolveStats::default() },
+        each_shape(shapes, |shape| {
+            let radius = require_ball(name, shape)?;
+            require_nonnegative(name, base)?;
+            let mut tracker = DynamicBallMaxRS::<D>::new(radius, self.config);
+            for wp in base.points() {
+                tracker.insert(wp.point, wp.weight);
+            }
+            let mut placement = tracker.best().unwrap_or_else(Placement::empty);
+            if !base.is_empty() {
+                // Certify the report: the tracker's sampled depth matches the
+                // center's true coverage only up to floating-point boundary
+                // ties (see `approx_static_ball`), and the engine contract is
+                // that reported values are exact for the returned center.
+                placement.value = ball_coverage_weight(base.points(), &placement.center, radius);
+            }
+            Ok(SolverReport {
+                solver: name,
+                placement,
+                guarantee: Guarantee::HalfMinusEps { eps: self.config.eps },
+                stats: SolveStats::default(),
+            })
         })
     }
 }

@@ -1,12 +1,11 @@
-//! Problem instances and result types shared by every MaxRS algorithm in this
-//! crate.
+//! Result types shared by every MaxRS algorithm in this crate, the exact
+//! ball recounts that certify them, and the CSV loaders.
 //!
-//! The paper states all ball algorithms in the *dual* setting (Section 1.4):
-//! after scaling so the query ball has unit radius, every weighted input point
-//! becomes a unit ball centered at it, and placing the query ball optimally is
-//! the same as finding a point of maximum (weighted or colored) depth in that
-//! ball collection.  The instance types here perform that scaling and
-//! dualization once so the algorithms can work with unit balls throughout.
+//! Algorithms take their input as point or site slices plus the range's
+//! parameters, as the exact sweeps do; the engine's
+//! [`WeightedInstance`](crate::engine::WeightedInstance) and
+//! [`ColoredInstance`](crate::engine::ColoredInstance) are the one instance
+//! model, checked once where data enters.
 
 use std::fmt;
 use std::str::FromStr;
@@ -49,79 +48,9 @@ impl<const D: usize> ColoredPlacement<D> {
     }
 }
 
-/// A weighted MaxRS instance with a `d`-ball query range of radius `radius`.
-#[derive(Clone, Debug)]
-pub struct WeightedBallInstance<const D: usize> {
-    /// Input points with their weights.
-    pub points: Vec<WeightedPoint<D>>,
-    /// Radius of the query ball.
-    pub radius: f64,
-}
-
-impl<const D: usize> WeightedBallInstance<D> {
-    /// Creates an instance.
-    ///
-    /// # Panics
-    /// Panics if the radius is not strictly positive, if any coordinate is not
-    /// finite, or if any weight is negative or not finite (the paper's
-    /// algorithms require non-negative weights).
-    pub fn new(points: Vec<WeightedPoint<D>>, radius: f64) -> Self {
-        assert!(radius.is_finite() && radius > 0.0, "query radius must be positive");
-        for wp in &points {
-            assert!(wp.point.is_finite(), "point coordinates must be finite");
-            assert!(
-                wp.weight.is_finite() && wp.weight >= 0.0,
-                "weights must be finite and non-negative"
-            );
-        }
-        Self { points, radius }
-    }
-
-    /// An unweighted instance (every weight 1).
-    pub fn unweighted(points: Vec<Point<D>>, radius: f64) -> Self {
-        Self::new(points.into_iter().map(WeightedPoint::unit).collect(), radius)
-    }
-
-    /// Number of input points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` if the instance has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Total weight of all points (an upper bound on any placement value).
-    pub fn total_weight(&self) -> f64 {
-        self.points.iter().map(|p| p.weight).sum()
-    }
-
-    /// The dual view: one *unit* ball per input point, in coordinates scaled
-    /// by `1/radius`, paired with the point's weight.
-    pub fn dual_unit_balls(&self) -> Vec<(Ball<D>, f64)> {
-        let inv = 1.0 / self.radius;
-        self.points.iter().map(|wp| (Ball::unit(wp.point.scale(inv)), wp.weight)).collect()
-    }
-
-    /// Maps a point expressed in the scaled (dual) coordinate system back to
-    /// the original coordinates.
-    pub fn unscale(&self, scaled: Point<D>) -> Point<D> {
-        scaled.scale(self.radius)
-    }
-
-    /// The weighted depth at `center` in the *original* coordinates: total
-    /// weight of input points within distance `radius` of `center`.  This is
-    /// the value of the placement with that center.
-    pub fn value_at(&self, center: &Point<D>) -> f64 {
-        ball_coverage_weight(&self.points, center, self.radius)
-    }
-}
-
-/// The exact covered weight of placing a closed ball at `center`: the
-/// slice-level form of [`WeightedBallInstance::value_at`], shared with the
-/// engine's index-shared batch paths so both always apply the same
-/// containment arithmetic.
+/// The exact covered weight of placing a closed ball at `center`: the recount
+/// every ball sampler certifies its reported value with, so they all apply
+/// the same containment arithmetic.
 pub fn ball_coverage_weight<const D: usize>(
     points: &[WeightedPoint<D>],
     center: &Point<D>,
@@ -132,8 +61,7 @@ pub fn ball_coverage_weight<const D: usize>(
 }
 
 /// The exact distinct-color count of placing a closed ball at `center`: the
-/// slice-level form of [`ColoredBallInstance::distinct_at`], shared with the
-/// engine's index-shared batch paths.
+/// colored counterpart of [`ball_coverage_weight`].
 pub fn ball_distinct_colors<const D: usize>(
     sites: &[ColoredSite<D>],
     center: &Point<D>,
@@ -145,68 +73,6 @@ pub fn ball_distinct_colors<const D: usize>(
     colors.sort_unstable();
     colors.dedup();
     colors.len()
-}
-
-/// A colored MaxRS instance with a `d`-ball query range of radius `radius`.
-#[derive(Clone, Debug)]
-pub struct ColoredBallInstance<const D: usize> {
-    /// Input sites with their colors.
-    pub sites: Vec<ColoredSite<D>>,
-    /// Radius of the query ball.
-    pub radius: f64,
-}
-
-impl<const D: usize> ColoredBallInstance<D> {
-    /// Creates an instance.
-    ///
-    /// # Panics
-    /// Panics if the radius is not strictly positive or any coordinate is not
-    /// finite.
-    pub fn new(sites: Vec<ColoredSite<D>>, radius: f64) -> Self {
-        assert!(radius.is_finite() && radius > 0.0, "query radius must be positive");
-        for s in &sites {
-            assert!(s.point.is_finite(), "site coordinates must be finite");
-        }
-        Self { sites, radius }
-    }
-
-    /// Number of input sites.
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Returns `true` if the instance has no sites.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
-    /// Number of distinct colors present in the input (an upper bound on any
-    /// placement's distinct-color count).
-    pub fn distinct_colors(&self) -> usize {
-        let mut colors: Vec<usize> = self.sites.iter().map(|s| s.color).collect();
-        colors.sort_unstable();
-        colors.dedup();
-        colors.len()
-    }
-
-    /// The dual view: one unit ball per site in coordinates scaled by
-    /// `1/radius`, paired with the site's color.
-    pub fn dual_unit_balls(&self) -> Vec<(Ball<D>, usize)> {
-        let inv = 1.0 / self.radius;
-        self.sites.iter().map(|s| (Ball::unit(s.point.scale(inv)), s.color)).collect()
-    }
-
-    /// Maps a point expressed in the scaled (dual) coordinate system back to
-    /// the original coordinates.
-    pub fn unscale(&self, scaled: Point<D>) -> Point<D> {
-        scaled.scale(self.radius)
-    }
-
-    /// The colored depth at `center` in the original coordinates: number of
-    /// distinct colors among sites within distance `radius` of `center`.
-    pub fn distinct_at(&self, center: &Point<D>) -> usize {
-        ball_distinct_colors(&self.sites, center, self.radius)
-    }
 }
 
 /// Why a CSV record could not be loaded.
@@ -565,59 +431,24 @@ mod tests {
     }
 
     #[test]
-    fn weighted_instance_basics() {
-        let inst = WeightedBallInstance::new(
-            vec![
-                WeightedPoint::new(Point2::xy(0.0, 0.0), 2.0),
-                WeightedPoint::new(Point2::xy(1.0, 0.0), 3.0),
-                WeightedPoint::new(Point2::xy(10.0, 0.0), 5.0),
-            ],
-            2.0,
-        );
-        assert_eq!(inst.len(), 3);
-        assert_eq!(inst.total_weight(), 10.0);
-        assert_eq!(inst.value_at(&Point2::xy(0.5, 0.0)), 5.0);
-        assert_eq!(inst.value_at(&Point2::xy(10.0, 0.0)), 5.0);
-        let dual = inst.dual_unit_balls();
-        assert_eq!(dual.len(), 3);
-        assert!((dual[1].0.center.x() - 0.5).abs() < 1e-12);
-        assert_eq!(dual[1].0.radius, 1.0);
-        assert_eq!(inst.unscale(Point2::xy(0.5, 0.0)), Point2::xy(1.0, 0.0));
-    }
+    fn ball_recounts_evaluate_closed_balls() {
+        let points = [
+            WeightedPoint::new(Point2::xy(0.0, 0.0), 2.0),
+            WeightedPoint::new(Point2::xy(1.0, 0.0), 3.0),
+            WeightedPoint::new(Point2::xy(10.0, 0.0), 5.0),
+        ];
+        assert_eq!(ball_coverage_weight(&points, &Point2::xy(0.5, 0.0), 2.0), 5.0);
+        assert_eq!(ball_coverage_weight(&points, &Point2::xy(10.0, 0.0), 2.0), 5.0);
 
-    #[test]
-    fn unweighted_constructor_gives_unit_weights() {
-        let inst = WeightedBallInstance::unweighted(vec![Point2::xy(0.0, 0.0); 4], 1.0);
-        assert_eq!(inst.total_weight(), 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must be finite and non-negative")]
-    fn negative_weights_rejected() {
-        WeightedBallInstance::new(vec![WeightedPoint::new(Point2::xy(0.0, 0.0), -1.0)], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "query radius must be positive")]
-    fn zero_radius_rejected() {
-        WeightedBallInstance::<2>::new(vec![], 0.0);
-    }
-
-    #[test]
-    fn colored_instance_basics() {
-        let inst = ColoredBallInstance::new(
-            vec![
-                ColoredSite::new(Point2::xy(0.0, 0.0), 0),
-                ColoredSite::new(Point2::xy(0.2, 0.0), 0),
-                ColoredSite::new(Point2::xy(0.4, 0.0), 1),
-                ColoredSite::new(Point2::xy(9.0, 9.0), 2),
-            ],
-            1.0,
-        );
-        assert_eq!(inst.distinct_colors(), 3);
-        assert_eq!(inst.distinct_at(&Point2::xy(0.0, 0.0)), 2);
-        assert_eq!(inst.distinct_at(&Point2::xy(9.0, 9.0)), 1);
-        assert_eq!(inst.distinct_at(&Point2::xy(50.0, 50.0)), 0);
+        let sites = [
+            ColoredSite::new(Point2::xy(0.0, 0.0), 0),
+            ColoredSite::new(Point2::xy(0.2, 0.0), 0),
+            ColoredSite::new(Point2::xy(0.4, 0.0), 1),
+            ColoredSite::new(Point2::xy(9.0, 9.0), 2),
+        ];
+        assert_eq!(ball_distinct_colors(&sites, &Point2::xy(0.0, 0.0), 1.0), 2);
+        assert_eq!(ball_distinct_colors(&sites, &Point2::xy(9.0, 9.0), 1.0), 1);
+        assert_eq!(ball_distinct_colors(&sites, &Point2::xy(50.0, 50.0), 1.0), 0);
     }
 
     #[test]

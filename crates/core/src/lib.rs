@@ -7,8 +7,8 @@
 //! | Paper result | API |
 //! |---|---|
 //! | Theorem 1.1 — dynamic `(1/2 − ε)`-approx MaxRS with a `d`-ball | [`technique1::DynamicBallMaxRS`] |
-//! | Theorem 1.2 — static `(1/2 − ε)`-approx MaxRS with a `d`-ball | [`technique1::approx_static_ball`] |
-//! | Theorem 1.5 — colored `(1/2 − ε)`-approx MaxRS with a `d`-ball | [`technique1::approx_colored_ball`] |
+//! | Theorem 1.2 — static `(1/2 − ε)`-approx MaxRS with a `d`-ball | [`technique1::approx_static_ball`], over [`technique1::weighted_sample_set`] |
+//! | Theorem 1.5 — colored `(1/2 − ε)`-approx MaxRS with a `d`-ball | [`technique1::approx_colored_ball`], over [`technique1::colored_sample_set`] |
 //! | Lemma 4.2 — exact colored disk MaxRS via union boundaries | [`technique2::exact_colored_disk_by_union`] |
 //! | Theorem 4.6 — output-sensitive exact colored disk MaxRS | [`technique2::output_sensitive_colored_disk`] |
 //! | Theorem 1.6 — `(1 − ε)`-approx colored disk MaxRS by color sampling | [`technique2::approx_colored_disk_sampling`] |
@@ -29,7 +29,6 @@
 //!
 //! ```
 //! use mrs_core::config::SamplingConfig;
-//! use mrs_core::input::WeightedBallInstance;
 //! use mrs_core::technique1::approx_static_ball;
 //! use mrs_geom::{Point2, WeightedPoint};
 //!
@@ -38,8 +37,7 @@
 //!     WeightedPoint::unit(Point2::xy(0.5, 0.0)),
 //!     WeightedPoint::unit(Point2::xy(9.0, 9.0)),
 //! ];
-//! let instance = WeightedBallInstance::new(points, 1.0);
-//! let placement = approx_static_ball(&instance, SamplingConfig::practical(0.25));
+//! let placement = approx_static_ball(&points, 1.0, SamplingConfig::practical(0.25));
 //! assert!(placement.value >= 2.0);
 //! ```
 
@@ -59,6 +57,6 @@ pub use engine::{
     registry, ColoredInstance, ColoredSolver, EngineConfig, EngineError, Guarantee, RangeShape,
     Registry, SolveStats, SolverDescriptor, SolverReport, WeightedInstance, WeightedSolver,
 };
-pub use input::{ColoredBallInstance, ColoredPlacement, Placement, WeightedBallInstance};
+pub use input::{ColoredPlacement, Placement};
 pub use technique1::{approx_colored_ball, approx_static_ball, DynamicBallMaxRS};
 pub use technique2::{approx_colored_disk_sampling, output_sensitive_colored_disk};

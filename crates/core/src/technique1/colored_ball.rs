@@ -6,39 +6,60 @@
 //! and every sample point carries a "last color seen" flag, so each color
 //! contributes at most one unit to a sample's colored depth (Section 3.2).
 
+use mrs_geom::{Ball, ColoredSite};
+
 use crate::config::SamplingConfig;
-use crate::input::{ColoredBallInstance, ColoredPlacement};
+use crate::input::{ball_distinct_colors, ColoredPlacement};
 use crate::technique1::sample_set::SampleSet;
 
-/// Computes a `(1/2 − ε)`-approximate placement for colored MaxRS with a
-/// `d`-ball (Theorem 1.5).
+/// The Technique 1 sample set of colored ball MaxRS at query radius
+/// `radius`: every site's dual unit ball (its center scaled by `1/radius`),
+/// inserted grouped by color.  The one builder behind
+/// [`approx_colored_ball`] and the engine's shared index, which caches one
+/// set per radius.
+pub fn colored_sample_set<const D: usize>(
+    sites: &[ColoredSite<D>],
+    radius: f64,
+    config: SamplingConfig,
+) -> SampleSet<D> {
+    let inv = 1.0 / radius;
+    let mut dual: Vec<(Ball<D>, usize)> =
+        sites.iter().map(|s| (Ball::unit(s.point.scale(inv)), s.color)).collect();
+    // Group by color (any order within a group works; sorting is the paper's
+    // "order the set B by color index" step).
+    dual.sort_by_key(|(_, color)| *color);
+    let mut set = SampleSet::new(config, sites.len());
+    for (ball, color) in &dual {
+        set.insert_colored_ball(ball, *color);
+    }
+    set
+}
+
+/// Computes a `(1/2 − ε)`-approximate placement of a ball of radius `radius`
+/// for colored MaxRS over `sites` (Theorem 1.5).
 ///
 /// The returned `distinct` count is the exact colored depth of the returned
 /// center, so it is always a valid lower bound on `opt`; the theorem
 /// guarantees it is at least `(1/2 − ε)·opt` with high probability.
+///
+/// # Panics
+/// Panics if `radius` is not strictly positive.
 pub fn approx_colored_ball<const D: usize>(
-    instance: &ColoredBallInstance<D>,
+    sites: &[ColoredSite<D>],
+    radius: f64,
     config: SamplingConfig,
 ) -> ColoredPlacement<D> {
-    if instance.is_empty() {
+    assert!(radius.is_finite() && radius > 0.0, "query radius must be positive");
+    if sites.is_empty() {
         return ColoredPlacement::empty();
     }
-    let mut dual = instance.dual_unit_balls();
-    // Group by color (any order within a group works; sorting is the paper's
-    // "order the set B by color index" step).
-    dual.sort_by_key(|(_, color)| *color);
-
-    let mut set = SampleSet::<D>::new(config, instance.len());
-    for (ball, color) in &dual {
-        set.insert_colored_ball(ball, *color);
-    }
-    match set.best() {
+    match colored_sample_set(sites, radius, config).best() {
         Some((scaled_center, _sampled_depth)) => {
-            let center = instance.unscale(scaled_center);
+            let center = scaled_center.scale(radius);
             // Report the true colored depth of the chosen center so the result
             // is a certified placement (it equals the sampled depth up to
             // floating-point boundary ties).
-            let distinct = instance.distinct_at(&center);
+            let distinct = ball_distinct_colors(sites, &center, radius);
             ColoredPlacement { center, distinct }
         }
         None => ColoredPlacement::empty(),
@@ -62,8 +83,13 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let inst = ColoredBallInstance::<2>::new(vec![], 1.0);
-        assert_eq!(approx_colored_ball(&inst, cfg(1)).distinct, 0);
+        assert_eq!(approx_colored_ball::<2>(&[], 1.0, cfg(1)).distinct, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "query radius must be positive")]
+    fn non_positive_radius_rejected() {
+        approx_colored_ball::<2>(&[], -1.0, cfg(1));
     }
 
     #[test]
@@ -75,17 +101,15 @@ mod tests {
             site(0.0, 0.05, 1),
             site(0.0, 0.10, 2),
         ];
-        let inst = ColoredBallInstance::new(sites, 1.0);
-        let res = approx_colored_ball(&inst, cfg(2));
+        let res = approx_colored_ball(&sites, 1.0, cfg(2));
         assert_eq!(res.distinct, 3);
-        assert_eq!(inst.distinct_at(&res.center), 3);
+        assert_eq!(ball_distinct_colors(&sites, &res.center, 1.0), 3);
     }
 
     #[test]
     fn far_apart_color_groups_cannot_be_merged() {
         let sites = vec![site(0.0, 0.0, 0), site(100.0, 0.0, 1), site(200.0, 0.0, 2)];
-        let inst = ColoredBallInstance::new(sites, 1.0);
-        let res = approx_colored_ball(&inst, cfg(3));
+        let res = approx_colored_ball(&sites, 1.0, cfg(3));
         assert_eq!(res.distinct, 1);
     }
 
@@ -100,9 +124,8 @@ mod tests {
                     site(rng.gen_range(0.0..6.0), rng.gen_range(0.0..6.0), rng.gen_range(0..m))
                 })
                 .collect();
-            let inst = ColoredBallInstance::new(sites.clone(), 1.0);
             let eps = 0.25;
-            let approx = approx_colored_ball(&inst, cfg(round));
+            let approx = approx_colored_ball(&sites, 1.0, cfg(round));
             let exact = exact_colored_disk(&sites, 1.0);
             assert!(
                 approx.distinct as f64 >= (0.5 - eps) * exact.distinct as f64 - 1e-9,
@@ -111,7 +134,7 @@ mod tests {
                 exact.distinct
             );
             assert!(approx.distinct <= exact.distinct);
-            assert_eq!(inst.distinct_at(&approx.center), approx.distinct);
+            assert_eq!(ball_distinct_colors(&sites, &approx.center, 1.0), approx.distinct);
         }
     }
 
@@ -127,19 +150,17 @@ mod tests {
             sites.push(ColoredSite::new(Point::new([0.0, 0.0, t]), 2));
             sites.push(ColoredSite::new(Point::new([50.0 + t, 50.0, 50.0]), 3));
         }
-        let inst = ColoredBallInstance::new(sites, 1.0);
         let mut config = SamplingConfig::practical(0.3).with_seed(4);
         config.max_grids = Some(4);
         config.max_samples_per_cell = 32;
-        let res = approx_colored_ball(&inst, config);
+        let res = approx_colored_ball(&sites, 1.0, config);
         assert!(res.distinct >= 2, "guarantee is ≥ (1/2 − ε)·3; found {}", res.distinct);
-        assert_eq!(inst.distinct_at(&res.center), res.distinct);
+        assert_eq!(ball_distinct_colors(&sites, &res.center, 1.0), res.distinct);
     }
 
     #[test]
     fn single_color_everywhere_gives_one() {
         let sites: Vec<ColoredSite<2>> = (0..30).map(|i| site(i as f64 * 0.1, 0.0, 5)).collect();
-        let inst = ColoredBallInstance::new(sites, 1.0);
-        assert_eq!(approx_colored_ball(&inst, cfg(8)).distinct, 1);
+        assert_eq!(approx_colored_ball(&sites, 1.0, cfg(8)).distinct, 1);
     }
 }

@@ -172,7 +172,7 @@ impl<const D: usize> DynamicBallMaxRS<D> {
 mod tests {
     use super::*;
     use crate::exact::disk2d::max_disk_placement;
-    use crate::input::WeightedBallInstance;
+    use crate::input::ball_coverage_weight;
     use crate::technique1::static_ball::approx_static_ball;
     use mrs_geom::{Point2, WeightedPoint};
     use rand::prelude::*;
@@ -262,8 +262,9 @@ mod tests {
         let dyn_best = dyn_mrs.best().unwrap();
         // The dynamic answer is a genuine placement...
         let points: Vec<WeightedPoint<2>> = live.iter().map(|(_, wp)| *wp).collect();
-        let inst = WeightedBallInstance::new(points.clone(), 1.0);
-        assert!((inst.value_at(&dyn_best.center) - dyn_best.value).abs() < 1e-9);
+        assert!(
+            (ball_coverage_weight(&points, &dyn_best.center, 1.0) - dyn_best.value).abs() < 1e-9
+        );
         // ...within the guarantee of the true optimum...
         let exact = max_disk_placement(&points, 1.0);
         assert!(
@@ -273,7 +274,7 @@ mod tests {
             exact.value
         );
         // ...and comparable to what a static run of the same technique finds.
-        let static_best = approx_static_ball(&inst, cfg(5));
+        let static_best = approx_static_ball(&points, 1.0, cfg(5));
         assert!(dyn_best.value >= (0.5 - 0.25) * static_best.value - 1e-9);
     }
 

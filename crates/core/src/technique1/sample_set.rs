@@ -85,7 +85,7 @@ impl<const D: usize> Ord for HeapEntry<D> {
 
 /// The point-sampling structure shared by the static, dynamic and colored
 /// variants of Technique 1.  Operates entirely in the *dual, unit-radius*
-/// coordinate system (see `WeightedBallInstance::dual_unit_balls`).
+/// coordinate system (see [`crate::technique1::weighted_sample_set`]).
 #[derive(Clone, Debug)]
 pub struct SampleSet<const D: usize> {
     config: SamplingConfig,

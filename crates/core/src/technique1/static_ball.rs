@@ -5,54 +5,51 @@
 //! report the deepest sample.  Unlike the `(1 − ε)` schemes based on sampling
 //! *input objects*, the running time has no `log^{Θ(d)} n` factor.
 
+use mrs_geom::{Ball, WeightedPoint};
+
 use crate::config::SamplingConfig;
-use crate::input::{Placement, WeightedBallInstance};
+use crate::input::{ball_coverage_weight, Placement};
 use crate::technique1::sample_set::SampleSet;
 
-/// Statistics reported alongside the placement, useful for the experiments.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SamplingStats {
-    /// Number of shifted grids used.
-    pub grids: usize,
-    /// Number of non-empty cells materialized.
-    pub cells: usize,
-    /// Total number of sample points maintained.
-    pub samples: usize,
-    /// Sample points per cell.
-    pub samples_per_cell: usize,
+/// The Technique 1 sample set of weighted ball MaxRS at query radius
+/// `radius`: every point's dual unit ball (Section 1.4: its center scaled by
+/// `1/radius`) inserted in input order with the point's weight.  The one
+/// builder behind [`approx_static_ball`] and the engine's shared index,
+/// which caches one set per radius.
+pub fn weighted_sample_set<const D: usize>(
+    points: &[WeightedPoint<D>],
+    radius: f64,
+    config: SamplingConfig,
+) -> SampleSet<D> {
+    let inv = 1.0 / radius;
+    let mut set = SampleSet::new(config, points.len());
+    for wp in points {
+        set.insert_ball(&Ball::unit(wp.point.scale(inv)), wp.weight);
+    }
+    set
 }
 
-/// Computes a `(1/2 − ε)`-approximate placement of a ball of the instance's
-/// radius (Theorem 1.2).
+/// Computes a `(1/2 − ε)`-approximate placement of a ball of radius `radius`
+/// over `points` (Theorem 1.2).
 ///
 /// The returned value is the *exact* covered weight of the returned center, so
 /// it is always a valid lower bound on `opt`; the theorem guarantees it is at
 /// least `(1/2 − ε)·opt` with high probability.
+///
+/// # Panics
+/// Panics if `radius` is not strictly positive or any weight is negative.
 pub fn approx_static_ball<const D: usize>(
-    instance: &WeightedBallInstance<D>,
+    points: &[WeightedPoint<D>],
+    radius: f64,
     config: SamplingConfig,
 ) -> Placement<D> {
-    approx_static_ball_with_stats(instance, config).0
-}
-
-/// Like [`approx_static_ball`] but also reports sampling statistics.
-pub fn approx_static_ball_with_stats<const D: usize>(
-    instance: &WeightedBallInstance<D>,
-    config: SamplingConfig,
-) -> (Placement<D>, SamplingStats) {
-    let mut set = SampleSet::<D>::new(config, instance.len());
-    for (ball, weight) in instance.dual_unit_balls() {
-        set.insert_ball(&ball, weight);
+    assert!(radius.is_finite() && radius > 0.0, "query radius must be positive");
+    for wp in points {
+        assert!(wp.weight >= 0.0, "ball MaxRS requires non-negative weights");
     }
-    let stats = SamplingStats {
-        grids: set.grid_count(),
-        cells: set.cell_count(),
-        samples: set.total_samples(),
-        samples_per_cell: set.samples_per_cell(),
-    };
-    let placement = match set.best() {
+    match weighted_sample_set(points, radius, config).best() {
         Some((scaled_center, _sampled_depth)) => {
-            let center = instance.unscale(scaled_center);
+            let center = scaled_center.scale(radius);
             // Report the true covered weight of the chosen center so the
             // result is a certified placement.  The sampled depth equals it
             // only up to floating-point boundary ties: samples sit exactly on
@@ -60,11 +57,10 @@ pub fn approx_static_ball_with_stats<const D: usize>(
             // points can land within the scaled-vs-original rounding window
             // of the returned ball's boundary (the colored sampler recounts
             // for the same reason).
-            Placement { center, value: instance.value_at(&center) }
+            Placement { center, value: ball_coverage_weight(points, &center, radius) }
         }
         None => Placement::empty(),
-    };
-    (placement, stats)
+    }
 }
 
 #[cfg(test)]
@@ -80,9 +76,20 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let inst = WeightedBallInstance::<2>::new(vec![], 1.0);
-        let res = approx_static_ball(&inst, cfg(0.25, 1));
+        let res = approx_static_ball::<2>(&[], 1.0, cfg(0.25, 1));
         assert_eq!(res.value, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ball MaxRS requires non-negative weights")]
+    fn negative_weights_rejected() {
+        approx_static_ball(&[WeightedPoint::new(Point2::xy(0.0, 0.0), -1.0)], 1.0, cfg(0.25, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "query radius must be positive")]
+    fn zero_radius_rejected() {
+        approx_static_ball::<2>(&[], 0.0, cfg(0.25, 1));
     }
 
     #[test]
@@ -90,12 +97,11 @@ mod tests {
         let pts: Vec<WeightedPoint<2>> = (0..20)
             .map(|i| WeightedPoint::unit(Point2::xy((i % 5) as f64 * 0.1, (i / 5) as f64 * 0.1)))
             .collect();
-        let inst = WeightedBallInstance::new(pts, 1.0);
-        let res = approx_static_ball(&inst, cfg(0.25, 2));
+        let res = approx_static_ball(&pts, 1.0, cfg(0.25, 2));
         // All 20 points fit in one unit disk; the sampling scheme should find
         // essentially all of them (and certainly at least half).
         assert!(res.value >= 10.0, "found {}", res.value);
-        assert_eq!(inst.value_at(&res.center), res.value);
+        assert_eq!(ball_coverage_weight(&pts, &res.center, 1.0), res.value);
     }
 
     #[test]
@@ -111,12 +117,11 @@ mod tests {
                     )
                 })
                 .collect();
-            let inst = WeightedBallInstance::new(pts.clone(), 1.0);
             let eps = 0.25;
-            let res = approx_static_ball(&inst, cfg(eps, round));
+            let res = approx_static_ball(&pts, 1.0, cfg(eps, round));
             let exact = max_disk_placement(&pts, 1.0);
             // Value must be a genuine coverage of the reported center...
-            assert!((inst.value_at(&res.center) - res.value).abs() < 1e-9);
+            assert!((ball_coverage_weight(&pts, &res.center, 1.0) - res.value).abs() < 1e-9);
             // ...and within the (1/2 − ε) guarantee of the true optimum.
             assert!(
                 res.value >= (0.5 - eps) * exact.value - 1e-9,
@@ -138,8 +143,7 @@ mod tests {
             WeightedPoint::unit(Point2::xy(10.0, 0.0)),
             WeightedPoint::unit(Point2::xy(14.0, 0.0)),
         ];
-        let inst = WeightedBallInstance::new(pts, 0.5);
-        let res = approx_static_ball(&inst, cfg(0.25, 3));
+        let res = approx_static_ball(&pts, 0.5, cfg(0.25, 3));
         assert_eq!(res.value, 2.0);
         assert!(res.center.dist(&Point2::xy(0.2, 0.0)) < 1.0);
     }
@@ -163,23 +167,21 @@ mod tests {
             let far = 10.0 + 5.0 * i as f64;
             pts.push(WeightedPoint::unit(Point::new([far, far, far, far])));
         }
-        let inst = WeightedBallInstance::new(pts, 1.0);
         let mut config = SamplingConfig::new(0.4).with_seed(9);
         config.max_grids = Some(4);
         config.max_samples_per_cell = 16;
-        let res = approx_static_ball(&inst, config);
+        let res = approx_static_ball(&pts, 1.0, config);
         // The cluster of 20 is the optimum; the guarantee demands ≥ (1/2 − ε)·20 = 2.
         assert!(res.value >= 10.0, "found {}", res.value);
-        assert_eq!(inst.value_at(&res.center), res.value);
+        assert_eq!(ball_coverage_weight(&pts, &res.center, 1.0), res.value);
     }
 
     #[test]
-    fn stats_are_populated() {
+    fn sample_set_counts_are_populated() {
         let pts = vec![WeightedPoint::unit(Point2::xy(0.0, 0.0))];
-        let inst = WeightedBallInstance::new(pts, 1.0);
-        let (_, stats) = approx_static_ball_with_stats(&inst, cfg(0.25, 4));
-        assert!(stats.grids >= 1);
-        assert!(stats.cells >= 1);
-        assert_eq!(stats.samples, stats.cells * stats.samples_per_cell);
+        let set = weighted_sample_set(&pts, 1.0, cfg(0.25, 4));
+        assert!(set.grid_count() >= 1);
+        assert!(set.cell_count() >= 1);
+        assert_eq!(set.total_samples(), set.cell_count() * set.samples_per_cell());
     }
 }

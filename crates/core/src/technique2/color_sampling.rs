@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use mrs_geom::ColoredSite;
 
 use crate::config::{ColorSamplingConfig, SamplingConfig};
-use crate::input::{ColoredBallInstance, ColoredPlacement};
+use crate::input::{ball_distinct_colors, ColoredPlacement};
 use crate::technique1::colored_ball::approx_colored_ball;
 use crate::technique2::output_sensitive::output_sensitive_colored_disk;
 
@@ -48,13 +48,12 @@ pub struct ColorSamplingResult {
     pub branch: ColorSamplingBranch,
 }
 
-/// Computes a `(1 − ε)`-approximate placement for colored MaxRS with a disk in
-/// the plane (Theorem 1.6).
+/// Computes a `(1 − ε)`-approximate placement of a disk of radius `radius`
+/// for colored MaxRS over `sites` in the plane (Theorem 1.6).
 ///
 /// # Example
 /// ```
 /// use mrs_core::config::ColorSamplingConfig;
-/// use mrs_core::input::ColoredBallInstance;
 /// use mrs_core::technique2::approx_colored_disk_sampling;
 /// use mrs_geom::{ColoredSite, Point2};
 ///
@@ -63,25 +62,32 @@ pub struct ColorSamplingResult {
 ///     ColoredSite::new(Point2::xy(0.2, 0.1), 1),
 ///     ColoredSite::new(Point2::xy(7.0, 7.0), 2),
 /// ];
-/// let instance = ColoredBallInstance::new(sites, 1.0);
-/// let placement = approx_colored_disk_sampling(&instance, ColorSamplingConfig::new(0.25));
+/// let placement = approx_colored_disk_sampling(&sites, 1.0, ColorSamplingConfig::new(0.25));
 /// assert_eq!(placement.distinct, 2);
 /// ```
 ///
+/// # Panics
+/// Panics if `radius` is not strictly positive.
 pub fn approx_colored_disk_sampling(
-    instance: &ColoredBallInstance<2>,
+    sites: &[ColoredSite<2>],
+    radius: f64,
     config: ColorSamplingConfig,
 ) -> ColoredPlacement<2> {
-    approx_colored_disk_sampling_with_details(instance, config).placement
+    approx_colored_disk_sampling_with_details(sites, radius, config).placement
 }
 
 /// Like [`approx_colored_disk_sampling`] but also reports the estimator value
 /// and which branch ran.
+///
+/// # Panics
+/// Panics if `radius` is not strictly positive.
 pub fn approx_colored_disk_sampling_with_details(
-    instance: &ColoredBallInstance<2>,
+    sites: &[ColoredSite<2>],
+    radius: f64,
     config: ColorSamplingConfig,
 ) -> ColorSamplingResult {
-    let n = instance.len();
+    assert!(radius.is_finite() && radius > 0.0, "query radius must be positive");
+    let n = sites.len();
     if n == 0 {
         return ColorSamplingResult {
             placement: ColoredPlacement::empty(),
@@ -92,13 +98,13 @@ pub fn approx_colored_disk_sampling_with_details(
 
     // Phase 0: estimate opt with Technique 1 at ε = 1/4 (Theorem 1.5).
     let estimator_cfg = SamplingConfig { eps: 0.25, ..config.estimator };
-    let estimate = approx_colored_ball(instance, estimator_cfg);
+    let estimate = approx_colored_ball(sites, radius, estimator_cfg);
     let opt_estimate = estimate.distinct.max(1);
 
     // Cheap case: opt' is small, the output-sensitive exact algorithm is
     // already near-linear (Theorem 4.6 costs O(n log n + n·opt)).
     if (opt_estimate as f64) <= config.threshold(n) {
-        let placement = output_sensitive_colored_disk(&instance.sites, instance.radius);
+        let placement = output_sensitive_colored_disk(sites, radius);
         return ColorSamplingResult {
             placement,
             opt_estimate,
@@ -109,10 +115,9 @@ pub fn approx_colored_disk_sampling_with_details(
     // Interesting case: sample colors independently with probability λ.
     let lambda = config.sampling_probability(n, opt_estimate as f64);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let num_colors = instance.sites.iter().map(|s| s.color).max().unwrap_or(0) + 1;
+    let num_colors = sites.iter().map(|s| s.color).max().unwrap_or(0) + 1;
     let kept: Vec<bool> = (0..num_colors).map(|_| rng.gen_bool(lambda)).collect();
-    let sample: Vec<ColoredSite<2>> =
-        instance.sites.iter().copied().filter(|s| kept[s.color]).collect();
+    let sample: Vec<ColoredSite<2>> = sites.iter().copied().filter(|s| kept[s.color]).collect();
     let kept_colors = kept.iter().filter(|&&k| k).count();
 
     // If the subsample came out empty (tiny λ and unlucky draw), fall back to
@@ -121,18 +126,18 @@ pub fn approx_colored_disk_sampling_with_details(
         return ColorSamplingResult {
             placement: ColoredPlacement {
                 center: estimate.center,
-                distinct: instance.distinct_at(&estimate.center),
+                distinct: ball_distinct_colors(sites, &estimate.center, radius),
             },
             opt_estimate,
             branch: ColorSamplingBranch::SampledColors { kept_colors: 0, kept_disks: 0 },
         };
     }
 
-    let on_sample = output_sensitive_colored_disk(&sample, instance.radius);
+    let on_sample = output_sensitive_colored_disk(&sample, radius);
     // Report the true colored depth of the chosen point with respect to the
     // full input; by Lemma 4.8 it is at least (1 − ε)·opt with high
     // probability.
-    let distinct = instance.distinct_at(&on_sample.center);
+    let distinct = ball_distinct_colors(sites, &on_sample.center, radius);
     ColorSamplingResult {
         placement: ColoredPlacement { center: on_sample.center, distinct },
         opt_estimate,
@@ -143,6 +148,7 @@ pub fn approx_colored_disk_sampling_with_details(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ColoredInstance;
     use crate::exact::colored_disk2d::exact_colored_disk;
     use mrs_geom::Point2;
 
@@ -152,8 +158,7 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let inst = ColoredBallInstance::<2>::new(vec![], 1.0);
-        let res = approx_colored_disk_sampling(&inst, ColorSamplingConfig::new(0.25));
+        let res = approx_colored_disk_sampling(&[], 1.0, ColorSamplingConfig::new(0.25));
         assert_eq!(res.distinct, 0);
     }
 
@@ -167,9 +172,8 @@ mod tests {
             site(20.0, 20.0, 3),
             site(40.0, 0.0, 4),
         ];
-        let inst = ColoredBallInstance::new(sites.clone(), 1.0);
         let details =
-            approx_colored_disk_sampling_with_details(&inst, ColorSamplingConfig::new(0.25));
+            approx_colored_disk_sampling_with_details(&sites, 1.0, ColorSamplingConfig::new(0.25));
         assert_eq!(details.branch, ColorSamplingBranch::ExactOnFullInput);
         assert_eq!(details.placement.distinct, exact_colored_disk(&sites, 1.0).distinct);
     }
@@ -191,12 +195,11 @@ mod tests {
         for color in 0..40usize {
             sites.push(site(rng.gen_range(30.0..60.0), rng.gen_range(30.0..60.0), color));
         }
-        let inst = ColoredBallInstance::new(sites.clone(), 1.0);
         let mut config = ColorSamplingConfig::new(0.25).with_seed(7);
         // Lower c₁ so the threshold (c₁ ε⁻² ln n ≈ 45) sits below opt' and the
         // interesting branch is exercised at this test size.
         config.c1 = 0.5;
-        let details = approx_colored_disk_sampling_with_details(&inst, config);
+        let details = approx_colored_disk_sampling_with_details(&sites, 1.0, config);
         match details.branch {
             ColorSamplingBranch::SampledColors { kept_colors, kept_disks } => {
                 assert!(kept_colors > 0);
@@ -223,10 +226,10 @@ mod tests {
                 site(rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0), rng.gen_range(0..50usize))
             })
             .collect();
-        let inst = ColoredBallInstance::new(sites, 1.0);
-        let res = approx_colored_disk_sampling(&inst, ColorSamplingConfig::new(0.2).with_seed(3));
-        assert_eq!(inst.distinct_at(&res.center), res.distinct);
-        assert!(res.distinct <= inst.distinct_colors());
+        let res =
+            approx_colored_disk_sampling(&sites, 1.0, ColorSamplingConfig::new(0.2).with_seed(3));
+        assert_eq!(ball_distinct_colors(&sites, &res.center, 1.0), res.distinct);
+        assert!(res.distinct <= ColoredInstance::ball(sites, 1.0).distinct_colors());
     }
 
     #[test]
@@ -237,9 +240,10 @@ mod tests {
         for color in 0..80usize {
             sites.push(site(rng.gen_range(0.0..0.8), rng.gen_range(0.0..0.8), color));
         }
-        let inst = ColoredBallInstance::new(sites, 1.0);
-        let loose = approx_colored_disk_sampling(&inst, ColorSamplingConfig::new(0.5).with_seed(2));
-        let tight = approx_colored_disk_sampling(&inst, ColorSamplingConfig::new(0.1).with_seed(2));
+        let run = |eps| {
+            approx_colored_disk_sampling(&sites, 1.0, ColorSamplingConfig::new(eps).with_seed(2))
+        };
+        let (loose, tight) = (run(0.5), run(0.1));
         assert!(tight.distinct >= loose.distinct.saturating_sub(8));
         assert!(tight.distinct <= 80);
     }

@@ -444,7 +444,9 @@ static METRICS: &[Metric] = {
         Metric::gauge("maxrs_dataset_version", PerDataset(|d| Int(d.version())))
             .help("Current dataset version (bumps on every mutation).")
             .at("datasets", "version"),
-        Metric::stat("datasets", "delta", PerDataset(|d| Int(d.delta_size() as u64))),
+        Metric::gauge("maxrs_dataset_delta", PerDataset(|d| Int(d.delta_size() as u64)))
+            .help("Delta-overlay entries (live inserts plus tombstones) per dataset.")
+            .at("datasets", "delta"),
         Metric::counter(
             "maxrs_dataset_compactions_total",
             PerDataset(|d| Int(d.compactions() as u64)),
@@ -460,7 +462,9 @@ static METRICS: &[Metric] = {
         Metric::gauge("maxrs_dataset_points", PerDataset(|d| Int(d.point_count() as u64)))
             .help("Live points per resident dataset.")
             .at("datasets", "points"),
-        Metric::stat("datasets", "sites", PerDataset(|d| Int(d.site_count() as u64))),
+        Metric::gauge("maxrs_dataset_sites", PerDataset(|d| Int(d.site_count() as u64)))
+            .help("Live colored sites per resident dataset.")
+            .at("datasets", "sites"),
         Metric::stat("datasets", "requests", PerDataset(|d| Int(d.requests()))),
         Metric::counter(
             "maxrs_dataset_index_builds_total",

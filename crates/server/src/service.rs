@@ -8,9 +8,8 @@
 //!    `(epoch, solver, shape)` — hits return the stored rendered answer;
 //! 3. misses become one batch over the dataset's current version, answered
 //!    by [`BatchExecutor::execute_versioned_traced`] against the
-//!    catalog-resident [`SharedIndex`](mrs_core::engine::SharedIndex) and
-//!    delta overlay, so index structures are built at most once per
-//!    dataset generation;
+//!    catalog-resident [`SharedIndex`] and delta overlay, so index
+//!    structures are built at most once per dataset generation;
 //! 4. computed answers are rendered to JSON once, stored in the cache, and
 //!    merged with the hits in request order.
 //!
@@ -23,10 +22,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mrs_core::engine::{
-    BatchCapability, BatchExecutor, BatchQuery, BatchStats, DimSupport, EngineConfig, EngineError,
-    EngineResult, ExecutorConfig, GuaranteeClass, LatencySummary, Phase, ProblemKind, QueryTrace,
-    RangeShape, Registry, ShapeClass, SolverDescriptor, SolverReport, TraceRecorder,
-    WeightedInstance, WeightedSolver,
+    each_shape, BatchCapability, BatchExecutor, BatchQuery, BatchStats, DimSupport, EngineConfig,
+    EngineError, EngineResult, ExecutorConfig, GuaranteeClass, LatencySummary, Phase, ProblemKind,
+    QueryTrace, RangeShape, Registry, ShapeClass, SharedIndex, SolverDescriptor, SolverReport,
+    TraceRecorder, WeightedInstance, WeightedSolver,
 };
 use mrs_core::Placement;
 
@@ -172,8 +171,14 @@ impl<const D: usize> WeightedSolver<D> for ChaosPanicSolver {
         &Self::DESCRIPTOR
     }
 
-    fn solve(&self, _instance: &WeightedInstance<D>) -> EngineResult<SolverReport<Placement<D>>> {
-        panic!("chaos-panic solver fired (fault injection)");
+    fn solve_all(
+        &self,
+        _base: &WeightedInstance<D>,
+        shapes: &[RangeShape<D>],
+        _index: &SharedIndex<D>,
+        _threads: usize,
+    ) -> Vec<EngineResult<SolverReport<Placement<D>>>> {
+        each_shape(shapes, |_| panic!("chaos-panic solver fired (fault injection)"))
     }
 }
 
@@ -435,13 +440,22 @@ impl Service {
     }
 
     /// The compute deadline for one request: the `X-Deadline-Ms` header
-    /// when present (and parseable), else the configured default.
-    fn request_deadline(&self, request: &Request) -> Option<Instant> {
+    /// when present, else the configured default.  A header that is not a
+    /// whole number of milliseconds is refused, naming the header, rather
+    /// than read as "no deadline".
+    fn request_deadline(&self, request: &Request) -> Result<Option<Instant>, String> {
         let timeout = match request.header("x-deadline-ms").map(str::trim) {
-            Some(raw) => raw.parse::<u64>().ok().map(Duration::from_millis),
+            Some(raw) => match raw.parse::<u64>() {
+                Ok(ms) => Some(Duration::from_millis(ms)),
+                Err(_) => {
+                    return Err(format!(
+                        "`X-Deadline-Ms` must be a whole number of milliseconds, got `{raw}`"
+                    ))
+                }
+            },
             None => self.config.request_timeout,
         };
-        timeout.map(|t| Instant::now() + t)
+        Ok(timeout.map(|t| Instant::now() + t))
     }
 
     fn route(&self, request: &Request, rid: &str) -> Response {
@@ -855,11 +869,14 @@ impl Service {
             Ok(use_cache) => use_cache,
             Err(message) => return error_response(400, &message),
         };
+        let deadline = match self.request_deadline(request) {
+            Ok(deadline) => deadline,
+            Err(message) => return error_response(400, &message),
+        };
         let _dataset_permit = match self.admit_dataset(dataset_name) {
             Ok(permit) => permit,
             Err(response) => return response,
         };
-        let deadline = self.request_deadline(request);
         let degraded = self.overloaded();
         let answered = match dataset.as_ref() {
             Dataset::Planar(core) => match spec.to_planar() {
@@ -927,12 +944,15 @@ impl Service {
             Ok(use_cache) => use_cache,
             Err(message) => return error_response(400, &message),
         };
+        let deadline = match self.request_deadline(request) {
+            Ok(deadline) => deadline,
+            Err(message) => return error_response(400, &message),
+        };
         let queries_len = specs.len();
         let _dataset_permit = match self.admit_dataset(dataset_name) {
             Ok(permit) => permit,
             Err(response) => return response,
         };
-        let deadline = self.request_deadline(request);
         let degraded = self.overloaded();
         let answered = match dataset.as_ref() {
             Dataset::Planar(core) => {
@@ -1709,6 +1729,33 @@ mod tests {
         let answers = parsed.get("answers").unwrap().as_arr().unwrap();
         assert_eq!(answers[0].get("deadline_exceeded").and_then(Json::as_bool), Some(true));
         assert_eq!(parsed.get("stats").unwrap().get("failed").unwrap().as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn malformed_deadline_headers_are_400s_naming_the_header() {
+        // A 0 ms default expires every query, so a header read as "no
+        // deadline" would show up as a 200 here.
+        let strict = Service::new(ServerConfig {
+            seed: Some(42),
+            request_timeout: Some(Duration::ZERO),
+            ..ServerConfig::default()
+        });
+        strict.handle(&post("/datasets/demo", CSV));
+        let query = r#"{"dataset":"demo","solver":"exact-disk-2d","shape":{"ball":1.0}}"#;
+        let batch = r#"{"dataset":"demo","queries":[
+            {"solver":"exact-disk-2d","shape":{"ball":1.0}}
+        ]}"#;
+        assert_eq!(strict.handle(&post("/query", query)).status, 504);
+        for value in ["abc", "-5", "99999999999999999999999", "1.5", ""] {
+            for (target, body) in [("/query", query), ("/batch", batch)] {
+                let response =
+                    strict.handle(&post_with_header(target, body, "x-deadline-ms", value));
+                let text = String::from_utf8_lossy(&response.body);
+                assert_eq!(response.status, 400, "{target} X-Deadline-Ms: {value:?} → {text}");
+                assert!(text.contains("`X-Deadline-Ms`"), "{target} {value:?} → {text}");
+            }
+        }
+        assert_eq!(strict.metrics().get(Counter::DeadlineExceeded), 1, "refused before solving");
     }
 
     #[test]

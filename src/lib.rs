@@ -94,9 +94,7 @@ pub mod prelude {
         TraceRecorder, VersionedDataset, WeightedInstance, WeightedSolver,
     };
     pub use mrs_core::exact::{max_disk_placement, max_interval_placement, max_rect_placement};
-    pub use mrs_core::input::{
-        ColoredBallInstance, ColoredPlacement, Placement, WeightedBallInstance,
-    };
+    pub use mrs_core::input::{ColoredPlacement, Placement};
     pub use mrs_core::technique1::{approx_colored_ball, approx_static_ball, DynamicBallMaxRS};
     pub use mrs_core::technique2::{
         approx_colored_disk_sampling, exact_colored_disk_by_union, output_sensitive_colored_disk,

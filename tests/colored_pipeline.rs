@@ -56,9 +56,8 @@ fn sampling_technique_stays_within_its_guarantee() {
     for seed in 0..3u64 {
         let sites = clustered_sites(3, 60, 15, seed);
         let exact = output_sensitive_colored_disk(&sites, 1.0);
-        let instance = ColoredBallInstance::new(sites.clone(), 1.0);
         let approx =
-            approx_colored_ball(&instance, SamplingConfig::practical(0.25).with_seed(seed));
+            approx_colored_ball(&sites, 1.0, SamplingConfig::practical(0.25).with_seed(seed));
         assert!(
             approx.distinct as f64 >= 0.25 * exact.distinct as f64,
             "seed {seed}: {} vs {}",
@@ -91,13 +90,12 @@ fn color_sampling_is_near_exact_on_large_opt_instances() {
             rng.gen_range(0..5),
         ));
     }
-    let instance = ColoredBallInstance::new(sites.clone(), 1.0);
     let exact = output_sensitive_colored_disk(&sites, 1.0);
     assert_eq!(exact.distinct, colors);
 
     let mut config = ColorSamplingConfig::new(0.2).with_seed(9);
     config.c1 = 0.5;
-    let details = approx_colored_disk_sampling_with_details(&instance, config);
+    let details = approx_colored_disk_sampling_with_details(&sites, 1.0, config);
     assert!(
         details.placement.distinct as f64 >= 0.8 * exact.distinct as f64,
         "(1 − ε) guarantee violated: {} vs {}",
@@ -111,12 +109,11 @@ fn color_sampling_is_near_exact_on_large_opt_instances() {
 fn colored_results_never_exceed_the_number_of_colors_present() {
     for seed in 20..24u64 {
         let sites = clustered_sites(2, 30, 6, seed);
-        let instance = ColoredBallInstance::new(sites.clone(), 1.0);
-        let bound = instance.distinct_colors();
+        let bound = ColoredInstance::ball(sites.clone(), 1.0).distinct_colors();
         assert!(output_sensitive_colored_disk(&sites, 1.0).distinct <= bound);
-        assert!(approx_colored_ball(&instance, SamplingConfig::practical(0.3)).distinct <= bound);
+        assert!(approx_colored_ball(&sites, 1.0, SamplingConfig::practical(0.3)).distinct <= bound);
         assert!(
-            approx_colored_disk_sampling(&instance, ColorSamplingConfig::new(0.3)).distinct
+            approx_colored_disk_sampling(&sites, 1.0, ColorSamplingConfig::new(0.3)).distinct
                 <= bound
         );
     }

@@ -2,6 +2,7 @@
 //! through the exact baselines, the sampling technique and the dynamic
 //! structure.
 
+use maxrs::core::input::ball_coverage_weight;
 use maxrs::prelude::*;
 use rand::prelude::*;
 
@@ -22,10 +23,9 @@ fn static_sampling_respects_the_guarantee_against_the_exact_baseline() {
     for seed in 0..3u64 {
         let points = random_points(250, 8.0, seed);
         let exact = max_disk_placement(&points, 1.0);
-        let instance = WeightedBallInstance::new(points.clone(), 1.0);
         for eps in [0.15, 0.25, 0.4] {
             let approx =
-                approx_static_ball(&instance, SamplingConfig::practical(eps).with_seed(seed));
+                approx_static_ball(&points, 1.0, SamplingConfig::practical(eps).with_seed(seed));
             assert!(
                 approx.value >= (0.5 - eps) * exact.value - 1e-9,
                 "seed {seed} eps {eps}: approx {} vs exact {}",
@@ -34,7 +34,9 @@ fn static_sampling_respects_the_guarantee_against_the_exact_baseline() {
             );
             assert!(approx.value <= exact.value + 1e-9);
             // The reported value is the true coverage of the reported center.
-            assert!((instance.value_at(&approx.center) - approx.value).abs() < 1e-9);
+            assert!(
+                (ball_coverage_weight(&points, &approx.center, 1.0) - approx.value).abs() < 1e-9
+            );
         }
     }
 }
@@ -99,7 +101,7 @@ fn one_dimensional_and_two_dimensional_solvers_are_consistent() {
 #[test]
 fn instance_validation_panics_are_informative() {
     let result = std::panic::catch_unwind(|| {
-        WeightedBallInstance::new(vec![WeightedPoint::new(Point2::xy(0.0, 0.0), f64::NAN)], 1.0)
+        WeightedInstance::ball(vec![WeightedPoint::new(Point2::xy(0.0, 0.0), f64::NAN)], 1.0)
     });
     assert!(result.is_err(), "NaN weights must be rejected");
 }

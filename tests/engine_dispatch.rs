@@ -385,15 +385,17 @@ fn registry_descriptor_listing_is_consistent_with_dispatch() {
     }
 }
 
-/// The batch path answers exactly as a fresh per-query solve does: for
-/// every exact solver in the registry, and for the two index-shared
-/// samplers (`approx-static-ball`, `approx-colored-ball`, whose batch path
-/// queries a sample set shared across the batch), and every shape each
-/// supports from a small list, the answer `execute_versioned_traced` gives
-/// (certified, two worker threads, indexes shared across the batch) has the
-/// same value bits (the same distinct count for colored solvers) and the same
-/// center bits as `solve` on a fresh instance.  The registry is seeded, so
-/// the samplers draw the same samples on both paths.
+/// The batch path answers exactly as a fresh `solve` does.  `solve` is a
+/// one-query `solve_all` over a one-off index on one thread, so this pins
+/// what a batch adds: two worker threads, indexes shared across the batch,
+/// and the `auto` routers grouping several shapes into one inner
+/// `solve_all`.  Every exact solver, the index-shared samplers
+/// (`approx-static-ball`, `approx-colored-ball`), both `auto` routers and
+/// the independent `approx-colored-disk-sampling` run every shape each
+/// supports from a small list; the certified batch answer must have the same
+/// value bits (the same distinct count for colored solvers) and the same
+/// center bits as the fresh solve.  The registry is seeded, so the samplers
+/// draw the same samples on both paths.
 #[test]
 fn batch_answers_are_bit_identical_to_fresh_solves() {
     let registry = engine::registry_with(EngineConfig::practical(0.25).with_seed(17));
@@ -415,14 +417,15 @@ fn batch_answers_are_bit_identical_to_fresh_solves() {
         + assert_batch_matches_fresh_solves(&registry, &executor, &line, &line_shapes);
     // 6 planar exact solvers and 2 planar samplers × 2 shapes each, 2 line
     // solvers and the weighted sampler × 3 lengths (the line workload has no
-    // colored sites).
-    assert_eq!(compared, 25);
+    // colored sites): 25 pairs.  Then both routers × 4 planar shapes, the
+    // weighted router × 3 lengths and the color-sampling solver × 2 balls.
+    assert_eq!(compared, 25 + 8 + 3 + 2);
 }
 
-/// Runs one batch of every (exact or index-shared solver, supported shape)
-/// pair over the workload's points and sites (colored solvers only when the
-/// workload has sites), asserts each answer is bit-identical to a fresh
-/// `solve`, and returns how many pairs it compared.
+/// Runs one batch of every (exact, index-shared or color-sampling solver,
+/// supported shape) pair over the workload's points and sites (colored
+/// solvers only when the workload has sites), asserts each answer is
+/// bit-identical to a fresh `solve`, and returns how many pairs it compared.
 fn assert_batch_matches_fresh_solves<const D: usize>(
     registry: &Registry,
     executor: &BatchExecutor<'_>,
@@ -435,7 +438,11 @@ fn assert_batch_matches_fresh_solves<const D: usize>(
     let descriptors = registry.descriptors();
     let queries: Vec<BatchQuery<D>> = descriptors
         .iter()
-        .filter(|d| d.name != "auto" && (d.guarantee.is_exact() || d.batch.is_shared()))
+        .filter(|d| {
+            d.guarantee.is_exact()
+                || d.batch.is_shared()
+                || d.name == "approx-colored-disk-sampling"
+        })
         .filter(|d| d.problem == ProblemKind::Weighted || !workload.sites.is_empty())
         .flat_map(|d| {
             shapes.iter().filter(|s| d.supports(d.problem, s.class(), D)).map(|s| match d.problem {

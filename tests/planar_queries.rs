@@ -115,10 +115,9 @@ fn cli_round_trip_matches_the_library() {
 #[test]
 fn approximations_never_beat_their_exact_counterparts() {
     let points = random_weighted(400, 9.0, 5);
-    let instance = WeightedBallInstance::new(points.clone(), 1.0);
     let exact = max_disk_placement(&points, 1.0);
     for eps in [0.15, 0.3, 0.45] {
-        let approx = approx_static_ball(&instance, SamplingConfig::practical(eps).with_seed(9));
+        let approx = approx_static_ball(&points, 1.0, SamplingConfig::practical(eps).with_seed(9));
         assert!(approx.value <= exact.value + 1e-9);
         assert!(approx.value >= (0.5 - eps) * exact.value - 1e-9);
     }
