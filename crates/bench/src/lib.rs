@@ -176,7 +176,7 @@ pub mod workloads {
 /// on them.
 pub mod batch {
     use mrs_core::engine::{
-        BatchExecutor, BatchQuery, BatchReport, ColoredInstance, RangeShape, Registry,
+        BatchExecutor, BatchQuery, BatchReport, ColoredInstance, ProblemKind, RangeShape, Registry,
         TraceRecorder, VersionedDataset, WeightedInstance,
     };
     use mrs_geom::{ColoredSite, Point, WeightedPoint};
@@ -261,19 +261,19 @@ pub mod batch {
     ) -> usize {
         let mut ok = 0;
         for query in &workload.queries {
-            let success = match query {
-                BatchQuery::Weighted { solver, shape } => {
-                    let instance = WeightedInstance::new(workload.points.clone(), *shape);
+            let success = match query.problem {
+                ProblemKind::Weighted => {
+                    let instance = WeightedInstance::new(workload.points.clone(), query.shape);
                     registry
-                        .weighted::<D>(solver)
+                        .weighted::<D>(&query.solver)
                         .expect("workload names a registered solver")
                         .solve(&instance)
                         .is_ok()
                 }
-                BatchQuery::Colored { solver, shape } => {
-                    let instance = ColoredInstance::new(workload.sites.clone(), *shape);
+                ProblemKind::Colored => {
+                    let instance = ColoredInstance::new(workload.sites.clone(), query.shape);
                     registry
-                        .colored::<D>(solver)
+                        .colored::<D>(&query.solver)
                         .expect("workload names a registered solver")
                         .solve(&instance)
                         .is_ok()

@@ -1,11 +1,13 @@
 //! The `auto` meta-solver: route each query to the predicted-cheapest
 //! capable built-in solver, using the [`cost`](super::cost) model.
 //!
-//! `auto` registers under one name for both problem kinds.  Per query it
-//! profiles the instance once, prices every capable concrete built-in
-//! ([`SolverDescriptor::supports`]), and dispatches to the cheapest
-//! prediction (ties break toward registry order, which lists exact solvers
-//! first).  The inner report is forwarded with three provenance fields
+//! `auto` registers under one name for both problem kinds, as two types over
+//! one routing function.  Per call it profiles the instance once; per query
+//! it prices every capable concrete built-in ([`SolverDescriptor::supports`])
+//! and picks the cheapest prediction (ties break toward registry order,
+//! which lists exact solvers first).  The shapes routed to one solver reach
+//! it in one inner `solve_all`, so an index-sharing solver still amortizes
+//! its build.  Each inner report is forwarded with three provenance fields
 //! stamped into its [`SolveStats`](super::SolveStats): `auto_choice` (the
 //! chosen solver's name), `auto_predicted_work`, and `auto_actual_work` —
 //! so callers can audit the router's accuracy query by query, and the
@@ -21,9 +23,16 @@
 //!   the honest floor across everything `auto` may pick; each report's
 //!   per-solve [`Guarantee`](super::Guarantee) is the chosen solver's own
 //!   (often `Exact`);
-//! * negative weights are refused up front (`negative_weights: false`):
-//!   routing them would silently restrict the candidate set to the 1-D
-//!   interval solver, and a meta-solver that sometimes accepts what it
+//! * under overload degradation ([`cancel::degraded`]) the router drops the
+//!   `Exact` guarantee tier — whose hardness-walled worst cases (the
+//!   (min,+)-convolution-hard rectangle sweep among them) are exactly what
+//!   an overloaded server cannot afford — as long as at least one
+//!   approximate solver stays capable of the shape; with none, it keeps
+//!   every capable solver: shedding a query entirely is the admission
+//!   layer's job, not the router's;
+//! * weighted `auto` refuses negative weights up front (`negative_weights:
+//!   false`): routing them would silently restrict the candidate set to the
+//!   1-D interval solver, and a meta-solver that sometimes accepts what it
 //!   usually refuses is worse than a typed error;
 //! * `auto` picks among *built-ins* only — externally registered solvers
 //!   have no committed cost row.
@@ -35,41 +44,81 @@ use super::descriptor::{
 };
 use super::index::SharedIndex;
 use super::instance::{ColoredInstance, RangeShape, WeightedInstance};
-use super::registry::{
-    concrete_colored, concrete_weighted, EngineConfig, SharedColoredSolver, SharedWeightedSolver,
-};
+use super::registry::{builtins, EngineConfig, SharedColoredSolver, SharedWeightedSolver};
 use super::report::SolverReport;
 use super::{ColoredSolver, EngineError, EngineResult, WeightedSolver};
 use crate::input::{ColoredPlacement, Placement};
 
 const AUTO_REFERENCE: &str = "cost-model router over the registered solvers";
 
-fn stamp<P>(report: &mut SolverReport<P>, choice: &'static str, predicted: f64, n: usize) {
-    let actual = cost::actual_work(&report.stats, n);
-    report.solver = "auto";
-    report.stats.auto_choice = Some(choice);
-    report.stats.auto_predicted_work = Some(predicted);
-    report.stats.auto_actual_work = Some(actual);
-    report.stats.degraded = cancel::degraded();
-}
-
-/// Under overload degradation the router drops the `Exact` guarantee tier —
-/// whose hardness-walled worst cases (the (min,+)-convolution-hard rectangle
-/// sweep among them) are exactly what an overloaded server cannot afford —
-/// as long as at least one approximate solver stays capable.  With no
-/// capable approximate solver the full candidate set is kept: shedding a
-/// query entirely is the admission layer's job, not the router's.
-fn degrade_candidates<S>(candidates: &mut Vec<S>, guarantee_of: impl Fn(&S) -> GuaranteeClass) {
-    if !cancel::degraded() {
-        return;
+/// The route both `auto` types run, for the kind of `router`: pick a
+/// candidate per shape, group the shapes by pick, make one inner
+/// `solve_all` per group, then stamp and scatter the reports.  `T` is the
+/// kind's handle type, `n` the instance's size, and `solve_all` answers a
+/// group of shapes with one candidate.
+fn route<const D: usize, T: Clone + 'static, P>(
+    router: &SolverDescriptor,
+    config: &EngineConfig,
+    profile: InstanceProfile<D>,
+    n: usize,
+    shapes: &[RangeShape<D>],
+    solve_all: impl Fn(&T, &[RangeShape<D>]) -> Vec<EngineResult<SolverReport<P>>>,
+) -> Vec<EngineResult<SolverReport<P>>> {
+    let candidates: Vec<(SolverDescriptor, T)> = builtins::<D>(config)
+        .iter()
+        .filter(|e| e.descriptor.name != router.name)
+        .filter_map(|e| Some((e.descriptor, e.handle()?)))
+        .collect();
+    let picks: Vec<Option<(usize, f64)>> = shapes
+        .iter()
+        .map(|shape| {
+            let capable: Vec<usize> = (0..candidates.len())
+                .filter(|&c| candidates[c].0.supports(router.problem, shape.class(), D))
+                .collect();
+            let exact = |c: &usize| candidates[*c].0.guarantee.is_exact();
+            let degrade = cancel::degraded() && !capable.iter().all(exact);
+            let features = profile.features(shape);
+            capable
+                .into_iter()
+                .filter(|c| !(degrade && exact(c)))
+                .map(|c| (c, cost::predicted_work(candidates[c].0.name, &features)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+        })
+        .collect();
+    let unsupported = |shape: &RangeShape<D>| {
+        Err(EngineError::UnsupportedShape { solver: router.name, shape: shape.class() })
+    };
+    let mut results: Vec<Option<EngineResult<SolverReport<P>>>> = shapes
+        .iter()
+        .zip(&picks)
+        .map(|(shape, pick)| pick.is_none().then(|| unsupported(shape)))
+        .collect();
+    for (c, (descriptor, solver)) in candidates.iter().enumerate() {
+        let routed: Vec<(usize, f64)> = picks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, pick)| pick.filter(|&(p, _)| p == c).map(|(_, work)| (i, work)))
+            .collect();
+        if routed.is_empty() {
+            continue;
+        }
+        let group: Vec<RangeShape<D>> = routed.iter().map(|&(i, _)| shapes[i]).collect();
+        for (&(i, predicted), result) in routed.iter().zip(solve_all(solver, &group)) {
+            results[i] = Some(result.map(|mut report| {
+                report.solver = router.name;
+                report.stats.auto_choice = Some(descriptor.name);
+                report.stats.auto_predicted_work = Some(predicted);
+                report.stats.auto_actual_work = Some(cost::actual_work(&report.stats, n));
+                report.stats.degraded = cancel::degraded();
+                report
+            }));
+        }
     }
-    if candidates.iter().any(|s| guarantee_of(s) != GuaranteeClass::Exact) {
-        candidates.retain(|s| guarantee_of(s) != GuaranteeClass::Exact);
-    }
+    results.into_iter().map(|r| r.expect("every shape was routed")).collect()
 }
 
 /// The cost-routed weighted meta-solver.  See the module docs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AutoWeightedSolver {
     config: EngineConfig,
 }
@@ -92,32 +141,6 @@ impl AutoWeightedSolver {
     pub fn new(config: EngineConfig) -> Self {
         Self { config }
     }
-
-    fn pick<const D: usize>(
-        &self,
-        shape: &RangeShape<D>,
-        profile: &InstanceProfile<D>,
-    ) -> Option<(SharedWeightedSolver<D>, f64)> {
-        let features = profile.features(shape);
-        let mut candidates: Vec<SharedWeightedSolver<D>> = concrete_weighted::<D>(&self.config)
-            .into_iter()
-            .filter(|s| s.descriptor().supports(ProblemKind::Weighted, shape.class(), D))
-            .collect();
-        degrade_candidates(&mut candidates, |s| s.descriptor().guarantee);
-        candidates
-            .into_iter()
-            .map(|s| {
-                let work = cost::predicted_work(s.name(), &features);
-                (s, work)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-}
-
-impl Default for AutoWeightedSolver {
-    fn default() -> Self {
-        Self::new(EngineConfig::default())
-    }
 }
 
 impl<const D: usize> WeightedSolver<D> for AutoWeightedSolver {
@@ -132,64 +155,20 @@ impl<const D: usize> WeightedSolver<D> for AutoWeightedSolver {
         index: &SharedIndex<D>,
         threads: usize,
     ) -> Vec<EngineResult<SolverReport<Placement<D>>>> {
-        let name = Self::DESCRIPTOR.name;
         if base.has_negative_weights() {
-            return shapes
-                .iter()
-                .map(|_| Err(EngineError::NegativeWeights { solver: name }))
-                .collect();
+            let refusal = EngineError::NegativeWeights { solver: Self::DESCRIPTOR.name };
+            return shapes.iter().map(|_| Err(refusal.clone())).collect();
         }
         let profile = InstanceProfile::of_points(base.points());
-        let mut results: Vec<Option<EngineResult<SolverReport<Placement<D>>>>> =
-            (0..shapes.len()).map(|_| None).collect();
-        struct Route<const D: usize> {
-            solver: SharedWeightedSolver<D>,
-            predicted: Vec<f64>,
-            indices: Vec<usize>,
-            shapes: Vec<RangeShape<D>>,
-        }
-        let mut routes: Vec<Route<D>> = Vec::new();
-        for (i, shape) in shapes.iter().enumerate() {
-            match self.pick(shape, &profile) {
-                None => {
-                    results[i] = Some(Err(EngineError::UnsupportedShape {
-                        solver: name,
-                        shape: shape.class(),
-                    }));
-                }
-                Some((solver, predicted)) => {
-                    match routes.iter_mut().find(|r| r.solver.name() == solver.name()) {
-                        Some(route) => {
-                            route.predicted.push(predicted);
-                            route.indices.push(i);
-                            route.shapes.push(*shape);
-                        }
-                        None => routes.push(Route {
-                            solver,
-                            predicted: vec![predicted],
-                            indices: vec![i],
-                            shapes: vec![*shape],
-                        }),
-                    }
-                }
-            }
-        }
-        for route in routes {
-            let inner = route.solver.solve_all(base, &route.shapes, index, threads);
-            for ((&i, &predicted), result) in route.indices.iter().zip(&route.predicted).zip(inner)
-            {
-                results[i] = Some(result.map(|mut report| {
-                    stamp(&mut report, route.solver.name(), predicted, base.len());
-                    report
-                }));
-            }
-        }
-        results.into_iter().map(|r| r.expect("every shape was routed")).collect()
+        let solve_all = |solver: &SharedWeightedSolver<D>, group: &[RangeShape<D>]| {
+            solver.solve_all(base, group, index, threads)
+        };
+        route(&Self::DESCRIPTOR, &self.config, profile, base.len(), shapes, solve_all)
     }
 }
 
 /// The cost-routed colored meta-solver.  See the module docs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AutoColoredSolver {
     config: EngineConfig,
 }
@@ -213,32 +192,6 @@ impl AutoColoredSolver {
     pub fn new(config: EngineConfig) -> Self {
         Self { config }
     }
-
-    fn pick<const D: usize>(
-        &self,
-        shape: &RangeShape<D>,
-        profile: &InstanceProfile<D>,
-    ) -> Option<(SharedColoredSolver<D>, f64)> {
-        let features = profile.features(shape);
-        let mut candidates: Vec<SharedColoredSolver<D>> = concrete_colored::<D>(&self.config)
-            .into_iter()
-            .filter(|s| s.descriptor().supports(ProblemKind::Colored, shape.class(), D))
-            .collect();
-        degrade_candidates(&mut candidates, |s| s.descriptor().guarantee);
-        candidates
-            .into_iter()
-            .map(|s| {
-                let work = cost::predicted_work(s.name(), &features);
-                (s, work)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-}
-
-impl Default for AutoColoredSolver {
-    fn default() -> Self {
-        Self::new(EngineConfig::default())
-    }
 }
 
 impl<const D: usize> ColoredSolver<D> for AutoColoredSolver {
@@ -253,53 +206,11 @@ impl<const D: usize> ColoredSolver<D> for AutoColoredSolver {
         index: &SharedIndex<D>,
         threads: usize,
     ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
-        let name = Self::DESCRIPTOR.name;
         let profile = InstanceProfile::of_sites(base.sites());
-        let mut results: Vec<Option<EngineResult<SolverReport<ColoredPlacement<D>>>>> =
-            (0..shapes.len()).map(|_| None).collect();
-        struct Route<const D: usize> {
-            solver: SharedColoredSolver<D>,
-            predicted: Vec<f64>,
-            indices: Vec<usize>,
-            shapes: Vec<RangeShape<D>>,
-        }
-        let mut routes: Vec<Route<D>> = Vec::new();
-        for (i, shape) in shapes.iter().enumerate() {
-            match self.pick(shape, &profile) {
-                None => {
-                    results[i] = Some(Err(EngineError::UnsupportedShape {
-                        solver: name,
-                        shape: shape.class(),
-                    }));
-                }
-                Some((solver, predicted)) => {
-                    match routes.iter_mut().find(|r| r.solver.name() == solver.name()) {
-                        Some(route) => {
-                            route.predicted.push(predicted);
-                            route.indices.push(i);
-                            route.shapes.push(*shape);
-                        }
-                        None => routes.push(Route {
-                            solver,
-                            predicted: vec![predicted],
-                            indices: vec![i],
-                            shapes: vec![*shape],
-                        }),
-                    }
-                }
-            }
-        }
-        for route in routes {
-            let inner = route.solver.solve_all(base, &route.shapes, index, threads);
-            for ((&i, &predicted), result) in route.indices.iter().zip(&route.predicted).zip(inner)
-            {
-                results[i] = Some(result.map(|mut report| {
-                    stamp(&mut report, route.solver.name(), predicted, base.len());
-                    report
-                }));
-            }
-        }
-        results.into_iter().map(|r| r.expect("every shape was routed")).collect()
+        let solve_all = |solver: &SharedColoredSolver<D>, group: &[RangeShape<D>]| {
+            solver.solve_all(base, group, index, threads)
+        };
+        route(&Self::DESCRIPTOR, &self.config, profile, base.len(), shapes, solve_all)
     }
 }
 

@@ -5,9 +5,10 @@
 //! reuses one sorted event list, the Section 4 algorithms reuse one spatial
 //! index — and this module gives that amortization a first-class request
 //! shape.  A batch is an ordered list of [`BatchQuery`]s, each naming a
-//! registered solver and a query [`RangeShape`], answered against one view
-//! of a [`VersionedDataset`](super::VersionedDataset) (a static point set
-//! is simply version 1).  The [`executor`](super::executor) answers it with
+//! problem kind, a solver registered under it and a query [`RangeShape`],
+//! answered against one view of a
+//! [`VersionedDataset`](super::VersionedDataset) (a static point set is
+//! simply version 1).  The [`executor`](super::executor) answers it with
 //! a [`BatchReport`]: one [`BatchAnswer`] and certification flag per query,
 //! in query order, the version they were computed at, plus batch-level
 //! [`BatchStats`] (wall clock, aggregate solver time, shared-index builds,
@@ -45,55 +46,45 @@ use std::time::Duration;
 
 use super::instance::RangeShape;
 use super::report::SolverReport;
-use super::EngineError;
+use super::{EngineError, ProblemKind};
 use crate::input::{ColoredPlacement, Placement};
 
-/// One query of a batch: which solver to ask, and with what range shape.
+/// One query of a batch: which problem, which solver to ask, and with what
+/// range shape.
 ///
 /// The solver is named by its registry key (see
-/// [`Registry`](super::Registry)); the executor resolves every distinct name
-/// once per batch.
+/// [`Registry`](super::Registry)) under the query's problem kind; the
+/// executor resolves every distinct `(problem, solver)` once per batch.
 #[derive(Clone, Debug, PartialEq)]
-pub enum BatchQuery<const D: usize> {
-    /// A weighted MaxRS query against the batch's point set.
-    Weighted {
-        /// Registry name of the solver to dispatch to.
-        solver: String,
-        /// The query-range shape.
-        shape: RangeShape<D>,
-    },
-    /// A colored MaxRS query against the batch's site set.
-    Colored {
-        /// Registry name of the solver to dispatch to.
-        solver: String,
-        /// The query-range shape.
-        shape: RangeShape<D>,
-    },
+pub struct BatchQuery<const D: usize> {
+    /// Weighted MaxRS against the batch's point set, or colored MaxRS
+    /// against its site set.
+    pub problem: ProblemKind,
+    /// Registry name of the solver to dispatch to.
+    pub solver: String,
+    /// The query-range shape.
+    pub shape: RangeShape<D>,
 }
 
 impl<const D: usize> BatchQuery<D> {
     /// A weighted query for the named solver.
     pub fn weighted(solver: impl Into<String>, shape: RangeShape<D>) -> Self {
-        BatchQuery::Weighted { solver: solver.into(), shape }
+        Self { problem: ProblemKind::Weighted, solver: solver.into(), shape }
     }
 
     /// A colored query for the named solver.
     pub fn colored(solver: impl Into<String>, shape: RangeShape<D>) -> Self {
-        BatchQuery::Colored { solver: solver.into(), shape }
+        Self { problem: ProblemKind::Colored, solver: solver.into(), shape }
     }
 
     /// The registry name the query dispatches to.
     pub fn solver(&self) -> &str {
-        match self {
-            BatchQuery::Weighted { solver, .. } | BatchQuery::Colored { solver, .. } => solver,
-        }
+        &self.solver
     }
 
     /// The query's range shape.
     pub fn shape(&self) -> &RangeShape<D> {
-        match self {
-            BatchQuery::Weighted { shape, .. } | BatchQuery::Colored { shape, .. } => shape,
-        }
+        &self.shape
     }
 }
 
@@ -347,8 +338,11 @@ mod tests {
     #[test]
     fn queries_expose_solver_and_shape() {
         let query = BatchQuery::<2>::weighted("exact-rect-2d", RangeShape::rect(1.0, 2.0));
+        assert_eq!(query.problem, ProblemKind::Weighted);
         assert_eq!(query.solver(), "exact-rect-2d");
         assert_eq!(query.shape(), &RangeShape::rect(1.0, 2.0));
+        let colored = BatchQuery::<2>::colored("auto", RangeShape::ball(1.0));
+        assert_eq!(colored.problem, ProblemKind::Colored);
     }
 
     #[test]

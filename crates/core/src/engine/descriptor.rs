@@ -12,6 +12,15 @@ pub enum ProblemKind {
     Colored,
 }
 
+impl std::fmt::Display for ProblemKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProblemKind::Weighted => write!(f, "weighted"),
+            ProblemKind::Colored => write!(f, "colored"),
+        }
+    }
+}
+
 /// The class of query range a solver understands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShapeClass {
@@ -168,5 +177,9 @@ mod tests {
         assert!(!d.supports(ProblemKind::Weighted, ShapeClass::AxisBox, 2));
         assert!(!d.supports(ProblemKind::Colored, ShapeClass::Ball, 2));
         assert!(d.guarantee.is_exact());
+        assert_eq!(
+            (d.problem.to_string(), ProblemKind::Colored.to_string()),
+            ("weighted".into(), "colored".into())
+        );
     }
 }

@@ -423,21 +423,17 @@ impl<'r> BatchExecutor<'r> {
         let mut order: Vec<Group<D>> = Vec::new();
         let mut by_key: HashMap<(ProblemKind, String), usize> = HashMap::new();
         for (i, query) in queries.iter().enumerate() {
-            let kind = match query {
-                BatchQuery::Weighted { .. } => ProblemKind::Weighted,
-                BatchQuery::Colored { .. } => ProblemKind::Colored,
-            };
-            let slot = *by_key.entry((kind, query.solver().to_string())).or_insert_with(|| {
+            let slot = *by_key.entry((query.problem, query.solver.clone())).or_insert_with(|| {
                 order.push(Group {
-                    kind,
-                    name: query.solver().to_string(),
+                    kind: query.problem,
+                    name: query.solver.clone(),
                     indices: Vec::new(),
                     shapes: Vec::new(),
                 });
                 order.len() - 1
             });
             order[slot].indices.push(i);
-            order[slot].shapes.push(*query.shape());
+            order[slot].shapes.push(query.shape);
         }
 
         let mut tasks: Vec<Task<D>> = Vec::new();
@@ -1095,5 +1091,31 @@ mod tests {
             "degraded auto avoids the exact tier, got {choice}"
         );
         assert!(report.stats.degraded, "degradation is stamped into the stats");
+    }
+
+    #[test]
+    fn degraded_colored_auto_drops_the_exact_tier_only_while_an_approximation_is_capable() {
+        let dataset = VersionedDataset::new(planar_points(), planar_sites());
+        let queries = [
+            BatchQuery::colored("auto", RangeShape::ball(1.0)),
+            BatchQuery::colored("auto", RangeShape::rect(1.0, 1.0)),
+        ];
+        let registry = registry();
+        let config = ExecutorConfig { degraded: true, ..ExecutorConfig::default() };
+        let report = run(&BatchExecutor::with_config(&registry, config), &dataset, &queries);
+        assert_eq!(report.certified, vec![Some(true), Some(true)]);
+        // Balls have approximate colored solvers, so the exact tier goes.
+        let ball = report.colored(0).unwrap();
+        let choice = ball.stats.auto_choice.unwrap();
+        let routed = registry.colored::<2>(choice).expect("the routed solver is registered");
+        assert!(
+            !routed.descriptor().guarantee.is_exact(),
+            "degraded auto avoids the exact tier, got {choice}"
+        );
+        assert!(ball.stats.degraded);
+        // Only the exact sweep answers boxes, so degradation keeps it.
+        let rect = report.colored(1).unwrap();
+        assert_eq!(rect.stats.auto_choice, Some("exact-colored-rect-2d"));
+        assert!(rect.stats.degraded);
     }
 }

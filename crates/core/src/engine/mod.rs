@@ -12,10 +12,18 @@
 //!   algorithm implements, returning a [`SolverReport`] that carries the
 //!   placement, its value or distinct-count, the [`Guarantee`] it was
 //!   produced under, and timing/sample statistics;
-//! * [`registry`] — enumerates the built-in solvers by name and capability
-//!   ([`SolverDescriptor`]) so callers choose exact-vs-approx per workload;
-//!   downstream crates register additional solvers (the batched 1-D solver in
-//!   `mrs-batched` does) via [`Registry::register_weighted`].
+//! * [`registry`] — one table of the solvers of both kinds, enumerated by
+//!   name and capability ([`SolverDescriptor`]) so callers choose
+//!   exact-vs-approx per workload; downstream crates register additional
+//!   solvers (the batched 1-D solver in `mrs-batched` does) via
+//!   [`Registry::register_weighted`] / [`Registry::register_colored`].
+//!
+//! The weighted and colored families differ in their instance, placement
+//! and solver types, but where the engine takes the same step for both it
+//! takes it once, parameterized by [`ProblemKind`]: a [`BatchQuery`] carries
+//! its kind as a field, every registry lookup walks one table, and the two
+//! `auto` types ([`AutoWeightedSolver`], [`AutoColoredSolver`]) run one
+//! routing function.
 //!
 //! ```
 //! use mrs_core::engine::{registry, WeightedInstance};

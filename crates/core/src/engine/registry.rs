@@ -2,12 +2,21 @@
 //! them under any ambient dimension, and let downstream crates plug in their
 //! own implementations.
 //!
-//! Built-in solvers are constructed on demand from the registry's
-//! [`EngineConfig`], so one registry serves every `const D` the caller asks
-//! for.  External solvers (e.g. the batched 1-D solver from `mrs-batched`)
-//! are registered per dimension as shared trait objects and take precedence
-//! over built-ins with the same name, so a downstream crate can also
-//! *replace* a built-in.
+//! Built-in and external solvers live in one table shape: each entry is a
+//! [`SolverDescriptor`] plus a handle, a [`SharedWeightedSolver<D>`] or
+//! [`SharedColoredSolver<D>`] behind `dyn Any`.  The handle's type names both
+//! the problem kind and the dimension, so every lookup ([`Registry::weighted`],
+//! [`Registry::colored`] and the two `*_solvers` listings) is one walk of the
+//! table that keeps the entries downcasting to the caller's handle type.
+//!
+//! The built-in set and its order are written once and constructed per
+//! lookup from the registry's [`EngineConfig`], so one registry serves every
+//! `const D` the caller asks for.  External solvers (e.g. the batched 1-D
+//! solver from `mrs-batched`) are registered per dimension and take
+//! precedence over built-ins with the same name, so a downstream crate can
+//! also *replace* a built-in.  The listing [`Registry::descriptors`] returns
+//! is fixed when a solver registers: each `(problem, name)` once, in lookup
+//! precedence.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -63,24 +72,57 @@ impl EngineConfig {
     }
 }
 
-enum ExternalObject {
-    // The boxes hold `SharedWeightedSolver<D>` / `SharedColoredSolver<D>`
-    // for the `dim` recorded next to them; retrieval downcasts back with the
-    // caller's `const D`.
-    Weighted(Box<dyn Any + Send + Sync>),
-    Colored(Box<dyn Any + Send + Sync>),
+/// One solver of the registry's table: its capability record and its handle
+/// behind `Any`, a `SharedWeightedSolver<D>` or `SharedColoredSolver<D>`.
+pub(super) struct Entry {
+    pub(super) descriptor: SolverDescriptor,
+    solver: Box<dyn Any + Send + Sync>,
 }
 
-struct ExternalEntry {
-    descriptor: SolverDescriptor,
-    dim: usize,
-    object: ExternalObject,
+impl Entry {
+    fn weighted<const D: usize>(solver: SharedWeightedSolver<D>) -> Self {
+        Entry { descriptor: *solver.descriptor(), solver: Box::new(solver) }
+    }
+
+    fn colored<const D: usize>(solver: SharedColoredSolver<D>) -> Self {
+        Entry { descriptor: *solver.descriptor(), solver: Box::new(solver) }
+    }
+
+    /// The handle, if it has type `T`: the type picks the kind and the
+    /// dimension.
+    pub(super) fn handle<T: Clone + 'static>(&self) -> Option<T> {
+        self.solver.downcast_ref::<T>().cloned()
+    }
+}
+
+/// The built-in solvers of both kinds for dimension `D`, in registry order
+/// (some support only one dimension; lookups filter by the descriptor).
+/// The two `auto` routers come last and pick among the others.
+pub(super) fn builtins<const D: usize>(config: &EngineConfig) -> [Entry; 13] {
+    [
+        Entry::weighted::<D>(Arc::new(ExactIntervalSolver)),
+        Entry::weighted::<D>(Arc::new(ExactRectSolver)),
+        Entry::weighted::<D>(Arc::new(ExactDiskSolver)),
+        Entry::weighted::<D>(Arc::new(StaticBallSolver::new(config.sampling))),
+        Entry::weighted::<D>(Arc::new(DynamicBallSolver::new(config.sampling))),
+        Entry::colored::<D>(Arc::new(ExactColoredDiskEnumSolver)),
+        Entry::colored::<D>(Arc::new(ExactColoredDiskUnionSolver)),
+        Entry::colored::<D>(Arc::new(OutputSensitiveColoredDiskSolver)),
+        Entry::colored::<D>(Arc::new(ColoredBallSolver::new(config.sampling))),
+        Entry::colored::<D>(Arc::new(ColoredDiskSamplingSolver::new(config.color_sampling))),
+        Entry::colored::<D>(Arc::new(ExactColoredRectSolver)),
+        Entry::weighted::<D>(Arc::new(AutoWeightedSolver::new(*config))),
+        Entry::colored::<D>(Arc::new(AutoColoredSolver::new(*config))),
+    ]
 }
 
 /// The solver registry.  See the [engine docs](crate::engine) for semantics.
 pub struct Registry {
     config: EngineConfig,
-    external: Vec<ExternalEntry>,
+    /// Externally registered solvers, in registration order.
+    external: Vec<Entry>,
+    /// What [`Registry::descriptors`] returns, rebuilt at each registration.
+    listing: Vec<SolverDescriptor>,
 }
 
 /// The registry of built-in solvers under the default [`EngineConfig`].
@@ -103,7 +145,9 @@ impl Default for Registry {
 impl Registry {
     /// A registry whose randomized solvers run with `config`.
     pub fn with_config(config: EngineConfig) -> Self {
-        Self { config, external: Vec::new() }
+        let mut registry = Self { config, external: Vec::new(), listing: Vec::new() };
+        registry.relist();
+        registry
     }
 
     /// The configuration used to construct randomized solvers.
@@ -111,12 +155,11 @@ impl Registry {
         &self.config
     }
 
-    /// Capability records of every registered solver, external solvers first
-    /// (matching lookup precedence), then built-ins.
+    /// Capability records of every registered solver, each `(problem, name)`
+    /// once, in lookup precedence: external solvers first, in registration
+    /// order, then the built-ins they do not shadow.
     pub fn descriptors(&self) -> Vec<SolverDescriptor> {
-        let mut out: Vec<SolverDescriptor> = self.external.iter().map(|e| e.descriptor).collect();
-        out.extend_from_slice(&BUILTIN_DESCRIPTORS);
-        out
+        self.listing.clone()
     }
 
     /// Registers an external weighted solver for dimension `D`.  It takes
@@ -127,16 +170,7 @@ impl Registry {
     /// the listing would otherwise advertise a capability lookup cannot
     /// resolve.
     pub fn register_weighted<const D: usize>(&mut self, solver: SharedWeightedSolver<D>) {
-        assert!(
-            solver.descriptor().dims.supports(D),
-            "solver `{}` registered for dimension {D} its descriptor does not support",
-            solver.descriptor().name
-        );
-        self.external.push(ExternalEntry {
-            descriptor: *solver.descriptor(),
-            dim: D,
-            object: ExternalObject::Weighted(Box::new(solver)),
-        });
+        self.register::<D>(Entry::weighted(solver));
     }
 
     /// Registers an external colored solver for dimension `D`.  It takes
@@ -145,151 +179,73 @@ impl Registry {
     /// # Panics
     /// Panics if the solver's descriptor does not claim support for `D`.
     pub fn register_colored<const D: usize>(&mut self, solver: SharedColoredSolver<D>) {
+        self.register::<D>(Entry::colored(solver));
+    }
+
+    fn register<const D: usize>(&mut self, entry: Entry) {
         assert!(
-            solver.descriptor().dims.supports(D),
+            entry.descriptor.dims.supports(D),
             "solver `{}` registered for dimension {D} its descriptor does not support",
-            solver.descriptor().name
+            entry.descriptor.name
         );
-        self.external.push(ExternalEntry {
-            descriptor: *solver.descriptor(),
-            dim: D,
-            object: ExternalObject::Colored(Box::new(solver)),
-        });
+        self.external.push(entry);
+        self.relist();
+    }
+
+    /// Lists each `(problem, name)` at its first entry in lookup precedence,
+    /// so a solver registered for several dimensions is one row and an
+    /// external solver's row replaces the built-in row it shadows.  Built-in
+    /// descriptors do not depend on the dimension; `D = 1` stands in.
+    fn relist(&mut self) {
+        let builtins = builtins::<1>(&self.config);
+        self.listing.clear();
+        for d in self.external.iter().chain(&builtins).map(|e| e.descriptor) {
+            if !self.listing.iter().any(|l| (l.problem, l.name) == (d.problem, d.name)) {
+                self.listing.push(d);
+            }
+        }
     }
 
     /// The weighted solver registered under `name` that supports dimension
     /// `D`, if any.
     pub fn weighted<const D: usize>(&self, name: &str) -> Option<SharedWeightedSolver<D>> {
-        for entry in &self.external {
-            if entry.descriptor.name == name && entry.dim == D {
-                if let ExternalObject::Weighted(object) = &entry.object {
-                    if let Some(solver) = object.downcast_ref::<SharedWeightedSolver<D>>() {
-                        return Some(Arc::clone(solver));
-                    }
-                }
-            }
-        }
-        builtin_weighted::<D>(&self.config)
-            .into_iter()
-            .find(|s| s.descriptor().name == name && s.descriptor().dims.supports(D))
+        self.lookup::<D, _>(Some(name)).next()
     }
 
     /// The colored solver registered under `name` that supports dimension
     /// `D`, if any.
     pub fn colored<const D: usize>(&self, name: &str) -> Option<SharedColoredSolver<D>> {
-        for entry in &self.external {
-            if entry.descriptor.name == name && entry.dim == D {
-                if let ExternalObject::Colored(object) = &entry.object {
-                    if let Some(solver) = object.downcast_ref::<SharedColoredSolver<D>>() {
-                        return Some(Arc::clone(solver));
-                    }
-                }
-            }
-        }
-        builtin_colored::<D>(&self.config)
-            .into_iter()
-            .find(|s| s.descriptor().name == name && s.descriptor().dims.supports(D))
+        self.lookup::<D, _>(Some(name)).next()
     }
 
     /// Every weighted solver (external and built-in) supporting dimension
     /// `D`.
     pub fn weighted_solvers<const D: usize>(&self) -> Vec<SharedWeightedSolver<D>> {
-        let mut out: Vec<SharedWeightedSolver<D>> = Vec::new();
-        for entry in &self.external {
-            if entry.dim == D {
-                if let ExternalObject::Weighted(object) = &entry.object {
-                    if let Some(solver) = object.downcast_ref::<SharedWeightedSolver<D>>() {
-                        out.push(Arc::clone(solver));
-                    }
-                }
-            }
-        }
-        out.extend(
-            builtin_weighted::<D>(&self.config)
-                .into_iter()
-                .filter(|s| s.descriptor().dims.supports(D)),
-        );
-        out
+        self.lookup::<D, _>(None).collect()
     }
 
     /// Every colored solver (external and built-in) supporting dimension `D`.
     pub fn colored_solvers<const D: usize>(&self) -> Vec<SharedColoredSolver<D>> {
-        let mut out: Vec<SharedColoredSolver<D>> = Vec::new();
-        for entry in &self.external {
-            if entry.dim == D {
-                if let ExternalObject::Colored(object) = &entry.object {
-                    if let Some(solver) = object.downcast_ref::<SharedColoredSolver<D>>() {
-                        out.push(Arc::clone(solver));
-                    }
-                }
-            }
-        }
-        out.extend(
-            builtin_colored::<D>(&self.config)
-                .into_iter()
-                .filter(|s| s.descriptor().dims.supports(D)),
-        );
-        out
+        self.lookup::<D, _>(None).collect()
     }
-}
 
-/// Descriptors of the built-in solvers, in registry order.
-pub(super) const BUILTIN_DESCRIPTORS: [SolverDescriptor; 13] = [
-    ExactIntervalSolver::DESCRIPTOR,
-    ExactRectSolver::DESCRIPTOR,
-    ExactDiskSolver::DESCRIPTOR,
-    StaticBallSolver::DESCRIPTOR,
-    DynamicBallSolver::DESCRIPTOR,
-    ExactColoredDiskEnumSolver::DESCRIPTOR,
-    ExactColoredDiskUnionSolver::DESCRIPTOR,
-    OutputSensitiveColoredDiskSolver::DESCRIPTOR,
-    ColoredBallSolver::DESCRIPTOR,
-    ColoredDiskSamplingSolver::DESCRIPTOR,
-    ExactColoredRectSolver::DESCRIPTOR,
-    AutoWeightedSolver::DESCRIPTOR,
-    AutoColoredSolver::DESCRIPTOR,
-];
-
-/// The concrete (non-routing) built-in weighted solvers, in registry order.
-/// The `auto` router picks among exactly these, so it is excluded to keep
-/// the candidate set recursion-free.
-pub(super) fn concrete_weighted<const D: usize>(
-    config: &EngineConfig,
-) -> Vec<SharedWeightedSolver<D>> {
-    vec![
-        Arc::new(ExactIntervalSolver),
-        Arc::new(ExactRectSolver),
-        Arc::new(ExactDiskSolver),
-        Arc::new(StaticBallSolver::new(config.sampling)),
-        Arc::new(DynamicBallSolver::new(config.sampling)),
-    ]
-}
-
-/// The concrete built-in colored solvers, in registry order (see
-/// [`concrete_weighted`]).
-pub(super) fn concrete_colored<const D: usize>(
-    config: &EngineConfig,
-) -> Vec<SharedColoredSolver<D>> {
-    vec![
-        Arc::new(ExactColoredDiskEnumSolver),
-        Arc::new(ExactColoredDiskUnionSolver),
-        Arc::new(OutputSensitiveColoredDiskSolver),
-        Arc::new(ColoredBallSolver::new(config.sampling)),
-        Arc::new(ColoredDiskSamplingSolver::new(config.color_sampling)),
-        Arc::new(ExactColoredRectSolver),
-    ]
-}
-
-fn builtin_weighted<const D: usize>(config: &EngineConfig) -> Vec<SharedWeightedSolver<D>> {
-    let mut solvers = concrete_weighted::<D>(config);
-    solvers.push(Arc::new(AutoWeightedSolver::new(*config)));
-    solvers
-}
-
-fn builtin_colored<const D: usize>(config: &EngineConfig) -> Vec<SharedColoredSolver<D>> {
-    let mut solvers = concrete_colored::<D>(config);
-    solvers.push(Arc::new(AutoColoredSolver::new(*config)));
-    solvers
+    /// The solvers with handle type `T` that support dimension `D` and are
+    /// named `name` (any name for `None`), in lookup precedence.  The
+    /// built-ins are constructed only if the external solvers run out.
+    fn lookup<'a, const D: usize, T: Clone + 'static>(
+        &'a self,
+        name: Option<&'a str>,
+    ) -> impl Iterator<Item = T> + 'a {
+        let wanted = move |e: &Entry| {
+            if e.descriptor.dims.supports(D) && name.is_none_or(|n| e.descriptor.name == n) {
+                e.handle()
+            } else {
+                None
+            }
+        };
+        let builtins = std::iter::once_with(|| builtins::<D>(&self.config)).flatten();
+        self.external.iter().filter_map(wanted).chain(builtins.filter_map(move |e| wanted(&e)))
+    }
 }
 
 #[cfg(test)]
@@ -413,8 +369,11 @@ mod tests {
         assert_eq!(report.placement.value, -1.0, "external stub must shadow the builtin");
         // But the other dimension still resolves nothing.
         assert!(reg.weighted::<3>("exact-disk-2d").is_none());
-        // And descriptors list the external one first.
+        // And descriptors list the external one first, in place of the
+        // built-in row it shadows.
         assert_eq!(reg.descriptors()[0].reference, "test stub");
+        let rows = reg.descriptors().iter().filter(|d| d.name == "exact-disk-2d").count();
+        assert_eq!(rows, 1);
     }
 
     #[test]
@@ -456,7 +415,12 @@ mod tests {
         let before = reg.colored_solvers::<2>().len();
         reg.register_colored::<2>(Arc::new(Stub));
         assert!(reg.colored::<2>("stub-colored").is_some());
+        assert!(reg.weighted::<2>("stub-colored").is_none(), "a colored solver only");
         assert!(reg.colored::<3>("stub-colored").is_none(), "registered for d = 2 only");
         assert_eq!(reg.colored_solvers::<2>().len(), before + 1);
+        // A second dimension resolves there too but adds no listing row.
+        reg.register_colored::<3>(Arc::new(Stub));
+        assert!(reg.colored::<3>("stub-colored").is_some());
+        assert_eq!(reg.descriptors().iter().filter(|d| d.name == "stub-colored").count(), 1);
     }
 }

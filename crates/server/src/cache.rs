@@ -24,7 +24,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mrs_core::engine::{BatchQuery, RangeShape};
+use mrs_core::engine::{BatchQuery, ProblemKind, RangeShape};
 
 /// A query shape reduced to hashable bits (`f64::to_bits`; `-0.0` and `0.0`
 /// therefore key differently, which only costs a duplicate cache entry).
@@ -62,8 +62,8 @@ pub struct CacheKey {
     pub epoch: u64,
     /// The dataset version within that epoch (bumped by every mutation).
     pub version: u64,
-    /// `true` for colored queries, `false` for weighted ones.
-    pub colored: bool,
+    /// Weighted or colored MaxRS.
+    pub problem: ProblemKind,
     /// The registry name of the solver.
     pub solver: String,
     /// The query shape, bit-exact.
@@ -76,9 +76,9 @@ impl CacheKey {
         Self {
             epoch,
             version,
-            colored: matches!(query, BatchQuery::Colored { .. }),
-            solver: query.solver().to_string(),
-            shape: ShapeKey::from(query.shape()),
+            problem: query.problem,
+            solver: query.solver.clone(),
+            shape: ShapeKey::from(&query.shape),
         }
     }
 }
@@ -295,7 +295,7 @@ mod tests {
         CacheKey {
             epoch,
             version,
-            colored: false,
+            problem: ProblemKind::Weighted,
             solver: "exact-disk-2d".to_string(),
             shape: ShapeKey::Ball(radius.to_bits()),
         }
@@ -355,7 +355,7 @@ mod tests {
         assert_eq!(interval, ShapeKey::Ball(1.5f64.to_bits()));
         let q = BatchQuery::colored("approx-colored-ball", RangeShape::<2>::ball(1.0));
         let k = CacheKey::for_query(7, 3, &q);
-        assert!(k.colored);
+        assert_eq!(k.problem, ProblemKind::Colored);
         assert_eq!(k.epoch, 7);
         assert_eq!(k.version, 3);
         assert_eq!(k.solver, "approx-colored-ball");

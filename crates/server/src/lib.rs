@@ -11,9 +11,9 @@
 //!   [`SharedIndex`](mrs_core::engine::SharedIndex) whose structures are
 //!   built at most once per dataset lifetime;
 //! * **[`cache`]** — a sharded LRU over rendered answers keyed by
-//!   `(dataset epoch, solver, shape)`: repeated queries (the Zipfian head of
-//!   real logs) skip the solver entirely, and epoch bumps on reload make
-//!   stale answers unmatchable;
+//!   `(dataset epoch, version, problem, solver, shape)`: repeated queries
+//!   (the Zipfian head of real logs) skip the solver entirely, and epoch
+//!   bumps on reload make stale answers unmatchable;
 //! * **[`service`]** — the routed endpoints (`/solvers`, `/datasets/{name}`,
 //!   `/query`, `/batch`, `/healthz`, `/stats`, `/metrics`, `/debug/traces`,
 //!   `/shutdown`) over the hand-rolled [`http`] + [`json`] layers (std-only,

@@ -439,8 +439,12 @@ static METRICS: &[Metric] = {
             .at("cache", "capacity"),
         Metric::stat("cache", "hit_rate", Read(|s| Float(s.cache.hit_rate()))),
         Metric::stat("datasets", "name", PerDataset(|d| Text(d.name()))),
-        Metric::stat("datasets", "dim", PerDataset(|d| Int(d.dim() as u64))),
-        Metric::stat("datasets", "epoch", PerDataset(|d| Int(d.epoch()))),
+        Metric::gauge("maxrs_dataset_dim", PerDataset(|d| Int(d.dim() as u64)))
+            .help("Ambient dimension of each resident dataset.")
+            .at("datasets", "dim"),
+        Metric::gauge("maxrs_dataset_epoch", PerDataset(|d| Int(d.epoch())))
+            .help("Load epoch of each resident dataset (a reload takes a new one).")
+            .at("datasets", "epoch"),
         Metric::gauge("maxrs_dataset_version", PerDataset(|d| Int(d.version())))
             .help("Current dataset version (bumps on every mutation).")
             .at("datasets", "version"),
@@ -465,7 +469,9 @@ static METRICS: &[Metric] = {
         Metric::gauge("maxrs_dataset_sites", PerDataset(|d| Int(d.site_count() as u64)))
             .help("Live colored sites per resident dataset.")
             .at("datasets", "sites"),
-        Metric::stat("datasets", "requests", PerDataset(|d| Int(d.requests()))),
+        Metric::counter("maxrs_dataset_requests_total", PerDataset(|d| Int(d.requests())))
+            .help("Queries answered per dataset, cache hits included.")
+            .at("datasets", "requests"),
         Metric::counter(
             "maxrs_dataset_index_builds_total",
             PerDataset(|d| Int(d.index_builds() as u64)),

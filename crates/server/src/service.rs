@@ -5,7 +5,8 @@
 //!
 //! 1. resolve the dataset in the [`Catalog`] (404 if absent);
 //! 2. look each query up in the [`AnswerCache`] under
-//!    `(epoch, solver, shape)` — hits return the stored rendered answer;
+//!    `(epoch, version, problem, solver, shape)` — hits return the stored
+//!    rendered answer;
 //! 3. misses become one batch over the dataset's current version, answered
 //!    by [`BatchExecutor::execute_versioned_traced`] against the
 //!    catalog-resident [`SharedIndex`] and delta overlay, so index
@@ -220,10 +221,7 @@ impl QuerySpec {
     }
 
     fn query<const D: usize>(&self, shape: RangeShape<D>) -> BatchQuery<D> {
-        match self.problem {
-            ProblemKind::Weighted => BatchQuery::weighted(self.solver.clone(), shape),
-            ProblemKind::Colored => BatchQuery::colored(self.solver.clone(), shape),
-        }
+        BatchQuery { problem: self.problem, solver: self.solver.clone(), shape }
     }
 }
 
@@ -505,13 +503,7 @@ impl Service {
             .map(|d| {
                 Json::Obj(vec![
                     ("name".into(), Json::str(d.name)),
-                    (
-                        "problem".into(),
-                        Json::str(match d.problem {
-                            ProblemKind::Weighted => "weighted",
-                            ProblemKind::Colored => "colored",
-                        }),
-                    ),
+                    ("problem".into(), Json::str(d.problem.to_string())),
                     ("shape".into(), Json::str(d.shape.to_string())),
                     (
                         "dims".into(),
@@ -528,13 +520,7 @@ impl Service {
                             GuaranteeClass::OneMinusEps => "one-minus-eps",
                         }),
                     ),
-                    (
-                        "batch".into(),
-                        Json::str(match d.batch {
-                            BatchCapability::Independent => "independent",
-                            BatchCapability::IndexShared => "index-shared",
-                        }),
-                    ),
+                    ("batch".into(), Json::str(d.batch.to_string())),
                     ("updates".into(), Json::str(if d.dynamic { "incremental" } else { "static" })),
                     ("reference".into(), Json::str(d.reference)),
                 ])
@@ -703,13 +689,7 @@ impl Service {
             .find(|d| d.name == solver && problem.is_none_or(|p| d.problem == p))
             .ok_or_else(|| match problem {
                 None => format!("no registered solver is named `{solver}`"),
-                Some(p) => format!(
-                    "no registered {} solver is named `{solver}`",
-                    match p {
-                        ProblemKind::Weighted => "weighted",
-                        ProblemKind::Colored => "colored",
-                    }
-                ),
+                Some(p) => format!("no registered {p} solver is named `{solver}`"),
             })?;
         Ok(QuerySpec { solver: solver.to_string(), problem: descriptor.problem, shape })
     }
@@ -1034,62 +1014,48 @@ impl Service {
 /// Renders one successful engine answer as a JSON object string.  The
 /// center is an array of `D` coordinates; `version` stamps the dataset
 /// version the answer was computed (and certified) at, so clients of a
-/// mutable dataset can detect stale reads.
+/// mutable dataset can detect stale reads.  The two kinds share every field
+/// but their measure: a weighted `value` or a colored `distinct` count.
 fn render_answer<const D: usize>(
     answer: &mrs_core::engine::BatchAnswer<D>,
     certified: bool,
     version: u64,
 ) -> String {
-    let center_of =
-        |center: &mrs_geom::Point<D>| Json::Arr((0..D).map(|i| Json::num(center[i])).collect());
-    // Answers routed by the `auto` meta-solver carry their routing record:
-    // the solver it picked plus the predicted and actual work.
-    let auto_of = |stats: &mrs_core::engine::SolveStats| {
-        stats.auto_choice.map(|choice| {
-            Json::Obj(vec![
-                ("choice".into(), Json::str(choice)),
-                ("predicted_work".into(), Json::num(stats.auto_predicted_work.unwrap_or(0.0))),
-                ("actual_work".into(), Json::num(stats.auto_actual_work.unwrap_or(0.0))),
-            ])
-        })
-    };
-    match answer {
-        mrs_core::engine::BatchAnswer::Weighted(report) => {
-            let mut fields = vec![
-                ("kind".into(), Json::str("weighted")),
-                ("solver".into(), Json::str(report.solver)),
-                ("center".into(), center_of(&report.placement.center)),
-                ("value".into(), Json::num(report.placement.value)),
-                ("guarantee".into(), Json::str(report.guarantee.to_string())),
-                ("certified".into(), Json::Bool(certified)),
-                ("version".into(), Json::num(version as f64)),
-                ("solve_us".into(), Json::num(report.stats.elapsed.as_micros() as f64)),
-            ];
-            if let Some(auto) = auto_of(&report.stats) {
-                fields.push(("auto".into(), auto));
-            }
-            Json::Obj(fields).render()
+    use mrs_core::engine::BatchAnswer;
+    let (problem, solver, center, measure, guarantee, stats) = match answer {
+        BatchAnswer::Weighted(r) => {
+            let value = ("value", Json::num(r.placement.value));
+            (ProblemKind::Weighted, r.solver, &r.placement.center, value, &r.guarantee, &r.stats)
         }
-        mrs_core::engine::BatchAnswer::Colored(report) => {
-            let mut fields = vec![
-                ("kind".into(), Json::str("colored")),
-                ("solver".into(), Json::str(report.solver)),
-                ("center".into(), center_of(&report.placement.center)),
-                ("distinct".into(), Json::num(report.placement.distinct as f64)),
-                ("guarantee".into(), Json::str(report.guarantee.to_string())),
-                ("certified".into(), Json::Bool(certified)),
-                ("version".into(), Json::num(version as f64)),
-                ("solve_us".into(), Json::num(report.stats.elapsed.as_micros() as f64)),
-            ];
-            if let Some(auto) = auto_of(&report.stats) {
-                fields.push(("auto".into(), auto));
-            }
-            Json::Obj(fields).render()
+        BatchAnswer::Colored(r) => {
+            let distinct = ("distinct", Json::num(r.placement.distinct as f64));
+            (ProblemKind::Colored, r.solver, &r.placement.center, distinct, &r.guarantee, &r.stats)
         }
-        mrs_core::engine::BatchAnswer::Failed(_) => {
+        BatchAnswer::Failed(_) => {
             unreachable!("render_answer is only called on successful answers")
         }
+    };
+    let mut fields = vec![
+        ("kind".into(), Json::str(problem.to_string())),
+        ("solver".into(), Json::str(solver)),
+        ("center".into(), Json::Arr((0..D).map(|i| Json::num(center[i])).collect())),
+        (measure.0.into(), measure.1),
+        ("guarantee".into(), Json::str(guarantee.to_string())),
+        ("certified".into(), Json::Bool(certified)),
+        ("version".into(), Json::num(version as f64)),
+        ("solve_us".into(), Json::num(stats.elapsed.as_micros() as f64)),
+    ];
+    // Answers routed by the `auto` meta-solver carry their routing record:
+    // the solver it picked plus the predicted and actual work.
+    if let Some(choice) = stats.auto_choice {
+        let auto = Json::Obj(vec![
+            ("choice".into(), Json::str(choice)),
+            ("predicted_work".into(), Json::num(stats.auto_predicted_work.unwrap_or(0.0))),
+            ("actual_work".into(), Json::num(stats.auto_actual_work.unwrap_or(0.0))),
+        ]);
+        fields.push(("auto".into(), auto));
     }
+    Json::Obj(fields).render()
 }
 
 /// The value of one `?name=value` query parameter of a request target.
@@ -1209,6 +1175,32 @@ mod tests {
             body: vec![],
         };
         assert_eq!(service.handle(&del).status, 405);
+    }
+
+    #[test]
+    fn solvers_lists_each_problem_and_name_once() {
+        // `chaos-panic` registers for two dimensions; it is still one row.
+        let service = Service::new(ServerConfig {
+            seed: Some(42),
+            chaos_solver: true,
+            ..ServerConfig::default()
+        });
+        let listing = service.handle(&get("/solvers"));
+        let parsed = Json::parse(std::str::from_utf8(&listing.body).unwrap()).unwrap();
+        let field = |row: &Json, key: &str| row.get(key).unwrap().as_str().unwrap().to_string();
+        let mut rows: Vec<(String, String)> = parsed
+            .get("solvers")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|row| (field(row, "problem"), field(row, "name")))
+            .collect();
+        assert!(rows.iter().any(|(_, name)| name == "chaos-panic"), "{rows:?}");
+        let listed = rows.len();
+        rows.sort();
+        rows.dedup();
+        assert_eq!(listed, rows.len(), "a (problem, name) pair is listed twice: {rows:?}");
     }
 
     #[test]

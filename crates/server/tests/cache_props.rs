@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use mrs_core::engine::ProblemKind;
 use mrs_server::cache::{AnswerCache, CacheKey, ShapeKey};
 use proptest::prelude::*;
 
@@ -11,7 +12,7 @@ fn key(epoch: u64, id: u64) -> CacheKey {
     CacheKey {
         epoch,
         version: 1 + id % 3,
-        colored: id.is_multiple_of(2),
+        problem: if id.is_multiple_of(2) { ProblemKind::Colored } else { ProblemKind::Weighted },
         solver: format!("solver-{}", id % 5),
         shape: ShapeKey::Ball(id),
     }

@@ -245,10 +245,7 @@ impl QueryKind {
 
     /// This kind's query for one shape.
     fn query(&self, shape: RangeShape<2>) -> BatchQuery<2> {
-        match self.problem {
-            ProblemKind::Weighted => BatchQuery::weighted(self.solver, shape),
-            ProblemKind::Colored => BatchQuery::colored(self.solver, shape),
-        }
+        BatchQuery { problem: self.problem, solver: self.solver.into(), shape }
     }
 }
 
@@ -761,14 +758,11 @@ fn solver_label(solver: &str, stats: &SolveStats) -> String {
 fn render_step(step: &ScriptStep<2>) -> String {
     match step {
         ScriptStep::Query(query) => {
-            let shape = match query.shape() {
+            let shape = match query.shape {
                 RangeShape::Ball { radius } => format!("ball r={radius}"),
                 RangeShape::AxisBox { extents } => format!("box {}x{}", extents[0], extents[1]),
             };
-            match query {
-                BatchQuery::Weighted { .. } => format!("weighted {shape}"),
-                BatchQuery::Colored { .. } => format!("colored {shape}"),
-            }
+            format!("{} {shape}", query.problem)
         }
         ScriptStep::Mutate(Mutation::Insert { point, .. }) => {
             format!("insert ({}, {})", point.point.x(), point.point.y())
@@ -798,15 +792,11 @@ fn render_solvers() -> String {
             crate::engine::GuaranteeClass::HalfMinusEps => "(1/2 − ε)-approx",
             crate::engine::GuaranteeClass::OneMinusEps => "(1 − ε)-approx",
         };
-        let problem = match d.problem {
-            crate::engine::ProblemKind::Weighted => "weighted",
-            crate::engine::ProblemKind::Colored => "colored",
-        };
         let updates = if d.dynamic { "incremental" } else { "static" };
         out.push_str(&format!(
             "  {:<30} {:<9} {:<5} {:<7} {:<17} {:<13} {:<11} {}\n",
             d.name,
-            problem,
+            d.problem.to_string(),
             d.shape.to_string(),
             dims,
             guarantee,

@@ -445,9 +445,10 @@ fn assert_batch_matches_fresh_solves<const D: usize>(
         })
         .filter(|d| d.problem == ProblemKind::Weighted || !workload.sites.is_empty())
         .flat_map(|d| {
-            shapes.iter().filter(|s| d.supports(d.problem, s.class(), D)).map(|s| match d.problem {
-                ProblemKind::Weighted => BatchQuery::weighted(d.name, *s),
-                ProblemKind::Colored => BatchQuery::colored(d.name, *s),
+            shapes.iter().filter(|s| d.supports(d.problem, s.class(), D)).map(|s| BatchQuery {
+                problem: d.problem,
+                solver: d.name.into(),
+                shape: *s,
             })
         })
         .collect();
@@ -456,13 +457,14 @@ fn assert_batch_matches_fresh_solves<const D: usize>(
         executor.execute_versioned_traced(&dataset, &queries, &mut TraceRecorder::disabled());
     assert_eq!(report.stats.certify_failures, 0);
     for (query, answer) in queries.iter().zip(&report.answers) {
-        match query {
-            BatchQuery::Weighted { solver, shape } => {
+        let (solver, shape) = (&query.solver, query.shape);
+        match query.problem {
+            ProblemKind::Weighted => {
                 let batch = answer.weighted().unwrap_or_else(|| panic!("{solver}: {answer:?}"));
                 let fresh = registry
                     .weighted::<D>(solver)
                     .expect("the query names a registered solver")
-                    .solve(&WeightedInstance::new(workload.points.clone(), *shape))
+                    .solve(&WeightedInstance::new(workload.points.clone(), shape))
                     .expect("the fresh solve succeeds");
                 assert_eq!(
                     batch.placement.value.to_bits(),
@@ -475,12 +477,12 @@ fn assert_batch_matches_fresh_solves<const D: usize>(
                     "{solver} {shape:?}: batch center"
                 );
             }
-            BatchQuery::Colored { solver, shape } => {
+            ProblemKind::Colored => {
                 let batch = answer.colored().unwrap_or_else(|| panic!("{solver}: {answer:?}"));
                 let fresh = registry
                     .colored::<D>(solver)
                     .expect("the query names a registered solver")
-                    .solve(&ColoredInstance::new(workload.sites.clone(), *shape))
+                    .solve(&ColoredInstance::new(workload.sites.clone(), shape))
                     .expect("the fresh solve succeeds");
                 assert_eq!(
                     batch.placement.distinct, fresh.placement.distinct,

@@ -96,13 +96,9 @@ fn every_dispatchable_solver_matches_direct_dispatch() {
         }
         // The problem field disambiguates names registered on both sides
         // (the auto router is); harmless for the single-problem solvers.
-        let problem = match descriptor.problem {
-            ProblemKind::Weighted => "weighted",
-            ProblemKind::Colored => "colored",
-        };
         let body = format!(
-            r#"{{"dataset":"{dataset}","solver":"{}","problem":"{problem}","shape":{shape_json}}}"#,
-            descriptor.name
+            r#"{{"dataset":"{dataset}","solver":"{}","problem":"{}","shape":{shape_json}}}"#,
+            descriptor.name, descriptor.problem
         );
         let (status, response) = client.post("/query", &body).expect("query I/O");
         assert_eq!(status, 200, "{}: {response}", descriptor.name);
