@@ -286,8 +286,8 @@ pub mod batch {
 }
 
 /// The canonical serving workload: dataset CSV generators and the mixed
-/// Zipf query pool, shared by `serve_loadgen` (the `BENCH_serve.json`
-/// emitter) and `perfbench` so both send the same traffic.
+/// Zipf query pool, shared by the `serve_loadgen` CI gates and `perfbench`
+/// so both send the same traffic.
 pub mod serve {
     use rand::prelude::*;
 

@@ -225,8 +225,8 @@ impl BatchStats {
 ///
 /// One struct serves every consumer that reports per-query wall time: the
 /// `maxrs batch` CLI summary line, the `mrs_server` `/stats` endpoint (which
-/// serializes one summary per HTTP endpoint), and the `serve_loadgen`
-/// benchmark rows in `BENCH_serve.json`.
+/// serializes one summary per HTTP endpoint), and the p50 ratios the
+/// `serve_loadgen` gates check.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples summarized.

@@ -7,11 +7,14 @@
 //! [`VersionedView::index`](super::VersionedView::index)).
 //!
 //! All structures are built lazily and exactly once (interior mutability via
-//! [`OnceLock`] and per-radius grid maps), so the type is safely shared
-//! across worker threads: `SharedIndex<D>` is `Send + Sync` and every public
-//! method takes `&self`.
+//! [`OnceLock`] cells, one per structure, and per-key cell maps), so the
+//! type is safely shared across worker threads: `SharedIndex<D>` is
+//! `Send + Sync` and every public method takes `&self`.  A map's lock is
+//! held only to find a key's cell, never across a build, so a slow build
+//! at one radius never stalls a lookup at another.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -19,6 +22,7 @@ use std::time::{Duration, Instant};
 use mrs_geom::{ColoredSite, Fenwick, HashGrid, Point, WeightedPoint};
 
 use super::instance::Finite;
+use super::ProblemKind;
 use crate::config::SamplingConfig;
 use crate::exact::interval1d::{LinePoint, SortedLine};
 use crate::technique1::{self, SampleSet};
@@ -59,27 +63,33 @@ pub struct SharedIndex<const D: usize> {
     points: Finite<WeightedPoint<D>>,
     sites: Finite<ColoredSite<D>>,
     line: OnceLock<LineIndex>,
-    point_grids: Mutex<HashMap<u64, Arc<HashGrid<D>>>>,
-    site_grids: Mutex<HashMap<u64, Arc<HashGrid<D>>>>,
-    /// Technique-1 sample sets, built once per `(radius, config, colored)`
+    point_grids: Cells<u64, Arc<HashGrid<D>>>,
+    site_grids: Cells<u64, Arc<HashGrid<D>>>,
+    /// Technique-1 sample sets, built once per `(radius, config, kind)`
     /// key and then queried read-only via [`SampleSet::peek_best`].
-    sample_sets: Mutex<HashMap<SampleSetKey, Arc<SampleSet<D>>>>,
+    sample_sets: Cells<(SamplingKey, ProblemKind), Arc<SampleSet<D>>>,
     /// Point ids sorted by one coordinate (`(coordinate, id)` order), one
     /// array per axis — the shared substrate of the planar sweep solvers.
-    projections: Mutex<HashMap<usize, Arc<[u32]>>>,
+    projections: Cells<usize, Arc<[u32]>>,
     coord_scale: OnceLock<f64>,
     builds: AtomicUsize,
     build_time: Mutex<Duration>,
 }
 
-/// Cache key of one Technique-1 sample set: the query radius, whether the
-/// set was fed colored or weighted balls, and every field of the
-/// [`SamplingConfig`] it was built with (bit-exact, so two configs that
-/// would sample differently never share a set).
+/// One build-once cell per key.  The map lock is held only to find or
+/// insert a key's cell; the build runs in the cell after the lock is
+/// released, so a second caller for the same key waits on that cell and
+/// callers for other keys do not wait at all.
+type Cells<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// Cache key of one per-radius sampling structure: the query radius and
+/// every field of the [`SamplingConfig`] it was built with (bit-exact, so
+/// two configs that would sample differently never share a structure).
+/// A Technique-1 sample set keys on it plus its [`ProblemKind`]; a
+/// resident dynamic tracker keys on it alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct SampleSetKey {
+pub(super) struct SamplingKey {
     radius_bits: u64,
-    colored: bool,
     eps_bits: u64,
     seed: u64,
     sample_constant_bits: u64,
@@ -88,17 +98,25 @@ struct SampleSetKey {
     max_grids: Option<usize>,
 }
 
-impl SampleSetKey {
-    fn new(radius: f64, colored: bool, config: &SamplingConfig) -> Self {
+impl SamplingKey {
+    pub(super) fn new(radius: f64, config: &SamplingConfig) -> Self {
+        // Destructured, so a new `SamplingConfig` field cannot be left out.
+        let SamplingConfig {
+            eps,
+            seed,
+            sample_constant,
+            min_samples_per_cell,
+            max_samples_per_cell,
+            max_grids,
+        } = *config;
         Self {
             radius_bits: radius.to_bits(),
-            colored,
-            eps_bits: config.eps.to_bits(),
-            seed: config.seed,
-            sample_constant_bits: config.sample_constant.to_bits(),
-            min_samples: config.min_samples_per_cell,
-            max_samples: config.max_samples_per_cell,
-            max_grids: config.max_grids,
+            eps_bits: eps.to_bits(),
+            seed,
+            sample_constant_bits: sample_constant.to_bits(),
+            min_samples: min_samples_per_cell,
+            max_samples: max_samples_per_cell,
+            max_grids,
         }
     }
 }
@@ -120,10 +138,10 @@ impl<const D: usize> SharedIndex<D> {
             points,
             sites,
             line: OnceLock::new(),
-            point_grids: Mutex::new(HashMap::new()),
-            site_grids: Mutex::new(HashMap::new()),
-            sample_sets: Mutex::new(HashMap::new()),
-            projections: Mutex::new(HashMap::new()),
+            point_grids: Cells::default(),
+            site_grids: Cells::default(),
+            sample_sets: Cells::default(),
+            projections: Cells::default(),
             coord_scale: OnceLock::new(),
             builds: AtomicUsize::new(0),
             build_time: Mutex::new(Duration::ZERO),
@@ -191,15 +209,46 @@ impl<const D: usize> SharedIndex<D> {
         *self.build_time.lock().expect("build-time lock poisoned") += elapsed;
     }
 
-    fn line_index(&self) -> &LineIndex {
-        self.line.get_or_init(|| {
+    /// The one get-or-build path: fills `cell` with `build` unless it is
+    /// already filled (waiting if another caller is filling it), counting
+    /// `structures` builds and the time spent.
+    fn build_once<'a, V>(
+        &self,
+        cell: &'a OnceLock<V>,
+        structures: usize,
+        build: impl FnOnce() -> V,
+    ) -> &'a V {
+        cell.get_or_init(|| {
             let start = Instant::now();
+            let value = build();
+            self.record_build(structures, start.elapsed());
+            value
+        })
+    }
+
+    /// `key`'s cell in `cells`, inserted empty on first use.  The map lock
+    /// is released on return, before anything is built in the cell.
+    fn cell<K: Eq + Hash, V>(cells: &Cells<K, V>, key: K) -> Arc<OnceLock<V>> {
+        Arc::clone(cells.lock().expect("index cell map lock poisoned").entry(key).or_default())
+    }
+
+    /// The structure under `key` in `cells`, built once by [`Self::build_once`].
+    fn keyed<K: Eq + Hash, V: Clone>(
+        &self,
+        cells: &Cells<K, V>,
+        key: K,
+        build: impl FnOnce() -> V,
+    ) -> V {
+        self.build_once(&Self::cell(cells, key), 1, build).clone()
+    }
+
+    fn line_index(&self) -> &LineIndex {
+        self.build_once(&self.line, 2, || {
             let line_points: Vec<LinePoint> =
                 self.points.iter().map(|wp| LinePoint::new(wp.point[0], wp.weight)).collect();
             let line = SortedLine::new(&line_points);
             let weights: Vec<f64> = line.prefix().windows(2).map(|w| w[1] - w[0]).collect();
             let fenwick = Fenwick::from_values(&weights);
-            self.record_build(2, start.elapsed());
             LineIndex { line, weights, fenwick }
         })
     }
@@ -235,42 +284,29 @@ impl<const D: usize> SharedIndex<D> {
     pub(super) fn seed_projection(&self, axis: usize, order: Arc<[u32]>) -> bool {
         assert!(axis < D, "axis {axis} out of range for dimension {D}");
         assert_eq!(order.len(), self.points.len(), "one order entry per point");
-        let mut map = self.projections.lock().expect("projection lock poisoned");
-        if map.contains_key(&axis) {
-            return false;
+        let seeded = Self::cell(&self.projections, axis).set(order).is_ok();
+        if seeded {
+            self.builds.fetch_add(1, Ordering::Relaxed);
         }
-        map.insert(axis, order);
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    fn grid_for(
-        &self,
-        grids: &Mutex<HashMap<u64, Arc<HashGrid<D>>>>,
-        radius: f64,
-        coords: impl Fn() -> Vec<Point<D>>,
-    ) -> Arc<HashGrid<D>> {
-        let mut map = grids.lock().expect("grid lock poisoned");
-        if let Some(grid) = map.get(&radius.to_bits()) {
-            return Arc::clone(grid);
-        }
-        let start = Instant::now();
-        let grid = Arc::new(HashGrid::build(radius, &coords()));
-        self.record_build(1, start.elapsed());
-        map.insert(radius.to_bits(), Arc::clone(&grid));
-        grid
+        seeded
     }
 
     /// The hash grid over the weighted points at cell side `radius`, built
     /// once per distinct radius.
     pub fn point_grid(&self, radius: f64) -> Arc<HashGrid<D>> {
-        self.grid_for(&self.point_grids, radius, || self.points.iter().map(|wp| wp.point).collect())
+        self.keyed(&self.point_grids, radius.to_bits(), || {
+            let coords: Vec<Point<D>> = self.points.iter().map(|wp| wp.point).collect();
+            Arc::new(HashGrid::build(radius, &coords))
+        })
     }
 
     /// The hash grid over the colored sites at cell side `radius`, built
     /// once per distinct radius.
     pub fn site_grid(&self, radius: f64) -> Arc<HashGrid<D>> {
-        self.grid_for(&self.site_grids, radius, || self.sites.iter().map(|s| s.point).collect())
+        self.keyed(&self.site_grids, radius.to_bits(), || {
+            let coords: Vec<Point<D>> = self.sites.iter().map(|s| s.point).collect();
+            Arc::new(HashGrid::build(radius, &coords))
+        })
     }
 
     /// The point ids sorted by coordinate `axis` (ties by id), built once per
@@ -281,16 +317,9 @@ impl<const D: usize> SharedIndex<D> {
     /// stays byte-identical by construction.
     pub fn sorted_projection(&self, axis: usize) -> Arc<[u32]> {
         assert!(axis < D, "axis {axis} out of range for dimension {D}");
-        let mut map = self.projections.lock().expect("projection lock poisoned");
-        if let Some(order) = map.get(&axis) {
-            return Arc::clone(order);
-        }
-        let start = Instant::now();
-        let order: Arc<[u32]> =
-            crate::exact::rect2d::sorted_order_by_axis(&self.points, axis).into();
-        self.record_build(1, start.elapsed());
-        map.insert(axis, Arc::clone(&order));
-        order
+        self.keyed(&self.projections, axis, || {
+            crate::exact::rect2d::sorted_order_by_axis(&self.points, axis).into()
+        })
     }
 
     /// The Technique-1 *weighted* sample set for query radius `radius` under
@@ -298,7 +327,7 @@ impl<const D: usize> SharedIndex<D> {
     /// points), built exactly once per `(radius, config)` and shared by every
     /// query that asks for it.
     pub fn weighted_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampleSet<D>> {
-        self.sample_set(radius, false, config, || {
+        self.sample_set(radius, ProblemKind::Weighted, config, || {
             technique1::weighted_sample_set(&self.points, radius, *config)
         })
     }
@@ -307,7 +336,7 @@ impl<const D: usize> SharedIndex<D> {
     /// `config` ([`technique1::colored_sample_set`] over the indexed sites),
     /// built exactly once per `(radius, config)`.
     pub fn colored_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampleSet<D>> {
-        self.sample_set(radius, true, config, || {
+        self.sample_set(radius, ProblemKind::Colored, config, || {
             technique1::colored_sample_set(&self.sites, radius, *config)
         })
     }
@@ -315,20 +344,15 @@ impl<const D: usize> SharedIndex<D> {
     fn sample_set(
         &self,
         radius: f64,
-        colored: bool,
+        kind: ProblemKind,
         config: &SamplingConfig,
         build: impl FnOnce() -> SampleSet<D>,
     ) -> Arc<SampleSet<D>> {
-        let key = SampleSetKey::new(radius, colored, config);
-        let mut map = self.sample_sets.lock().expect("sample-set lock poisoned");
-        if let Some(set) = map.get(&key) {
-            return Arc::clone(set);
-        }
-        let start = Instant::now();
-        let set = Arc::new(build());
-        self.record_build(1, start.elapsed());
-        map.insert(key, Arc::clone(&set));
-        set
+        self.keyed(
+            &self.sample_sets,
+            (SamplingKey::new(radius, config), kind),
+            || Arc::new(build()),
+        )
     }
 
     /// Lower/upper bounds on the weight in the closed interval `[lo, hi]`
@@ -398,6 +422,86 @@ mod tests {
         let a = index.sorted_line().weight_in(1.0, 3.0);
         let b = ball_weight(2.0, 1.0);
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+    }
+
+    #[test]
+    fn a_build_at_one_radius_does_not_stall_reads_at_another() {
+        use std::sync::mpsc;
+        let points: Arc<[WeightedPoint<1>]> =
+            (0..32).map(|i| WeightedPoint::unit(Point::new([i as f64]))).collect::<Vec<_>>().into();
+        let index = SharedIndex::new(points, Vec::new().into());
+        let config = SamplingConfig::new(0.25);
+        let built = index.weighted_sample_set(2.0, &config);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (read_tx, read_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let index = &index;
+            scope.spawn(move || {
+                index.sample_set(1.0, ProblemKind::Weighted, &config, || {
+                    started_tx.send(()).expect("the test waits for the build to start");
+                    release_rx.recv().expect("the test releases the build");
+                    technique1::weighted_sample_set(index.points(), 1.0, config)
+                })
+            });
+            started_rx.recv().expect("the blocked build starts");
+            scope.spawn(move || {
+                let _ = read_tx.send(index.weighted_sample_set(2.0, &config));
+            });
+            let read = read_rx.recv_timeout(Duration::from_secs(5));
+            release_tx.send(()).expect("the blocked build is still waiting");
+            let ok = read.is_ok_and(|set| Arc::ptr_eq(&set, &built));
+            assert!(ok, "a read at a built radius waited on another radius's build");
+        });
+        assert_eq!(index.builds(), 2);
+    }
+
+    #[test]
+    fn every_sampling_key_field_selects_its_own_sample_set() {
+        let points: Arc<[WeightedPoint<1>]> = (0..16)
+            .map(|i| WeightedPoint::unit(Point::new([i as f64 * 0.5])))
+            .collect::<Vec<_>>()
+            .into();
+        let sites: Arc<[ColoredSite<1>]> = (0..16)
+            .map(|i| ColoredSite::new(Point::new([i as f64 * 0.5]), i % 3))
+            .collect::<Vec<_>>()
+            .into();
+        let index = SharedIndex::new(points, sites);
+        let base = SamplingConfig::new(0.25);
+        // Each config differs from `base` in exactly one field.
+        let configs = [
+            base,
+            SamplingConfig { eps: 0.2, ..base },
+            SamplingConfig { seed: base.seed + 1, ..base },
+            SamplingConfig { sample_constant: 2.0, ..base },
+            SamplingConfig { min_samples_per_cell: base.min_samples_per_cell + 1, ..base },
+            SamplingConfig { max_samples_per_cell: base.max_samples_per_cell + 1, ..base },
+            SamplingConfig { max_grids: Some(2), ..base },
+        ];
+        let set = |radius: f64, kind: ProblemKind, config: &SamplingConfig| match kind {
+            ProblemKind::Weighted => index.weighted_sample_set(radius, config),
+            ProblemKind::Colored => index.colored_sample_set(radius, config),
+        };
+        let mut keys = Vec::new();
+        for config in &configs {
+            for kind in [ProblemKind::Weighted, ProblemKind::Colored] {
+                keys.push((1.0, kind, *config));
+            }
+        }
+        keys.push((2.0, ProblemKind::Weighted, base));
+        let mut sets: Vec<Arc<SampleSet<1>>> = Vec::new();
+        for (radius, kind, config) in &keys {
+            let builds = index.builds();
+            let built = set(*radius, *kind, config);
+            assert_eq!(index.builds(), builds + 1, "{kind} r = {radius} {config:?}");
+            assert!(sets.iter().all(|other| !Arc::ptr_eq(other, &built)), "{kind} {config:?}");
+            sets.push(built);
+        }
+        let builds = index.builds();
+        for ((radius, kind, config), built) in keys.iter().zip(&sets) {
+            assert!(Arc::ptr_eq(&set(*radius, *kind, config), built), "{kind} {config:?}");
+        }
+        assert_eq!(index.builds(), builds, "repeating a key builds nothing");
     }
 
     #[test]

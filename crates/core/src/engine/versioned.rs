@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use mrs_geom::{ColoredSite, GridOverlay, OverlayHit, Point, WeightedPoint};
 
 use super::batch::{BatchAnswer, BatchQuery, BatchStats};
-use super::index::SharedIndex;
+use super::index::{SamplingKey, SharedIndex};
 use super::instance::{Finite, FiniteRecord};
 use crate::config::SamplingConfig;
 use crate::exact::interval1d::{LinePoint, SortedLine};
@@ -704,34 +704,6 @@ impl<const D: usize> VersionedView<D> {
     }
 }
 
-/// Cache key of one resident dynamic tracker: the query radius plus every
-/// sampling-config field (bit-exact, mirroring the shared index's sample-set
-/// key).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct TrackerKey {
-    radius_bits: u64,
-    eps_bits: u64,
-    seed: u64,
-    sample_constant_bits: u64,
-    min_samples: usize,
-    max_samples: usize,
-    max_grids: Option<usize>,
-}
-
-impl TrackerKey {
-    fn new(radius: f64, config: &SamplingConfig) -> Self {
-        Self {
-            radius_bits: radius.to_bits(),
-            eps_bits: config.eps.to_bits(),
-            seed: config.seed,
-            sample_constant_bits: config.sample_constant.to_bits(),
-            min_samples: config.min_samples_per_cell,
-            max_samples: config.max_samples_per_cell,
-            max_grids: config.max_grids,
-        }
-    }
-}
-
 struct TrackerEntry<const D: usize> {
     tracker: DynamicBallMaxRS<D>,
     ids: HashMap<u64, PointId>,
@@ -752,7 +724,7 @@ enum TrackerOp<const D: usize> {
 /// `line-update` workload reports it as `versioned.apply_us`).
 pub struct VersionedDataset<const D: usize> {
     current: RwLock<VersionedView<D>>,
-    trackers: Mutex<HashMap<TrackerKey, TrackerEntry<D>>>,
+    trackers: Mutex<HashMap<SamplingKey, TrackerEntry<D>>>,
     next_uid: AtomicU64,
     compactions: AtomicUsize,
     /// Total wall-clock time spent materializing compacted generations
@@ -1060,7 +1032,7 @@ impl<const D: usize> VersionedDataset<D> {
             return None;
         }
         let mut trackers = self.trackers.lock().expect("tracker lock poisoned");
-        let entry = trackers.entry(TrackerKey::new(radius, config)).or_insert_with(|| {
+        let entry = trackers.entry(SamplingKey::new(radius, config)).or_insert_with(|| {
             let mut tracker = DynamicBallMaxRS::new(radius, *config);
             let mut ids = HashMap::new();
             current.overlay.for_each_live_point(&current.generation, |wp, uid| {

@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/1.1 client for the service's own tests and the
-//! `serve_loadgen` benchmark driver.  Keep-alive by default: one [`Client`]
+//! `serve_loadgen` gate driver.  Keep-alive by default: one [`Client`]
 //! holds one connection and issues requests sequentially on it, which is
-//! exactly the shape an open-loop load generator needs.
+//! exactly the shape a closed-loop driver needs.
 
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};

@@ -34,8 +34,7 @@ use crate::cache::{AnswerCache, CacheKey};
 use crate::catalog::{Catalog, Dataset, DatasetCore};
 use crate::http::{Request, Response};
 use crate::json::Json;
-pub use crate::metrics::latency_json;
-use crate::metrics::{dataset_json, Counter, Endpoint, Metrics, Scrape};
+use crate::metrics::{dataset_json, latency_json, Counter, Endpoint, Metrics, Scrape};
 use crate::trace::{trace_json, TraceRing};
 
 /// Shards of the answer cache.
