@@ -6,7 +6,9 @@
 //! lemma or figure of the paper it checks: running-time shapes,
 //! approximation floors, and the executable hardness chains.  Absolute times
 //! depend on the machine; the *shapes* (who wins, how quantities scale) are
-//! what the tables are for.
+//! what the tables are for.  The run exits non-zero, naming the table and
+//! the row, when an `answer / exact` cell of E1, E2 or E6 falls below the
+//! `(1/2 − ε)` floor its theorem guarantees.
 
 use mrs_batched::engine::BatchedIntervalSolver;
 use mrs_batched::BatchedSei;
@@ -40,28 +42,48 @@ fn experiment_registry(sampling: SamplingConfig) -> Registry {
     registry
 }
 
+/// The `(1/2 − ε)` floor of Theorems 1.1, 1.2 and 1.5 at the experiments'
+/// ε = 0.25.
+const RATIO_FLOOR: f64 = 0.25;
+
+/// Formats an `answer / exact` ratio as a table cell, and records a breach
+/// naming `table` and `row` when the ratio is below [`RATIO_FLOOR`].
+fn ratio_cell(ratio: f64, table: &str, row: &str, breaches: &mut Vec<String>) -> String {
+    if ratio.is_nan() || ratio < RATIO_FLOOR {
+        breaches.push(format!("{table}, row {row}: ratio {ratio:.3} is below {RATIO_FLOOR}"));
+    }
+    format!("{ratio:.2}")
+}
+
 fn main() {
     println!("# MaxRS experiment suite");
     println!("(shapes matter, absolute numbers are machine-dependent)");
 
-    e1_dynamic_updates();
-    e2_static_ball_vs_exact();
+    let mut breaches = Vec::new();
+    e1_dynamic_updates(&mut breaches);
+    e2_static_ball_vs_exact(&mut breaches);
     e3_dimension_scaling();
     e4_batched_maxrs_and_figure6_chain();
     e5_bsei_and_section6_chain();
-    e6_colored_ball();
+    e6_colored_ball(&mut breaches);
     e7_output_sensitive();
     e8_color_sampling();
     e9_cap_fractions();
     e10_union_intersections();
     e11_batch_executor();
 
+    if !breaches.is_empty() {
+        for breach in &breaches {
+            eprintln!("approximation floor breached: {breach}");
+        }
+        std::process::exit(1);
+    }
     println!("\nall experiments completed");
 }
 
 /// E1 (Theorem 1.1): amortized dynamic update time vs n, against the cost of
 /// recomputing a static answer from scratch after every update.
-fn e1_dynamic_updates() {
+fn e1_dynamic_updates(breaches: &mut Vec<String>) {
     table_header(
         "E1 — dynamic MaxRS (Theorem 1.1): amortized update cost vs n",
         &["n", "update µs (amortized)", "static rebuild ms", "answer / exact"],
@@ -109,7 +131,7 @@ fn e1_dynamic_updates() {
                 .unwrap();
             let answer =
                 dynamic.best().map_or(0.0, |p| ball_coverage_weight(&live, &p.center, 1.0));
-            format!("{:.2}", answer / exact.placement.value)
+            ratio_cell(answer / exact.placement.value, "E1", &format!("n = {n}"), breaches)
         } else {
             "-".to_string()
         };
@@ -120,7 +142,7 @@ fn e1_dynamic_updates() {
 /// E2 (Theorem 1.2): static sampling technique vs the exact disk algorithm,
 /// and vs the prior-work input-sampling `(1 − ε)` baseline of §1.5, which
 /// buys a better factor by running the exact sweep on a sample of the input.
-fn e2_static_ball_vs_exact() {
+fn e2_static_ball_vs_exact(breaches: &mut Vec<String>) {
     table_header(
         "E2 — static ball MaxRS (Theorem 1.2): sampling vs exact, d = 2, ε = 0.25",
         &[
@@ -153,7 +175,12 @@ fn e2_static_ball_vs_exact() {
             n.to_string(),
             ms(t_approx),
             ms(t_exact),
-            format!("{:.2}", approx.placement.value / exact.placement.value),
+            ratio_cell(
+                approx.placement.value / exact.placement.value,
+                "E2",
+                &format!("{name}, n = {n}"),
+                breaches,
+            ),
             ms(t_prior),
             format!("{:.3}", prior.value / exact.placement.value),
         ]);
@@ -265,7 +292,7 @@ fn e5_bsei_and_section6_chain() {
 }
 
 /// E6 (Theorem 1.5): colored sampling technique vs the exact colored answer.
-fn e6_colored_ball() {
+fn e6_colored_ball(breaches: &mut Vec<String>) {
     table_header(
         "E6 — colored ball MaxRS (Theorem 1.5): sampling vs exact, ε = 0.25",
         &["n", "colors", "sampling ms", "exact ms", "ratio (≥ 0.25 required)"],
@@ -285,9 +312,11 @@ fn e6_colored_ball() {
                 colors.to_string(),
                 ms(t_approx),
                 ms(t_exact),
-                format!(
-                    "{:.2}",
-                    approx.placement.distinct as f64 / exact.placement.distinct as f64
+                ratio_cell(
+                    approx.placement.distinct as f64 / exact.placement.distinct as f64,
+                    "E6",
+                    &format!("n = {n}, {colors} colors"),
+                    breaches,
                 ),
             ]);
         } else {

@@ -17,7 +17,8 @@ use super::weighted::{require_ball, require_box, require_dim};
 use super::{each_shape, ColoredSolver, EngineResult};
 use crate::config::{ColorSamplingConfig, SamplingConfig};
 use crate::exact::{exact_colored_disk, exact_colored_rect};
-use crate::input::{ball_distinct_colors, ColoredPlacement};
+use crate::input::ColoredPlacement;
+use crate::technique1::colored_placement;
 use crate::technique2::{
     approx_colored_disk_sampling_with_details, exact_colored_disk_by_union,
     output_sensitive_colored_disk_with_stats, ColorSamplingBranch,
@@ -218,7 +219,7 @@ impl<const D: usize> ColoredSolver<D> for ColoredBallSolver {
 
     /// The colored Technique 1 sample set (dual balls inserted grouped by
     /// color, Section 3.2) is built once per distinct radius in the shared
-    /// index; each query reads it through the non-mutating `peek_best` and
+    /// index; each query reads it through [`colored_placement`], which
     /// certifies the chosen center with an exact distinct-color recount.
     fn solve_all(
         &self,
@@ -236,15 +237,11 @@ impl<const D: usize> ColoredSolver<D> for ColoredBallSolver {
                 let placement = if base.is_empty() {
                     ColoredPlacement::empty()
                 } else {
-                    let set = index.colored_sample_set(radius, &self.config);
-                    match set.peek_best() {
-                        None => ColoredPlacement::empty(),
-                        Some((scaled_center, _)) => {
-                            let center = scaled_center.scale(radius);
-                            let distinct = ball_distinct_colors(base.sites(), &center, radius);
-                            ColoredPlacement { center, distinct }
-                        }
-                    }
+                    colored_placement(
+                        &index.colored_sample_set(radius, &self.config),
+                        base.sites(),
+                        radius,
+                    )
                 };
                 Ok(SolverReport {
                     solver: name,

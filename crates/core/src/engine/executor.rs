@@ -204,7 +204,7 @@ impl<'r> BatchExecutor<'r> {
         let build_time_before = index.build_time();
         let mut answers: Vec<Option<BatchAnswer<D>>> = vec![None; queries.len()];
         let plan_start = Instant::now();
-        let tasks = self.plan(queries, &mut answers);
+        let tasks = self.plan(queries, view.boundary_slack(), &mut answers);
         let plan_time = plan_start.elapsed();
 
         // The thread *budget* is what the caller configured (or the machine
@@ -407,11 +407,13 @@ impl<'r> BatchExecutor<'r> {
     }
 
     /// Groups queries per `(problem, solver)`, resolves each solver once,
-    /// fails unknown names in place, and emits one task per index-sharing
-    /// group or per independent query.
+    /// fails unknown names and ranges no larger than the view's boundary
+    /// `slack` in place, and emits one task per index-sharing group or per
+    /// independent query.
     fn plan<const D: usize>(
         &self,
         queries: &[BatchQuery<D>],
+        slack: f64,
         answers: &mut [Option<BatchAnswer<D>>],
     ) -> Vec<Task<D>> {
         struct Group<const D: usize> {
@@ -423,6 +425,10 @@ impl<'r> BatchExecutor<'r> {
         let mut order: Vec<Group<D>> = Vec::new();
         let mut by_key: HashMap<(ProblemKind, String), usize> = HashMap::new();
         for (i, query) in queries.iter().enumerate() {
+            if let Err(error) = admit(query, slack) {
+                answers[i] = Some(BatchAnswer::Failed(error));
+                continue;
+            }
             let slot = *by_key.entry((query.problem, query.solver.clone())).or_insert_with(|| {
                 order.push(Group {
                     kind: query.problem,
@@ -480,6 +486,23 @@ fn machine_threads() -> usize {
         .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8))
 }
 
+/// Refuses a range whose radius, or smallest half-extent, is at most the
+/// view's boundary `slack`: no answer at that scale can be certified, and
+/// grid cell addresses saturate.
+fn admit<const D: usize>(query: &BatchQuery<D>, slack: f64) -> EngineResult<()> {
+    let half = match query.shape() {
+        RangeShape::Ball { radius } => *radius,
+        RangeShape::AxisBox { extents } => {
+            extents.iter().fold(f64::INFINITY, |m, e| m.min(e / 2.0))
+        }
+    };
+    if half > slack {
+        Ok(())
+    } else {
+        Err(EngineError::RangeTooSmall { solver: query.solver().to_string() })
+    }
+}
+
 /// Accumulates one query segment's statistics into a script-level total.
 fn merge_stats(total: &mut BatchStats, segment: &BatchStats) {
     total.queries += segment.queries;
@@ -512,10 +535,7 @@ pub fn certify_answer<const D: usize>(
     query: &BatchQuery<D>,
     answer: &BatchAnswer<D>,
 ) -> Option<bool> {
-    // Boundary membership is only re-decidable up to the rounding the
-    // reported center carries, which is relative to the coordinate
-    // magnitude — not to the query radius.
-    let slack = 1e-9 * (1.0 + view.coord_scale());
+    let slack = view.boundary_slack();
     Some(match answer {
         BatchAnswer::Failed(_) => return None,
         BatchAnswer::Weighted(report) => {
@@ -848,6 +868,45 @@ mod tests {
         assert_eq!(colored.placement.distinct, 4);
         assert_eq!(report.stats.certify_failures, 0);
         assert_eq!(report.stats.certified, 4);
+    }
+
+    #[test]
+    fn ranges_within_the_boundary_slack_fail_alone_and_never_hang() {
+        // Coordinates up to 100 put the boundary slack near 1e-7.  Smaller
+        // ranges saturate grid cell addresses and cannot be certified, so
+        // each must fail on its own before any solver runs, and the
+        // ordinary query beside them must still answer certified.
+        let points: Vec<WeightedPoint<2>> = (0..200)
+            .map(|i| {
+                WeightedPoint::unit(Point2::xy((i * 37 % 100) as f64, (i * 61 % 100) as f64 + 0.5))
+            })
+            .collect();
+        let mut queries = Vec::new();
+        for radius in [1e-300, 1e-18] {
+            queries.push(BatchQuery::weighted("approx-static-ball", RangeShape::ball(radius)));
+            queries.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(radius)));
+        }
+        queries.push(BatchQuery::weighted("exact-rect-2d", RangeShape::rect(1.0, 1e-18)));
+        queries.push(BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0)));
+        // A spawned thread and a timed receive, so a walk that never ends
+        // fails this test instead of hanging the run.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let batch = std::thread::spawn(move || {
+            let dataset = VersionedDataset::new(points, Vec::new());
+            let registry = registry();
+            let _ = tx.send(run(&BatchExecutor::new(&registry), &dataset, &queries));
+        });
+        let report = rx.recv_timeout(Duration::from_secs(5)).expect("the batch answers within 5 s");
+        batch.join().expect("the batch thread ends cleanly");
+        for answer in &report.answers[..5] {
+            assert!(
+                matches!(answer, BatchAnswer::Failed(EngineError::RangeTooSmall { .. })),
+                "{answer:?}"
+            );
+        }
+        assert_eq!(report.stats.failed, 5);
+        assert!(report.answers[5].is_ok());
+        assert_eq!(report.certified[5], Some(true));
     }
 
     #[test]

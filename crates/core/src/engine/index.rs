@@ -66,7 +66,7 @@ pub struct SharedIndex<const D: usize> {
     point_grids: Cells<u64, Arc<HashGrid<D>>>,
     site_grids: Cells<u64, Arc<HashGrid<D>>>,
     /// Technique-1 sample sets, built once per `(radius, config, kind)`
-    /// key and then queried read-only via [`SampleSet::peek_best`].
+    /// key and then read through [`SampleSet::best`], which takes `&self`.
     sample_sets: Cells<(SamplingKey, ProblemKind), Arc<SampleSet<D>>>,
     /// Point ids sorted by one coordinate (`(coordinate, id)` order), one
     /// array per axis — the shared substrate of the planar sweep solvers.

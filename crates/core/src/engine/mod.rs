@@ -124,6 +124,15 @@ pub enum EngineError {
         /// The refusing solver.
         solver: &'static str,
     },
+    /// The range is too small for the dataset's coordinates: its radius, or
+    /// its smallest half-extent, is at most the boundary slack
+    /// `1e-9·(1 + s)`, where `s` is the largest absolute coordinate.  No
+    /// answer at that scale can be certified, and grid cell addresses
+    /// saturate.
+    RangeTooSmall {
+        /// The solver the query named.
+        solver: String,
+    },
     /// A batch query named a solver the registry does not know (or one that
     /// does not exist under the query's problem kind and dimension).
     UnknownSolver {
@@ -171,6 +180,11 @@ impl std::fmt::Display for EngineError {
             EngineError::RangeTooLarge { solver } => {
                 write!(f, "solver `{solver}` cannot place a range this large: its length overflows")
             }
+            EngineError::RangeTooSmall { solver } => write!(
+                f,
+                "solver `{solver}` cannot place a range this small: it is within the \
+                 rounding slack of the dataset's coordinates"
+            ),
             EngineError::UnknownSolver { name } => {
                 write!(f, "no registered solver answers `{name}` for this query")
             }

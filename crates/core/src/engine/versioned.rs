@@ -30,8 +30,8 @@
 //! * the Theorem 1.1 [`DynamicBallMaxRS`] tracker is wired in as the
 //!   *incrementally maintained* sample-set backend: every mutation updates
 //!   the resident trackers in `O(ε^{-2d-2} log n)`, and approx-ball answers
-//!   are read back with the non-mutating
-//!   [`DynamicBallMaxRS::peek_best`] — they never rebuild at all;
+//!   are read back with [`DynamicBallMaxRS::best`], a scan of the per-cell
+//!   maxima that takes `&self` — they never rebuild at all;
 //! * once the delta outgrows the base (`|delta| > α·n`), the dataset
 //!   **compacts**: the live set is materialized into a fresh generation
 //!   (canonical order, so live ids and cached orders stay consistent) and
@@ -595,12 +595,16 @@ impl<const D: usize> VersionedView<D> {
 /// through the delta overlay on the base generation's structures, so
 /// certifying an answer after an update never rebuilds an index.
 impl<const D: usize> VersionedView<D> {
-    /// Largest absolute coordinate across the live points and sites (the
-    /// magnitude certification slack scales with).
-    pub(super) fn coord_scale(&self) -> f64 {
+    /// The boundary slack of this view, `1e-9·(1 + s)` for the largest
+    /// absolute coordinate `s` across the live points and sites.  Boundary
+    /// membership is only re-decidable up to the rounding a reported center
+    /// carries, which is relative to the coordinate magnitude, not to the
+    /// query radius; so certification widens every boundary by this much,
+    /// and the executor refuses a range no larger than it.
+    pub(super) fn boundary_slack(&self) -> f64 {
         // The base scale may over-count tombstoned points; a larger scale
-        // only widens the certification slack, which stays sound.
-        *self.derived.coord_scale.get_or_init(|| {
+        // only widens the slack, which stays sound.
+        let scale = *self.derived.coord_scale.get_or_init(|| {
             let mut scale = self.generation.index.coord_scale();
             for p in &self.alive_delta_points().0 {
                 for i in 0..D {
@@ -613,7 +617,8 @@ impl<const D: usize> VersionedView<D> {
                 }
             }
             scale
-        })
+        });
+        1e-9 * (1.0 + scale)
     }
 
     /// The live points, for shapes with no shared structure (boxes).
@@ -979,10 +984,10 @@ impl<const D: usize> VersionedDataset<D> {
     /// The incrementally maintained `(1/2 − ε)`-approximate ball answer at
     /// the **current** version: the resident [`DynamicBallMaxRS`] tracker
     /// for `(radius, config)` is created once (from the live snapshot),
-    /// updated by every later mutation, and read here with the non-mutating
-    /// [`DynamicBallMaxRS::peek_best`] — this path never rebuilds a
-    /// sampling structure.  The reported value is the exact covered weight
-    /// of the reported center, recounted through the delta overlay.
+    /// updated by every later mutation, and read here with
+    /// [`DynamicBallMaxRS::best`] — this path never rebuilds a sampling
+    /// structure.  The reported value is the exact covered weight of the
+    /// reported center, recounted through the delta overlay.
     ///
     /// Returns the view the answer is valid at alongside the placement.
     /// `None` when the dataset has (ever) carried negative weights — the
@@ -1040,7 +1045,7 @@ impl<const D: usize> VersionedDataset<D> {
             });
             TrackerEntry { tracker, ids }
         });
-        Some(match entry.tracker.peek_best() {
+        Some(match entry.tracker.best() {
             None => Placement::empty(),
             // Certify the report: the engine contract is that reported
             // values are the exact coverage of the returned center.

@@ -19,7 +19,7 @@ use crate::exact::disk2d::max_disk_placement_chunked;
 use crate::exact::interval1d::IntervalPlacement;
 use crate::exact::rect2d::max_rect_placement_presorted;
 use crate::input::{ball_coverage_weight, Placement};
-use crate::technique1::DynamicBallMaxRS;
+use crate::technique1::{weighted_placement, DynamicBallMaxRS};
 
 pub(super) fn require_dim<const D: usize>(solver: &'static str, wanted: usize) -> EngineResult<()> {
     if D == wanted {
@@ -314,8 +314,7 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
 
     /// The Technique 1 sample set is built once per distinct radius (cached
     /// in the shared index for the point set's whole lifetime) and every
-    /// query reads it through the non-mutating
-    /// [`crate::technique1::SampleSet::peek_best`], then certifies the
+    /// query reads it through [`weighted_placement`], which certifies the
     /// chosen center by an exact recount.
     fn solve_all(
         &self,
@@ -337,17 +336,7 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
                     (Placement::empty(), None)
                 } else {
                     let set = index.weighted_sample_set(radius, &self.config);
-                    let placement = match set.peek_best() {
-                        None => Placement::empty(),
-                        Some((scaled_center, _)) => {
-                            let center = scaled_center.scale(radius);
-                            // Certify: report the exact covered weight of the
-                            // chosen center (see `approx_static_ball` for why
-                            // the sampled depth is not reported as-is).
-                            let value = ball_coverage_weight(base.points(), &center, radius);
-                            Placement { center, value }
-                        }
-                    };
+                    let placement = weighted_placement(&set, base.points(), radius);
                     (placement, Some((set.grid_count(), set.cell_count(), set.total_samples())))
                 };
                 Ok(SolverReport {
@@ -367,9 +356,13 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
     }
 }
 
-/// Dynamic `(1/2 − ε)`-approximate `d`-ball MaxRS (Theorem 1.1), dispatched
-/// statically: the engine builds the update structure, feeds it the instance,
-/// and reports the best sample.  For genuine update streams use
+/// Dynamic `(1/2 − ε)`-approximate `d`-ball MaxRS (Theorem 1.1).  The
+/// executor answers its ball queries from the dataset's resident tracker,
+/// which every write updates (see
+/// [`VersionedDataset::dynamic_ball_best`](super::VersionedDataset::dynamic_ball_best)).
+/// `solve_all` is the fallback for a read whose view a write has passed and
+/// for direct calls: it builds a whole new tracker over the instance, reads
+/// it once and recounts the answer.  For genuine update streams use
 /// [`DynamicBallMaxRS`] directly.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicBallSolver {
@@ -431,8 +424,7 @@ impl<const D: usize> WeightedSolver<D> for DynamicBallSolver {
             if !base.is_empty() {
                 // Certify the report: the tracker's sampled depth matches the
                 // center's true coverage only up to floating-point boundary
-                // ties (see `approx_static_ball`), and the engine contract is
-                // that reported values are exact for the returned center.
+                // ties (see `weighted_placement`).
                 placement.value = ball_coverage_weight(base.points(), &placement.center, radius);
             }
             Ok(SolverReport {

@@ -35,6 +35,25 @@ pub fn colored_sample_set<const D: usize>(
     set
 }
 
+/// The certified placement `set`, the [`colored_sample_set`] of `sites` at
+/// `radius`, reports: its deepest sample scaled back to input coordinates,
+/// valued at the exact number of distinct colors of `sites` it covers.  The
+/// one read behind [`approx_colored_ball`] and the engine's
+/// `approx-colored-ball` solver.
+pub fn colored_placement<const D: usize>(
+    set: &SampleSet<D>,
+    sites: &[ColoredSite<D>],
+    radius: f64,
+) -> ColoredPlacement<D> {
+    let Some((scaled_center, _sampled_depth)) = set.best() else {
+        return ColoredPlacement::empty();
+    };
+    let center = scaled_center.scale(radius);
+    // The sampled colored depth equals the recount only up to floating-point
+    // boundary ties, as in the weighted case.
+    ColoredPlacement { center, distinct: ball_distinct_colors(sites, &center, radius) }
+}
+
 /// Computes a `(1/2 − ε)`-approximate placement of a ball of radius `radius`
 /// for colored MaxRS over `sites` (Theorem 1.5).
 ///
@@ -53,17 +72,7 @@ pub fn approx_colored_ball<const D: usize>(
     if sites.is_empty() {
         return ColoredPlacement::empty();
     }
-    match colored_sample_set(sites, radius, config).best() {
-        Some((scaled_center, _sampled_depth)) => {
-            let center = scaled_center.scale(radius);
-            // Report the true colored depth of the chosen center so the result
-            // is a certified placement (it equals the sampled depth up to
-            // floating-point boundary ties).
-            let distinct = ball_distinct_colors(sites, &center, radius);
-            ColoredPlacement { center, distinct }
-        }
-        None => ColoredPlacement::empty(),
-    }
+    colored_placement(&colored_sample_set(sites, radius, config), sites, radius)
 }
 
 #[cfg(test)]

@@ -118,29 +118,16 @@ impl<const D: usize> DynamicBallMaxRS<D> {
         true
     }
 
-    /// The current `(1/2 − ε)`-approximate placement, or `None` while empty.
-    /// The reported value is the exact covered weight of the reported center.
-    pub fn best(&mut self) -> Option<Placement<D>> {
+    /// The current `(1/2 − ε)`-approximate placement, or `None` while empty:
+    /// the deepest sample of [`SampleSet::best`], scaled back to input
+    /// coordinates.  The value is that sample's depth, which equals the
+    /// center's covered weight up to floating-point boundary ties; callers
+    /// that promise certified values recount it.
+    pub fn best(&self) -> Option<Placement<D>> {
         if self.live == 0 {
             return None;
         }
         self.samples.best().map(|(scaled_center, value)| Placement {
-            center: scaled_center.scale(self.radius),
-            value,
-        })
-    }
-
-    /// The current `(1/2 − ε)`-approximate placement without mutating the
-    /// structure, or `None` while empty — the concurrent-read query path of
-    /// a server-resident tracker (shared behind a lock, peeked by many
-    /// readers).  Ties are broken by the same `(depth, grid, cell)` total
-    /// order [`Self::best`]'s heap uses (see
-    /// [`SampleSet::peek_best`]), so both report the same sample.
-    pub fn peek_best(&self) -> Option<Placement<D>> {
-        if self.live == 0 {
-            return None;
-        }
-        self.samples.peek_best().map(|(scaled_center, value)| Placement {
             center: scaled_center.scale(self.radius),
             value,
         })
@@ -276,26 +263,6 @@ mod tests {
         // ...and comparable to what a static run of the same technique finds.
         let static_best = approx_static_ball(&points, 1.0, cfg(5));
         assert!(dyn_best.value >= (0.5 - 0.25) * static_best.value - 1e-9);
-    }
-
-    #[test]
-    fn peek_best_matches_best_through_updates() {
-        let mut dyn_mrs = DynamicBallMaxRS::<2>::new(1.0, cfg(8));
-        assert!(dyn_mrs.peek_best().is_none());
-        let mut ids = Vec::new();
-        for i in 0..40 {
-            ids.push(dyn_mrs.insert(Point2::xy(0.07 * i as f64, 0.0), 1.0 + (i % 4) as f64));
-            if i % 3 == 0 && ids.len() > 1 {
-                let victim = ids.remove(ids.len() / 2);
-                assert!(dyn_mrs.remove(victim));
-            }
-            let peeked = dyn_mrs.peek_best().expect("non-empty");
-            let heaped = dyn_mrs.best().expect("non-empty");
-            assert_eq!(peeked.center, heaped.center, "step {i}: same tie-breaking");
-            assert_eq!(peeked.value, heaped.value, "step {i}");
-            // Peeking must not have mutated anything: peek again agrees.
-            assert_eq!(dyn_mrs.peek_best().unwrap().center, heaped.center);
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod dynamic_ball;
 pub mod sample_set;
 pub mod static_ball;
 
-pub use colored_ball::{approx_colored_ball, colored_sample_set};
+pub use colored_ball::{approx_colored_ball, colored_placement, colored_sample_set};
 pub use dynamic_ball::{DynamicBallMaxRS, PointId};
 pub use sample_set::SampleSet;
-pub use static_ball::{approx_static_ball, weighted_sample_set};
+pub use static_ball::{approx_static_ball, weighted_placement, weighted_sample_set};

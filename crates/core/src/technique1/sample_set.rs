@@ -6,11 +6,11 @@
 //! circumsphere, together with the current (weighted or colored) depth of each
 //! sample point.  Inserting or deleting a ball touches only the samples of the
 //! `O(ε^{-2d})` cells it intersects, which is what gives the
-//! `O(ε^{-2d-2} log n)` update time of Theorem 1.1; the maximum-depth sample is
-//! tracked with a per-cell maximum plus a lazily validated global heap.
+//! `O(ε^{-2d-2} log n)` update time of Theorem 1.1.  Each cell keeps its
+//! deepest sample, refreshed by the updates that touch the cell, and the one
+//! read, [`SampleSet::best`], scans those per-cell maxima.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,32 +57,6 @@ impl<const D: usize> CellSamples<D> {
     }
 }
 
-#[derive(Clone, Debug)]
-struct HeapEntry<const D: usize> {
-    value: f64,
-    key: CellKey<D>,
-}
-
-impl<const D: usize> PartialEq for HeapEntry<D> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl<const D: usize> Eq for HeapEntry<D> {}
-impl<const D: usize> PartialOrd for HeapEntry<D> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<const D: usize> Ord for HeapEntry<D> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.value
-            .total_cmp(&other.value)
-            .then_with(|| self.key.0.cmp(&other.key.0))
-            .then_with(|| self.key.1.cmp(&other.key.1))
-    }
-}
-
 /// The point-sampling structure shared by the static, dynamic and colored
 /// variants of Technique 1.  Operates entirely in the *dual, unit-radius*
 /// coordinate system (see [`crate::technique1::weighted_sample_set`]).
@@ -92,7 +66,6 @@ pub struct SampleSet<const D: usize> {
     grids: ShiftedGrids<D>,
     samples_per_cell: usize,
     cells: HashMap<CellKey<D>, CellSamples<D>>,
-    heap: BinaryHeap<HeapEntry<D>>,
     rng: StdRng,
     total_samples: usize,
 }
@@ -112,7 +85,6 @@ impl<const D: usize> SampleSet<D> {
             grids,
             samples_per_cell,
             cells: HashMap::new(),
-            heap: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(config.seed),
             total_samples: 0,
         }
@@ -143,21 +115,19 @@ impl<const D: usize> SampleSet<D> {
         self.total_samples
     }
 
-    /// Applies `f` to every `(key, sample index)` pair whose sample point lies
-    /// inside `ball`, materializing cells on first touch.  Cell enumeration
-    /// goes through the allocation-free grid visitor, so an update allocates
-    /// only when it materializes a new cell.
+    /// Applies `f` to every sample point inside `ball`, materializing cells
+    /// on first touch, and refreshes the maximum of every cell it changed.
+    /// Cell enumeration goes through the allocation-free grid visitor, so an
+    /// update allocates only when it materializes a new cell.
     fn for_each_sample_in_ball<F: FnMut(&mut CellSamples<D>, usize)>(
         &mut self,
         ball: &Ball<D>,
         mut f: F,
-    ) -> Vec<CellKey<D>> {
-        let mut touched = Vec::new();
+    ) {
         let Self { grids, cells, rng, samples_per_cell, total_samples, .. } = self;
         for (gi, grid) in grids.grids().iter().enumerate() {
             grid.for_each_cell_intersecting_ball(ball, |cell| {
-                let key: CellKey<D> = (gi as u32, cell);
-                let entry = cells.entry(key).or_insert_with(|| {
+                let entry = cells.entry((gi as u32, cell)).or_insert_with(|| {
                     let circumball = grid.cell_circumball(&cell);
                     let pts = sample_points_on_boundary(&circumball, *samples_per_cell, rng);
                     *total_samples += pts.len();
@@ -171,40 +141,21 @@ impl<const D: usize> SampleSet<D> {
                     }
                 }
                 if any {
-                    touched.push(key);
+                    entry.recompute_max();
                 }
             });
-        }
-        touched
-    }
-
-    fn refresh_cell_max(&mut self, key: CellKey<D>) {
-        if let Some(cell) = self.cells.get_mut(&key) {
-            cell.recompute_max();
-            let value = cell.max_depth;
-            self.heap.push(HeapEntry { value, key });
         }
     }
 
     /// Adds a weighted ball: the weighted depth of every sample point inside
     /// it increases by `weight`.
     pub fn insert_ball(&mut self, ball: &Ball<D>, weight: f64) {
-        let touched = self.for_each_sample_in_ball(ball, |cell, i| {
-            cell.depth[i] += weight;
-        });
-        for key in touched {
-            self.refresh_cell_max(key);
-        }
+        self.for_each_sample_in_ball(ball, |cell, i| cell.depth[i] += weight);
     }
 
     /// Removes a weighted ball previously added with [`Self::insert_ball`].
     pub fn remove_ball(&mut self, ball: &Ball<D>, weight: f64) {
-        let touched = self.for_each_sample_in_ball(ball, |cell, i| {
-            cell.depth[i] -= weight;
-        });
-        for key in touched {
-            self.refresh_cell_max(key);
-        }
+        self.for_each_sample_in_ball(ball, |cell, i| cell.depth[i] -= weight);
     }
 
     /// Adds a colored ball.  Balls **must** be inserted grouped by color
@@ -212,71 +163,26 @@ impl<const D: usize> SampleSet<D> {
     /// colored depth counts each color at most once per sample.
     pub fn insert_colored_ball(&mut self, ball: &Ball<D>, color: usize) {
         let color = color as i64;
-        let touched = self.for_each_sample_in_ball(ball, |cell, i| {
+        self.for_each_sample_in_ball(ball, |cell, i| {
             if cell.flag[i] != color {
                 cell.flag[i] = color;
                 cell.depth[i] += 1.0;
             }
         });
-        for key in touched {
-            self.refresh_cell_max(key);
-        }
-    }
-
-    /// The deepest sample point and its depth without mutating the structure:
-    /// a scan over the per-cell maxima, `O(cells)`.  This is the read-only
-    /// query path of a *build-once, query-many* sample set (the engine caches
-    /// one per query radius in its `SharedIndex`); ties are broken by the
-    /// same `(depth, grid, cell)` total order the heap of [`Self::best`]
-    /// uses, so both report the same sample.
-    pub fn peek_best(&self) -> Option<(Point<D>, f64)> {
-        let mut best: Option<(&CellSamples<D>, CellKey<D>)> = None;
-        for (key, cell) in &self.cells {
-            let better = match &best {
-                None => true,
-                Some((champion, champion_key)) => {
-                    match cell.max_depth.total_cmp(&champion.max_depth) {
-                        Ordering::Greater => true,
-                        Ordering::Less => false,
-                        Ordering::Equal => {
-                            key.0.cmp(&champion_key.0).then_with(|| key.1.cmp(&champion_key.1))
-                                == Ordering::Greater
-                        }
-                    }
-                }
-            };
-            if better {
-                best = Some((cell, *key));
-            }
-        }
-        best.map(|(cell, _)| (cell.points[cell.argmax as usize], cell.max_depth))
     }
 
     /// The deepest sample point and its depth, or `None` if no cell has been
-    /// materialized yet.  Coordinates are in the dual (scaled) system.
-    pub fn best(&mut self) -> Option<(Point<D>, f64)> {
-        while let Some(top) = self.heap.peek() {
-            let Some(cell) = self.cells.get(&top.key) else {
-                self.heap.pop();
-                continue;
-            };
-            if (cell.max_depth - top.value).abs() > 1e-9 {
-                // Stale entry: the cell's maximum has changed since it was pushed.
-                self.heap.pop();
-                continue;
-            }
-            let point = cell.points[cell.argmax as usize];
-            return Some((point, cell.max_depth));
-        }
-        // Heap exhausted (e.g. every insertion was later removed): fall back to
-        // a scan so the structure stays usable.
-        let mut best: Option<(Point<D>, f64)> = None;
-        for cell in self.cells.values() {
-            if best.as_ref().is_none_or(|(_, v)| cell.max_depth > *v) {
-                best = Some((cell.points[cell.argmax as usize], cell.max_depth));
-            }
-        }
-        best
+    /// materialized yet.  Coordinates are in the dual (scaled) system.  A
+    /// scan over the per-cell maxima, `O(cells)`: Theorem 1.1 bounds the cost
+    /// of an update, not of a read.  Ties go to the greatest `(grid, cell)`
+    /// key, so the answer does not depend on the map's iteration order.
+    pub fn best(&self) -> Option<(Point<D>, f64)> {
+        self.cells
+            .iter()
+            .max_by(|(key_a, a), (key_b, b)| {
+                a.max_depth.total_cmp(&b.max_depth).then_with(|| key_a.cmp(key_b))
+            })
+            .map(|(_, cell)| (cell.points[cell.argmax as usize], cell.max_depth))
     }
 }
 
@@ -291,7 +197,7 @@ mod tests {
 
     #[test]
     fn empty_structure_has_no_best() {
-        let mut set = SampleSet::<2>::new(config(), 16);
+        let set = SampleSet::<2>::new(config(), 16);
         assert!(set.best().is_none());
         assert_eq!(set.cell_count(), 0);
     }
@@ -367,22 +273,6 @@ mod tests {
         let (p, v) = set.best().unwrap();
         let true_depth = balls.iter().filter(|b| b.contains(&p)).count() as f64;
         assert_eq!(v, true_depth);
-    }
-
-    #[test]
-    fn peek_best_matches_best_without_mutation() {
-        let mut set = SampleSet::<2>::new(config(), 32);
-        assert!(set.peek_best().is_none());
-        for i in 0..20 {
-            let c = Point2::xy((i % 5) as f64 * 0.3, (i / 5) as f64 * 0.3);
-            set.insert_ball(&Ball::unit(c), 1.0 + (i % 3) as f64);
-        }
-        let peeked = set.peek_best().expect("non-empty");
-        let heaped = set.best().expect("non-empty");
-        assert_eq!(peeked.0, heaped.0, "read-only query must select the same sample");
-        assert_eq!(peeked.1, heaped.1);
-        // Peeking again after the heap-based query still agrees.
-        assert_eq!(set.peek_best(), Some(heaped));
     }
 
     #[test]

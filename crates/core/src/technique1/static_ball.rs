@@ -29,6 +29,26 @@ pub fn weighted_sample_set<const D: usize>(
     set
 }
 
+/// The certified placement `set`, the [`weighted_sample_set`] of `points` at
+/// `radius`, reports: its deepest sample scaled back to input coordinates,
+/// valued at the exact weight of `points` it covers.  The one read behind
+/// [`approx_static_ball`] and the engine's `approx-static-ball` solver.
+pub fn weighted_placement<const D: usize>(
+    set: &SampleSet<D>,
+    points: &[WeightedPoint<D>],
+    radius: f64,
+) -> Placement<D> {
+    let Some((scaled_center, _sampled_depth)) = set.best() else {
+        return Placement::empty();
+    };
+    let center = scaled_center.scale(radius);
+    // The sampled depth equals the recount only up to floating-point
+    // boundary ties: samples sit exactly on dual ball boundaries, and on
+    // clustered inputs several input points can land within the
+    // scaled-vs-original rounding window of the returned ball's boundary.
+    Placement { center, value: ball_coverage_weight(points, &center, radius) }
+}
+
 /// Computes a `(1/2 − ε)`-approximate placement of a ball of radius `radius`
 /// over `points` (Theorem 1.2).
 ///
@@ -47,20 +67,7 @@ pub fn approx_static_ball<const D: usize>(
     for wp in points {
         assert!(wp.weight >= 0.0, "ball MaxRS requires non-negative weights");
     }
-    match weighted_sample_set(points, radius, config).best() {
-        Some((scaled_center, _sampled_depth)) => {
-            let center = scaled_center.scale(radius);
-            // Report the true covered weight of the chosen center so the
-            // result is a certified placement.  The sampled depth equals it
-            // only up to floating-point boundary ties: samples sit exactly on
-            // dual ball boundaries, and on clustered inputs several input
-            // points can land within the scaled-vs-original rounding window
-            // of the returned ball's boundary (the colored sampler recounts
-            // for the same reason).
-            Placement { center, value: ball_coverage_weight(points, &center, radius) }
-        }
-        None => Placement::empty(),
-    }
+    weighted_placement(&weighted_sample_set(points, radius, config), points, radius)
 }
 
 #[cfg(test)]

@@ -117,14 +117,17 @@ impl<const D: usize> Grid<D> {
             if ball.intersects_aabb(&cell_box) {
                 f(cursor);
             }
-            // Odometer-style increment over the integer box [lo, hi].
+            // Odometer-style increment over the integer box [lo, hi].  An axis
+            // steps only while below `hi`: `cell_of` saturates at `i64::MAX`
+            // for coordinates too large for the cell side, and stepping past
+            // it would wrap.
             let mut axis = 0;
             loop {
                 if axis == D {
                     return;
                 }
-                cursor[axis] += 1;
-                if cursor[axis] <= hi[axis] {
+                if cursor[axis] < hi[axis] {
+                    cursor[axis] += 1;
                     break;
                 }
                 cursor[axis] = lo[axis];
@@ -141,13 +144,14 @@ impl<const D: usize> Grid<D> {
         let mut cursor = lo;
         loop {
             out.push(cursor);
+            // The same saturation-safe odometer as the ball visitor's.
             let mut axis = 0;
             loop {
                 if axis == D {
                     return out;
                 }
-                cursor[axis] += 1;
-                if cursor[axis] <= hi[axis] {
+                if cursor[axis] < hi[axis] {
+                    cursor[axis] += 1;
                     break;
                 }
                 cursor[axis] = lo[axis];
@@ -308,6 +312,19 @@ mod tests {
         // A unit disk on a 0.5 grid intersects at most (2/0.5 + 2)^2 cells.
         assert!(cells.len() <= 36);
         assert!(cells.len() >= 9);
+    }
+
+    #[test]
+    fn walks_end_where_cell_addresses_saturate() {
+        // At x = 1e300 on a side-1 grid every x address saturates at
+        // `i64::MAX`; both walks must end instead of wrapping round.
+        let g = Grid::<2>::at_origin(1.0);
+        let ball = Ball::unit(Point2::xy(1e300, 0.0));
+        let mut visited = 0usize;
+        g.for_each_cell_intersecting_ball(&ball, |_| visited += 1);
+        assert!(visited <= 9, "visited {visited} cells");
+        let cells = g.cells_intersecting_aabb(&ball.bounding_box());
+        assert_eq!(cells, vec![[i64::MAX, -1], [i64::MAX, 0], [i64::MAX, 1]]);
     }
 
     #[test]

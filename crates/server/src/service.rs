@@ -1237,6 +1237,20 @@ mod tests {
     }
 
     #[test]
+    fn a_range_within_the_coordinate_slack_is_a_422_and_the_next_query_answers() {
+        let service = service();
+        service.handle(&post("/datasets/demo", CSV));
+        let tiny = r#"{"dataset":"demo","solver":"approx-static-ball","shape":{"ball":1e-300}}"#;
+        let refused = service.handle(&post("/query", tiny));
+        let text = String::from_utf8_lossy(&refused.body);
+        assert_eq!(refused.status, 422, "{text}");
+        assert!(text.contains("range this small"), "{text}");
+        let ordinary = r#"{"dataset":"demo","solver":"approx-static-ball","shape":{"ball":1}}"#;
+        let answered = service.handle(&post("/query", ordinary));
+        assert_eq!(answered.status, 200, "{}", String::from_utf8_lossy(&answered.body));
+    }
+
+    #[test]
     fn query_error_paths_are_typed_statuses() {
         let service = service();
         service.handle(&post("/datasets/demo", CSV));
