@@ -37,11 +37,11 @@
 //! `--chaos` runs the deterministic fault-injection harness instead (see
 //! [`run_chaos`]): malformed frames, oversized bodies, slow-loris drips,
 //! mid-body disconnects, a connection flood past the connection limit, panic
-//! injection through the test-only `chaos-panic` solver, and an expired
-//! deadline storm — gating on zero worker deaths, zero uncertified
-//! answers, well-formed 5xx responses, and p50 recovery.  The target
-//! server must be booted with `--chaos-solver` and a small
-//! `--queue-capacity`.
+//! injection through the test-only `chaos-panic` solver, color ids up to
+//! `usize::MAX`, and an expired deadline storm — gating on zero worker
+//! deaths, zero uncertified answers, well-formed 5xx responses, and p50
+//! recovery.  The target server must be booted with `--chaos-solver` and a
+//! small `--queue-capacity`.
 //!
 //! Each failed check prints a `VIOLATION:` line; the exit code is non-zero
 //! if any check failed.
@@ -489,7 +489,10 @@ fn run_update_mix(client: &mut Client, violations: &mut Violations) {
 /// 6. panic injection through the test-only `chaos-panic` solver — every
 ///    response a well-formed `500`, the `/stats` panic counter counts
 ///    them, and the pool keeps serving;
-/// 7. an expired-deadline storm (`X-Deadline-Ms: 0`) — typed `504`
+/// 7. hostile but valid colors — a colored set with color ids `2^40` and
+///    `usize::MAX`, queried through every colored ball solver the server
+///    lists: each answer must be `200` and certified;
+/// 8. an expired-deadline storm (`X-Deadline-Ms: 0`) — typed `504`
 ///    timeouts, counted, and **never cached** (the first clean repeat
 ///    must compute, the second must replay from cache).
 ///
@@ -673,7 +676,40 @@ fn run_chaos(addr: &str, violations: &mut Violations) {
     }
     assert_alive(&mut client, &warm_body, violations, "after panic injection");
 
-    // 8. Expired-deadline storm, over a plain client that can set headers.
+    // 8. Hostile but valid colors: a solver that sizes an array, or draws a
+    // random number, per possible color id aborts the server here.
+    let colors = format!(
+        "0,0,1,0\n0.4,0,1,{}\n0.4,0.3,1,{}\n9,9,1,{}\n",
+        1u64 << 40,
+        usize::MAX,
+        1u64 << 40
+    );
+    let (status, body) = client.post("/datasets/chaoscolors?dim=2", &colors).expect("upload I/O");
+    violations.check(status == 200, format!("hostile colors upload: status {status}: {body}"));
+    let (status, body) = client.get("/solvers").expect("solvers I/O");
+    violations.check(status == 200, format!("/solvers answered {status}"));
+    let listing = Json::parse(&body).ok();
+    let colored_balls: Vec<&str> = listing
+        .as_ref()
+        .and_then(|l| l.get("solvers"))
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .filter(|d| d.get("problem").and_then(Json::as_str) == Some("colored"))
+        .filter(|d| matches!(d.get("shape").and_then(Json::as_str), Some("ball" | "any")))
+        .filter_map(|d| d.get("name").and_then(Json::as_str))
+        .collect();
+    violations.check(!colored_balls.is_empty(), "/solvers lists no colored ball solver");
+    for solver in colored_balls {
+        let query = format!(
+            r#"{{"dataset":"chaoscolors","solver":"{solver}","problem":"colored","shape":{{"ball":1.0}},"cache":false}}"#
+        );
+        let (status, body) = client.post("/query", &query).expect("hostile colors query I/O");
+        check_answer(violations, status, &body, &format!("hostile colors, {solver}"));
+    }
+    assert_alive(&mut client, &warm_body, violations, "after hostile colors");
+
+    // 9. Expired-deadline storm, over a plain client that can set headers.
     let deadline_body = format!(
         r#"{{"dataset":"chaos1d","solver":"{CANONICAL_SOLVER}","shape":{{"interval":{}}}}}"#,
         CANONICAL_LENGTH * 2.0
@@ -704,7 +740,7 @@ fn run_chaos(addr: &str, violations: &mut Violations) {
         format!("the clean compute must be cached on replay: {body}"),
     );
 
-    // 9. Recovery: latency, counters, exposition.
+    // 10. Recovery: latency, counters, exposition.
     let after = warm_p50(&mut client, &warm_body, REPS, violations, "recovery");
     let bound = before.mul_f64(1.5) + Duration::from_millis(2);
     violations.check(

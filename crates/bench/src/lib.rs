@@ -329,9 +329,10 @@ pub mod serve {
     /// planar rectangle and colored-rectangle queries over the planar dataset
     /// (named `loadgen`) plus 1-D interval queries (batched and independent)
     /// over the line dataset (named `loadgen1d`).  All pool solvers are exact
-    /// with sub-second solves at the pool's dataset sizes — the colored
-    /// *disk* solvers are output-sensitive and blow past minutes on clustered
-    /// data at this density, so they are exercised by the smoke tests
+    /// with sub-second solves at the pool's dataset sizes.  The colored
+    /// *disk* solvers stay out: on a 2,000-point set of this shape, the
+    /// output-sensitive one took 1.08–1.33 s per query at r = 1 (served,
+    /// cache off, 2 shared vCPUs), so they are exercised by the smoke tests
     /// instead.
     pub fn query_pool(size: usize) -> Vec<String> {
         let mut pool = Vec::with_capacity(size);

@@ -16,12 +16,12 @@ use super::report::{Guarantee, SolveStats, SolverReport};
 use super::weighted::{require_ball, require_box, require_dim};
 use super::{each_shape, ColoredSolver, EngineResult};
 use crate::config::{ColorSamplingConfig, SamplingConfig};
-use crate::exact::{exact_colored_disk, exact_colored_rect};
+use crate::exact::{exact_colored_disk, exact_colored_rect_chunked};
 use crate::input::ColoredPlacement;
 use crate::technique1::colored_placement;
 use crate::technique2::{
     approx_colored_disk_sampling_with_details, exact_colored_disk_by_union,
-    output_sensitive_colored_disk_with_stats, ColorSamplingBranch,
+    output_sensitive_colored_disk_chunked, ColorSamplingBranch,
 };
 
 /// Exact colored disk MaxRS by straightforward candidate enumeration.
@@ -148,14 +148,14 @@ impl<const D: usize> ColoredSolver<D> for OutputSensitiveColoredDiskSolver {
         base: &ColoredInstance<D>,
         shapes: &[RangeShape<D>],
         _index: &SharedIndex<D>,
-        _threads: usize,
+        threads: usize,
     ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
         let name = Self::DESCRIPTOR.name;
         each_shape(shapes, |shape| {
             require_dim::<D>(name, 2)?;
             let radius = require_ball(name, shape)?;
             let sites = repack_sites::<D, 2>(base.sites());
-            let (best, stats) = output_sensitive_colored_disk_with_stats(&sites, radius);
+            let (best, stats) = output_sensitive_colored_disk_chunked(&sites, radius, threads);
             Ok(SolverReport {
                 solver: name,
                 placement: repack_colored_placement(&best),
@@ -356,14 +356,14 @@ impl<const D: usize> ColoredSolver<D> for ExactColoredRectSolver {
         base: &ColoredInstance<D>,
         shapes: &[RangeShape<D>],
         _index: &SharedIndex<D>,
-        _threads: usize,
+        threads: usize,
     ) -> Vec<EngineResult<SolverReport<ColoredPlacement<D>>>> {
         let name = Self::DESCRIPTOR.name;
         each_shape(shapes, |shape| {
             require_dim::<D>(name, 2)?;
             let extents = require_box(name, shape)?;
             let sites = repack_sites::<D, 2>(base.sites());
-            let best = exact_colored_rect(&sites, extents[0], extents[1]);
+            let best = exact_colored_rect_chunked(&sites, extents[0], extents[1], threads);
             let center = repack_point(&best.rect.lo.lerp(&best.rect.hi, 0.5));
             Ok(SolverReport {
                 solver: name,
@@ -429,6 +429,37 @@ mod tests {
                 report.solver
             );
         }
+    }
+
+    #[test]
+    fn hostile_color_ids_answer_as_their_dense_ranks() {
+        // `{0, 2^40, usize::MAX}` in id order is `{0, 1, 2}`: no solver may
+        // size an array, or draw a random number, per possible id.
+        let instance = |palette: [usize; 3]| {
+            let sites = [(0.0, 0.0, 0), (0.3, 0.2, 0), (0.5, 0.0, 1), (0.1, 0.6, 2), (5.0, 5.0, 2)]
+                .map(|(x, y, c)| ColoredSite::new(Point2::xy(x, y), palette[c]));
+            ColoredInstance::ball(sites.to_vec(), 1.0)
+        };
+        let (dense, hostile) = (instance([0, 1, 2]), instance([0, 1 << 40, usize::MAX]));
+        // A tiny `c1` sends the color sampler down its sampling branch.
+        let mut sampling = ColorSamplingConfig::new(0.25);
+        sampling.c1 = 0.01;
+        let solvers: [&dyn ColoredSolver<2>; 6] = [
+            &ExactColoredDiskEnumSolver,
+            &ExactColoredDiskUnionSolver,
+            &OutputSensitiveColoredDiskSolver,
+            &ColoredBallSolver::default(),
+            &ColoredDiskSamplingSolver::default(),
+            &ColoredDiskSamplingSolver::new(sampling),
+        ];
+        for solver in solvers {
+            let want = solver.solve(&dense).unwrap();
+            let got = solver.solve(&hostile).unwrap();
+            assert_eq!(got.placement, want.placement, "{}", solver.name());
+            assert_eq!(got.stats.samples, want.stats.samples, "{}", solver.name());
+        }
+        let sampled = ColoredDiskSamplingSolver::new(sampling).solve(&hostile).unwrap();
+        assert!(sampled.stats.samples.is_some(), "the sampling branch ran");
     }
 
     #[test]

@@ -1115,6 +1115,56 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadlines_stop_the_colored_exact_sweeps_early() {
+        // Sweeps that ignore the deadline run far past 5 s on these inputs.
+        // 30,000 sites 10 apart in x and 0.001 apart in y, each its own
+        // color: every tall strip holds more colors than the 1-wide box
+        // can cover, so the rectangle sweep prunes no strip.
+        let strips: Vec<ColoredSite<2>> = (0..30_000)
+            .map(|i| ColoredSite::new(Point2::xy(10.0 * i as f64, 1e-3 * i as f64), i))
+            .collect();
+        // 2,000 sites of distinct colors piled within 0.25: every pair of
+        // unit circles crosses, so enumeration has millions of candidates.
+        let pile: Vec<ColoredSite<2>> = (0..2_000)
+            .map(|i| {
+                let t = i as f64;
+                ColoredSite::new(
+                    Point2::xy((t * 0.618).fract() / 4.0, (t * 0.382).fract() / 4.0),
+                    i,
+                )
+            })
+            .collect();
+        let cases = [
+            (strips, BatchQuery::colored("exact-colored-rect-2d", RangeShape::rect(1.0, 40.0))),
+            (pile, BatchQuery::colored("exact-colored-disk-enum", RangeShape::ball(1.0))),
+        ];
+        for (sites, query) in cases {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let solve = std::thread::spawn(move || {
+                let dataset = VersionedDataset::new(Vec::new(), sites);
+                let registry = registry();
+                let executor = BatchExecutor::with_config(
+                    &registry,
+                    ExecutorConfig {
+                        deadline: Some(Instant::now() - Duration::from_millis(1)),
+                        ..ExecutorConfig::default()
+                    },
+                );
+                let _ = tx.send(run(&executor, &dataset, std::slice::from_ref(&query)));
+            });
+            let report = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("an expired deadline stops the sweep within 5 s");
+            solve.join().expect("the solve thread ends cleanly");
+            assert!(
+                matches!(report.answers[0].error(), Some(EngineError::DeadlineExceeded { .. })),
+                "{:?}",
+                report.answers[0]
+            );
+        }
+    }
+
+    #[test]
     fn unexpired_deadlines_leave_answers_intact() {
         let dataset = VersionedDataset::new(planar_points(), Vec::new());
         let queries = [BatchQuery::weighted("exact-disk-2d", RangeShape::ball(1.0))];

@@ -13,6 +13,7 @@ use std::collections::HashSet;
 
 use mrs_geom::{Ball, ColoredSite, HashGrid, Point2};
 
+use crate::engine::cancel;
 use crate::input::ColoredPlacement;
 
 /// Number of distinct colors among sites within distance `radius` of `q`,
@@ -62,29 +63,42 @@ pub fn exact_colored_disk(sites: &[ColoredSite<2>], radius: f64) -> ColoredPlace
     let index = HashGrid::build(radius.max(1e-9), &centers);
 
     let mut best = ColoredPlacement { center: sites[0].point, distinct: 0 };
-    let consider = |q: Point2, best: &mut ColoredPlacement<2>| {
+    // Each candidate polls the deadline; `false` means stop, and a stopped
+    // sweep returns its best so far.
+    let mut evaluated = 0usize;
+    let mut consider = |q: Point2, best: &mut ColoredPlacement<2>| {
+        evaluated += 1;
+        if cancel::poll(evaluated - 1) {
+            return false;
+        }
         let depth = colored_depth_with_index(sites, &index, radius * (1.0 + 1e-12), &q);
         if depth > best.distinct {
             *best = ColoredPlacement { center: q, distinct: depth };
         }
+        true
     };
 
     for s in sites {
-        consider(s.point, &mut best);
+        if !consider(s.point, &mut best) {
+            return best;
+        }
     }
     let two_r = 2.0 * radius;
+    let mut live = true;
     for (i, si) in sites.iter().enumerate() {
         let a = Ball::new(si.point, radius);
         index.for_each_within(&si.point, two_r, |j| {
-            if j <= i {
+            if j <= i || !live {
                 return;
             }
             let b = Ball::new(sites[j].point, radius);
             if let Some((p, q)) = a.boundary_intersections(&b) {
-                consider(p, &mut best);
-                consider(q, &mut best);
+                live = consider(p, &mut best) && consider(q, &mut best);
             }
         });
+        if !live {
+            break;
+        }
     }
     best
 }

@@ -172,40 +172,18 @@ pub fn max_disk_placement_chunked<const D: usize>(
     let chunk = n.div_ceil(threads);
     let mut stats = DiskSweepStats::default();
     let mut best = Placement { center: points[0].point, value: points[0].weight };
-    // Thread-locals do not cross `scope.spawn`; re-install the caller's
-    // cancellation token (if any) inside every worker.
-    let token = cancel::current();
-    let degraded = cancel::degraded();
     for phase in [Phase::Centers, Phase::Boundaries] {
         // Every chunk starts from the best found so far (phase 0 completes
         // before phase 1, as in the serial sweep); candidates must strictly
         // beat it, so the in-order merge reproduces the serial tie-breaking.
         let baseline = best;
-        let mut results: Vec<(Placement<D>, DiskSweepStats)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    let token = token.clone();
-                    scope.spawn(move || {
-                        let _cancel = cancel::install(token, degraded);
-                        let mut local_best = baseline;
-                        let mut scratch = DiskSweepScratch::default();
-                        let chunk_stats = sweep_chunk(
-                            points,
-                            radius,
-                            index,
-                            &mut scratch,
-                            start..end,
-                            phase,
-                            &mut local_best,
-                        );
-                        (local_best, chunk_stats)
-                    })
-                })
-                .collect();
-            results = handles.into_iter().map(|h| h.join().expect("sweep worker ran")).collect();
+        let results = cancel::fan_out((0..n).step_by(chunk), |start| {
+            let mut local_best = baseline;
+            let mut scratch = DiskSweepScratch::default();
+            let range = start..(start + chunk).min(n);
+            let chunk_stats =
+                sweep_chunk(points, radius, index, &mut scratch, range, phase, &mut local_best);
+            (local_best, chunk_stats)
         });
         for (candidate, chunk_stats) in results {
             chunk_stats.merge_into(&mut stats);

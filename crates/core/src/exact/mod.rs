@@ -24,7 +24,7 @@ pub mod interval1d;
 pub mod rect2d;
 
 pub use colored_disk2d::exact_colored_disk;
-pub use colored_rect2d::{exact_colored_rect, ColoredRectPlacement};
+pub use colored_rect2d::{exact_colored_rect, exact_colored_rect_chunked, ColoredRectPlacement};
 pub use disk2d::max_disk_placement;
 pub use interval1d::{max_interval_placement, IntervalPlacement, LinePoint, SortedLine};
 pub use rect2d::{max_rect_placement, RectPlacement};

@@ -75,6 +75,22 @@ pub fn ball_distinct_colors<const D: usize>(
     colors.len()
 }
 
+/// Remaps color ids to dense indices `0..m`, in ascending id order, and
+/// returns them in input order with `m`.  The colored sweeps size their
+/// per-color arrays by `m`, which is at most the number of sites, never by
+/// the largest id a client sent (up to `usize::MAX`).  A palette that is
+/// already `0..m` maps to itself.
+pub fn dense_colors(colors: impl IntoIterator<Item = usize>) -> (Vec<usize>, usize) {
+    let mut dense: Vec<usize> = colors.into_iter().collect();
+    let mut palette = dense.clone();
+    palette.sort_unstable();
+    palette.dedup();
+    for color in &mut dense {
+        *color = palette.binary_search(color).expect("a color is in its own palette");
+    }
+    (dense, palette.len())
+}
+
 /// Why a CSV record could not be loaded.
 ///
 /// Every variant pinpoints the offending field, so callers can render
@@ -363,6 +379,13 @@ pub fn parse_line_deletes_csv(text: &str) -> Result<Vec<Mutation<1>>, LoadError>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dense_colors_keep_id_order_and_map_dense_palettes_to_themselves() {
+        assert_eq!(dense_colors([usize::MAX, 0, 1 << 40, 0]), (vec![2, 0, 1, 0], 3));
+        assert_eq!(dense_colors([2, 0, 1, 2]), (vec![2, 0, 1, 2], 3));
+        assert_eq!(dense_colors([]), (vec![], 0));
+    }
 
     #[test]
     fn loader_parses_weighted_and_colored_csv() {

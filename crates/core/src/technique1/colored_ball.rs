@@ -29,8 +29,13 @@ pub fn colored_sample_set<const D: usize>(
     // "order the set B by color index" step).
     dual.sort_by_key(|(_, color)| *color);
     let mut set = SampleSet::new(config, sites.len());
-    for (ball, color) in &dual {
-        set.insert_colored_ball(ball, *color);
+    // The per-sample flag only tells one color group from the next, so each
+    // group goes in under its ordinal: an id of `usize::MAX` would otherwise
+    // collide with the flag's "no color yet" sentinel.
+    let mut group = 0;
+    for (k, (ball, color)) in dual.iter().enumerate() {
+        group += usize::from(k > 0 && *color != dual[k - 1].1);
+        set.insert_colored_ball(ball, group);
     }
     set
 }

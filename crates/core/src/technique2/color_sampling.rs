@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use mrs_geom::ColoredSite;
 
 use crate::config::{ColorSamplingConfig, SamplingConfig};
-use crate::input::{ball_distinct_colors, ColoredPlacement};
+use crate::input::{ball_distinct_colors, dense_colors, ColoredPlacement};
 use crate::technique1::colored_ball::approx_colored_ball;
 use crate::technique2::output_sensitive::output_sensitive_colored_disk;
 
@@ -115,9 +115,11 @@ pub fn approx_colored_disk_sampling_with_details(
     // Interesting case: sample colors independently with probability λ.
     let lambda = config.sampling_probability(n, opt_estimate as f64);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let num_colors = sites.iter().map(|s| s.color).max().unwrap_or(0) + 1;
+    // One draw per color present, in ascending id order.
+    let (dense, num_colors) = dense_colors(sites.iter().map(|s| s.color));
     let kept: Vec<bool> = (0..num_colors).map(|_| rng.gen_bool(lambda)).collect();
-    let sample: Vec<ColoredSite<2>> = sites.iter().copied().filter(|s| kept[s.color]).collect();
+    let sample: Vec<ColoredSite<2>> =
+        sites.iter().zip(&dense).filter(|&(_, &c)| kept[c]).map(|(s, _)| *s).collect();
     let kept_colors = kept.iter().filter(|&&k| k).count();
 
     // If the subsample came out empty (tiny λ and unlucky draw), fall back to

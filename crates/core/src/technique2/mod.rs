@@ -21,7 +21,8 @@ pub use color_sampling::{
     ColorSamplingResult,
 };
 pub use output_sensitive::{
-    output_sensitive_colored_disk, output_sensitive_colored_disk_with_stats, OutputSensitiveStats,
+    output_sensitive_colored_disk, output_sensitive_colored_disk_chunked,
+    output_sensitive_colored_disk_with_stats, OutputSensitiveStats,
 };
 pub use union_exact::{
     exact_colored_disk_by_union, max_colored_depth_union, max_colored_depth_union_with,

@@ -12,19 +12,29 @@
 //!
 //! ## Hot-path layout
 //!
-//! The localization runs the union sweep once per non-empty cell — thousands
-//! of small invocations per query — so the per-grid cell bucketing is a
-//! sort-based CSR pass over one reused `(cell, disk)` incidence buffer (no
-//! hash map, no per-cell vectors), and every sweep invocation shares one
-//! [`UnionScratch`].  The deterministic cell order also makes the reported
-//! optimum point reproducible run to run, which the hash-map bucketing was
-//! not.
+//! Each of the 36 grids is bucketed by a sort-based CSR pass over one reused
+//! `(cell, disk)` incidence buffer (no hash map, no per-cell vectors), which
+//! splits into one run of disk ids per non-empty cell: 155k–241k runs per
+//! query on a clustered 1,000-site planar set at r = 0.15–0.3.  A cell's
+//! depth is at most its run length, so only the runs longer than the best
+//! depth so far are kept and sorted, longest first; the rest are only
+//! counted.  There, all but a few dozen cells per query are pruned before
+//! the union sweep, which shares one [`UnionScratch`] across the cells it
+//! does run on.  The bucketing is the remaining cost, so its incidences
+//! take a stable radix sort by cell, and the grids are bucketed on the
+//! executor's thread budget through [`cancel::fan_out`], while the sweep
+//! stays serial in grid order, which keeps the answer and every counter the
+//! same at any budget.  The fixed cell order also makes the reported
+//! optimum point reproducible run to run.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use mrs_geom::grid::{CellCoord, Grid};
 use mrs_geom::{Ball, ColoredSite, GridQueryStats, Point2, ShiftedGrids};
 
 use crate::engine::cancel;
-use crate::input::ColoredPlacement;
+use crate::input::{dense_colors, ColoredPlacement};
 use crate::technique2::union_exact::{max_colored_depth_union_with, UnionScratch};
 
 /// Statistics from an output-sensitive run, reported for the experiments.
@@ -128,49 +138,178 @@ fn push_disk_incidences<K>(
     }
 }
 
-/// Groups a cell-major sorted incidence buffer into per-cell runs and sweeps
-/// them longest first.  A cell's colored depth is bounded by its incidence
-/// count, so once the best depth reaches the longest remaining run the
-/// entire tail of the grid is prunable in one step — without corner tests.
-/// The order is fully specified (length descending, then buffer position),
-/// so runs stay reproducible and kernel-mode independent.
-#[allow(clippy::too_many_arguments)]
-fn sweep_sorted_incidences<K: Copy>(
-    incidences: &[K],
-    runs: &mut Vec<(u32, u32)>,
-    same_cell: impl Fn(K, K) -> bool,
-    cell_of: impl Fn(K) -> CellCoord<2>,
-    id_of: impl Fn(K) -> u32 + Copy,
+/// The kept runs of one shifted grid: its cells whose incidence count
+/// exceeds a threshold, longest first, with their disk ids.  A cell's
+/// colored depth is at most its incidence count, so the other runs are
+/// prunable once the best depth reaches the threshold; they are counted,
+/// never copied or sorted.
+#[derive(Debug, Default)]
+struct GridRuns {
+    /// `(cell, start, end)` per kept run, its ids at `ids[start..end]`.
+    runs: Vec<(CellCoord<2>, u32, u32)>,
+    /// Disk ids of the kept runs, ascending within each run.
+    ids: Vec<u32>,
+    /// Runs no longer than the threshold.
+    prunable: usize,
+}
+
+impl GridRuns {
+    /// Splits a cell-major sorted incidence buffer into per-cell runs and
+    /// keeps those longer than `threshold`, ordered by length descending,
+    /// then buffer position: a fully specified order, so the sweep stays
+    /// reproducible and kernel-mode independent.
+    ///
+    /// Most runs hold one or two disks, so the scan counts run starts
+    /// without branching on them, and branches only where a run reaches
+    /// `threshold` entries past its start, which is rare once a depth is
+    /// known.
+    fn collect<K: Copy>(
+        &mut self,
+        incidences: &[K],
+        same_cell: impl Fn(K, K) -> bool,
+        cell_of: impl Fn(K) -> CellCoord<2>,
+        id_of: impl Fn(K) -> u32,
+        threshold: usize,
+    ) {
+        let len = incidences.len();
+        let mut runs = 0;
+        for i in 0..len {
+            let starts = i == 0 || !same_cell(incidences[i - 1], incidences[i]);
+            let reach = i + threshold;
+            let probe = incidences[reach.min(len - 1)];
+            runs += usize::from(starts);
+            if starts & (reach < len) & same_cell(incidences[i], probe) {
+                let mut end = reach + 1;
+                while end < len && same_cell(incidences[i], incidences[end]) {
+                    end += 1;
+                }
+                let first = self.ids.len() as u32;
+                self.ids.extend(incidences[i..end].iter().map(|&key| id_of(key)));
+                self.runs.push((cell_of(incidences[i]), first, self.ids.len() as u32));
+            }
+        }
+        self.prunable = runs - self.runs.len();
+        self.runs.sort_unstable_by_key(|&(_, s, e)| (std::cmp::Reverse(e - s), s));
+    }
+}
+
+/// One worker's incidence buffers, one per key tier plus the radix sort's
+/// second buffer, reused across grids.
+#[derive(Debug, Default)]
+struct IncidenceBuffers {
+    narrow: Vec<u64>,
+    spare: Vec<u64>,
+    mid: Vec<u128>,
+    wide: Vec<(CellCoord<2>, u32)>,
+}
+
+/// Cell-key bits sorted per pass of [`sort_by_cell`].
+const RADIX_BITS: u32 = 11;
+
+/// Sorts narrow incidence keys `(cell << 32) | id` by their `cell_bits`-wide
+/// cell with a stable LSD radix sort: a few linear passes, where a
+/// comparison sort of the whole key measured about 2.5× slower.  Disks are
+/// pushed in ascending id, so stability keeps ids ascending within each
+/// cell and the result is the keys' full integer order.
+fn sort_by_cell(keys: &mut Vec<u64>, spare: &mut Vec<u64>, cell_bits: u32) {
+    const MASK: u64 = (1 << RADIX_BITS) - 1;
+    let mut shift = INC_ID_BITS;
+    while shift < INC_ID_BITS + cell_bits {
+        let mut starts = [0usize; 1 << RADIX_BITS];
+        for &key in keys.iter() {
+            starts[((key >> shift) & MASK) as usize] += 1;
+        }
+        let mut next = 0;
+        for start in starts.iter_mut() {
+            (*start, next) = (next, next + *start);
+        }
+        spare.resize(keys.len(), 0);
+        for &key in keys.iter() {
+            let digit = ((key >> shift) & MASK) as usize;
+            spare[starts[digit]] = key;
+            starts[digit] += 1;
+        }
+        std::mem::swap(keys, spare);
+        shift += RADIX_BITS;
+    }
+}
+
+/// Buckets every disk by the cells of `grid` it intersects and returns the
+/// runs longer than `threshold` (see [`GridRuns`]).  `bounds` is the
+/// instance's bounding box over the disks: `cell_of` is monotone per axis,
+/// so its corners bound every cell address the grid can produce, the bias
+/// of the packed incidences.
+fn grid_runs(
     grid: &Grid<2>,
     disks: &[Ball<2>],
-    colors: &[usize],
-    st: &mut LocalizeState,
-) {
-    runs.clear();
-    let mut start = 0;
-    while start < incidences.len() {
-        let mut end = start + 1;
-        while end < incidences.len() && same_cell(incidences[start], incidences[end]) {
-            end += 1;
-        }
-        runs.push((start as u32, end as u32));
-        start = end;
+    bounds: &(Point2, Point2),
+    threshold: usize,
+    buf: &mut IncidenceBuffers,
+) -> GridRuns {
+    let mut out = GridRuns::default();
+    if cancel::should_stop() {
+        return out;
     }
-    runs.sort_unstable_by_key(|&(s, e)| (std::cmp::Reverse(e - s), s));
-    for (k, &(s, e)) in runs.iter().enumerate() {
-        if cancel::poll(k) {
-            break;
+    let bias = grid.cell_of(&bounds.0);
+    let top = grid.cell_of(&bounds.1);
+    let span_x = (top[0].wrapping_sub(bias[0])) as u64;
+    let span_y = (top[1].wrapping_sub(bias[1])) as u64;
+    // Collect packed (cell, disk) incidences into one flat buffer and sort
+    // it CSR-style, so that ids ascend within each cell.  Three key tiers:
+    // `u64` (row-major cell index `dy·w + dx` above a 32-bit id) covers
+    // spans up to 2^16 cells per axis, virtually every real instance, and
+    // takes the radix sort; the `u128` mid tier and full-width
+    // `(cell, id)` tuples are the cold fallbacks.
+    if span_x < (1 << 16) && span_y < (1 << 16) {
+        let width = span_x + 1;
+        let cells = width * (span_y + 1);
+        buf.narrow.clear();
+        for (i, disk) in disks.iter().enumerate() {
+            push_disk_incidences(
+                grid,
+                disk,
+                i as u32,
+                &bias,
+                |dx, dy, id| ((dy * width + dx) << INC_ID_BITS) | id as u64,
+                &mut buf.narrow,
+            );
         }
-        if (e - s) as usize <= st.best_depth {
-            let skipped = runs.len() - k;
-            st.stats.cells += skipped;
-            st.stats.cells_pruned += skipped;
-            break;
+        sort_by_cell(&mut buf.narrow, &mut buf.spare, u64::BITS - (cells - 1).leading_zeros());
+        out.collect(
+            &buf.narrow,
+            |a, b| (a >> INC_ID_BITS) == (b >> INC_ID_BITS),
+            |key| {
+                let cell = key >> INC_ID_BITS;
+                [bias[0] + (cell % width) as i64, bias[1] + (cell / width) as i64]
+            },
+            |key| key as u32,
+            threshold,
+        );
+    } else if span_x < (1 << INC_AXIS_BITS) && span_y < (1 << INC_AXIS_BITS) {
+        buf.mid.clear();
+        for (i, disk) in disks.iter().enumerate() {
+            push_disk_incidences(grid, disk, i as u32, &bias, pack_incidence, &mut buf.mid);
         }
-        let cell = cell_of(incidences[s as usize]);
-        let ids = incidences[s as usize..e as usize].iter().map(move |&key| id_of(key));
-        sweep_cell(grid, &cell, ids, disks, colors, st);
+        buf.mid.sort_unstable();
+        out.collect(
+            &buf.mid,
+            |a, b| (a >> INC_ID_BITS) == (b >> INC_ID_BITS),
+            |key| unpack_cell(key >> INC_ID_BITS, &bias),
+            |key| key as u32,
+            threshold,
+        );
+    } else {
+        // Cold path for coordinate spreads past ~10^14 cells: the same
+        // bucketing with full-width `(cell, id)` tuples via the generic
+        // enumerator, sorted on the fully-specified `(row, column, id)` key.
+        buf.wide.clear();
+        for (i, disk) in disks.iter().enumerate() {
+            grid.for_each_cell_intersecting_ball(disk, |cell| buf.wide.push((cell, i as u32)));
+        }
+        buf.wide.sort_unstable_by_key(|&(cell, id)| (cell[1], cell[0], id));
+        out.collect(&buf.wide, |a, b| a.0 == b.0, |key| key.0, |key| key.1, threshold);
     }
+    out
 }
 
 /// Mutable state threaded through every localized cell: the reusable sweep
@@ -186,6 +325,38 @@ struct LocalizeState {
     stats: OutputSensitiveStats,
     best_point: Point2,
     best_depth: usize,
+}
+
+impl LocalizeState {
+    /// Sweeps one grid's kept runs longest first.  Once the best depth
+    /// reaches the longest remaining run, the rest of the grid, its
+    /// prunable runs included, is pruned in one step without corner tests.
+    fn sweep_grid(&mut self, grid: &Grid<2>, list: &GridRuns, disks: &[Ball<2>], colors: &[usize]) {
+        for (k, &(cell, s, e)) in list.runs.iter().enumerate() {
+            if cancel::poll(k) {
+                return;
+            }
+            if (e - s) as usize <= self.best_depth {
+                let skipped = list.runs.len() - k + list.prunable;
+                self.stats.cells += skipped;
+                self.stats.cells_pruned += skipped;
+                return;
+            }
+            let ids = list.ids[s as usize..e as usize].iter().copied();
+            sweep_cell(grid, &cell, ids, disks, colors, self);
+        }
+        self.stats.cells += list.prunable;
+        self.stats.cells_pruned += list.prunable;
+    }
+}
+
+/// A role in the grid pass of [`max_colored_depth_output_sensitive`].
+enum Stage<'a> {
+    /// The calling thread: buckets its share of the grids, receives the
+    /// others' runs, and sweeps every grid in order.
+    Sweep(&'a mut LocalizeState, &'a mut IncidenceBuffers, Vec<Receiver<GridRuns>>),
+    /// Worker `k`: buckets its share and sends the runs in grid order.
+    Bucket(usize, SyncSender<GridRuns>),
 }
 
 /// Processes one localized cell: corner-filters the incident disks, applies
@@ -264,7 +435,16 @@ fn sweep_cell(
 }
 
 /// Exact maximum colored depth for *unit* disks (dual setting) in
-/// `O(n log n + n·opt)` expected time.
+/// `O(n log n + n·opt)` expected time, bucketing grids on up to `threads`
+/// workers.
+///
+/// Grid 0 is bucketed and swept first.  The other grids are bucketed
+/// round-robin by the workers and the calling thread, each keeping only
+/// the runs longer than the best depth published so far, and swept one
+/// after another in grid order.  The best depth only grows, so every kept
+/// list holds every run the serial sweep would reach, in the same order:
+/// the placement and every counter are the same at any thread budget, and
+/// one thread is the serial sweep.
 ///
 /// # Panics
 /// Panics if `disks` and `colors` have different lengths or any disk is not of
@@ -273,6 +453,7 @@ fn sweep_cell(
 pub fn max_colored_depth_output_sensitive(
     disks: &[Ball<2>],
     colors: &[usize],
+    threads: usize,
 ) -> (Point2, usize, OutputSensitiveStats) {
     assert_eq!(disks.len(), colors.len(), "one color per disk is required");
     for d in disks {
@@ -288,7 +469,8 @@ pub fn max_colored_depth_output_sensitive(
     }
 
     // Lemma 2.1 family with s = 1 and Δ = 0.25.
-    let grids = ShiftedGrids::<2>::full(1.0, 0.25);
+    let family = ShiftedGrids::<2>::full(1.0, 0.25);
+    let grids = family.grids();
     stats.grids = grids.len();
 
     // Both prunes inside `sweep_cell` are *behavior-identical*: a cell whose
@@ -296,7 +478,7 @@ pub fn max_colored_depth_output_sensitive(
     // could never update it (a cell's depth is bounded by its color count),
     // and a cell whose exact surviving subset was already swept would
     // reproduce the earlier result, which already had its chance to win.
-    let num_colors = colors.iter().copied().max().unwrap_or(0) + 1;
+    let (colors, num_colors) = dense_colors(colors.iter().copied());
     let mut st = LocalizeState {
         surviving: Vec::new(),
         sub_disks: Vec::new(),
@@ -310,103 +492,63 @@ pub fn max_colored_depth_output_sensitive(
         best_depth: 0,
     };
 
-    // Instance bounding box (over the disks, not just the centers): `cell_of`
-    // is monotone per axis, so these corners bound every cell address any
-    // grid of the family can produce — the bias of the packed incidences.
-    let mut bb_lo = Point2::xy(f64::INFINITY, f64::INFINITY);
-    let mut bb_hi = Point2::xy(f64::NEG_INFINITY, f64::NEG_INFINITY);
+    // Instance bounding box over the disks, not just the centers.
+    let mut bounds = (
+        Point2::xy(f64::INFINITY, f64::INFINITY),
+        Point2::xy(f64::NEG_INFINITY, f64::NEG_INFINITY),
+    );
     for d in disks {
-        bb_lo = bb_lo.component_min(&Point2::xy(d.center.x() - d.radius, d.center.y() - d.radius));
-        bb_hi = bb_hi.component_max(&Point2::xy(d.center.x() + d.radius, d.center.y() + d.radius));
+        let r = d.radius;
+        bounds.0 = bounds.0.component_min(&Point2::xy(d.center.x() - r, d.center.y() - r));
+        bounds.1 = bounds.1.component_max(&Point2::xy(d.center.x() + r, d.center.y() + r));
     }
 
-    // Reused across every grid of the family.
-    let mut inc64: Vec<u64> = Vec::new();
-    let mut incidences: Vec<u128> = Vec::new();
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-
-    for grid in grids.grids() {
-        // Coarse check once per shifted grid (the family has 36 members);
-        // the fine-grained polling lives in `sweep_sorted_incidences`.
-        if cancel::should_stop() {
-            break;
+    // Grid 0 first: no depth is known yet to filter its runs by, so it
+    // keeps every run, and its ids count the incidences a grid holds.
+    let mut buf = IncidenceBuffers::default();
+    let list = grid_runs(&grids[0], disks, &bounds, 0, &mut buf);
+    st.sweep_grid(&grids[0], &list, disks, &colors);
+    // The other grids: worker `k` of `w` buckets grids `k, k + w, …` and
+    // sends their runs in order, filtered by the best depth published so
+    // far; the calling thread buckets its own share and sweeps every grid
+    // in grid order.  A bounded channel keeps at most two lists per worker
+    // in memory.
+    let rest = &grids[1..];
+    let work = list.ids.len() * rest.len();
+    let workers = threads.min(work / cancel::MIN_CHUNK_WORK).clamp(1, rest.len());
+    let published = AtomicUsize::new(st.best_depth);
+    let (outboxes, inboxes): (Vec<_>, Vec<_>) = (1..workers).map(|_| sync_channel(1)).unzip();
+    let stages = std::iter::once(Stage::Sweep(&mut st, &mut buf, inboxes))
+        .chain(outboxes.into_iter().enumerate().map(|(k, outbox)| Stage::Bucket(k + 1, outbox)));
+    cancel::fan_out(stages, |stage| match stage {
+        Stage::Bucket(k, outbox) => {
+            let mut buf = IncidenceBuffers::default();
+            for grid in rest.iter().skip(k).step_by(workers) {
+                let threshold = published.load(Ordering::Relaxed);
+                if outbox.send(grid_runs(grid, disks, &bounds, threshold, &mut buf)).is_err() {
+                    break; // the sweep stopped
+                }
+            }
         }
-        let bias = grid.cell_of(&bb_lo);
-        let top = grid.cell_of(&bb_hi);
-        let span_x = (top[0].wrapping_sub(bias[0])) as u64;
-        let span_y = (top[1].wrapping_sub(bias[1])) as u64;
-        // Bucket disks by the cells they intersect: collect packed
-        // (cell, disk) incidences into one flat buffer and sort it
-        // CSR-style.  The id sits in the low bits of the key, so the plain
-        // integer sort keeps ascending disk id within each cell.  Three key
-        // tiers trade width for sort speed: `u64` (`dy:16 | dx:16 | id:32`)
-        // covers spans up to 2^16 cells per axis — virtually every real
-        // instance — and sorts about twice as fast as the `u128` mid tier;
-        // full-width `(cell, id)` tuples are the cold fallback.
-        if span_x < (1 << 16) && span_y < (1 << 16) {
-            inc64.clear();
-            for (i, disk) in disks.iter().enumerate() {
-                push_disk_incidences(
-                    grid,
-                    disk,
-                    i as u32,
-                    &bias,
-                    |dx, dy, id| (dy << 48) | (dx << 32) | id as u64,
-                    &mut inc64,
-                );
+        Stage::Sweep(st, buf, inboxes) => {
+            for (g, grid) in rest.iter().enumerate() {
+                // Coarse check once per shifted grid (the family has 36
+                // members); the fine-grained polling lives in `sweep_grid`.
+                if cancel::should_stop() {
+                    break;
+                }
+                let list = match g % workers {
+                    0 => grid_runs(grid, disks, &bounds, st.best_depth, buf),
+                    k => match inboxes[k - 1].recv() {
+                        Ok(list) => list,
+                        Err(_) => break, // a worker panicked; the fan-out resumes it
+                    },
+                };
+                st.sweep_grid(grid, &list, disks, &colors);
+                published.store(st.best_depth, Ordering::Relaxed);
             }
-            inc64.sort_unstable();
-            sweep_sorted_incidences(
-                &inc64,
-                &mut runs,
-                |a, b| (a >> 32) == (b >> 32),
-                |key| [bias[0] + ((key >> 32) & 0xffff) as i64, bias[1] + (key >> 48) as i64],
-                |key| key as u32,
-                grid,
-                disks,
-                colors,
-                &mut st,
-            );
-        } else if span_x < (1 << INC_AXIS_BITS) && span_y < (1 << INC_AXIS_BITS) {
-            incidences.clear();
-            for (i, disk) in disks.iter().enumerate() {
-                push_disk_incidences(grid, disk, i as u32, &bias, pack_incidence, &mut incidences);
-            }
-            incidences.sort_unstable();
-            sweep_sorted_incidences(
-                &incidences,
-                &mut runs,
-                |a, b| (a >> INC_ID_BITS) == (b >> INC_ID_BITS),
-                |key| unpack_cell(key >> INC_ID_BITS, &bias),
-                |key| key as u32,
-                grid,
-                disks,
-                colors,
-                &mut st,
-            );
-        } else {
-            // Cold path for coordinate spreads past ~10^14 cells: the same
-            // bucketing with full-width `(cell, id)` tuples via the generic
-            // enumerator, sorted on the fully-specified `(row, column, id)`
-            // key.
-            let mut wide: Vec<(CellCoord<2>, u32)> = Vec::new();
-            for (i, disk) in disks.iter().enumerate() {
-                grid.for_each_cell_intersecting_ball(disk, |cell| wide.push((cell, i as u32)));
-            }
-            wide.sort_unstable_by_key(|&(cell, id)| (cell[1], cell[0], id));
-            sweep_sorted_incidences(
-                &wide,
-                &mut runs,
-                |a, b| a.0 == b.0,
-                |key| key.0,
-                |key| key.1,
-                grid,
-                disks,
-                colors,
-                &mut st,
-            );
         }
-    }
+    });
     (st.best_point, st.best_depth, st.stats)
 }
 
@@ -437,6 +579,17 @@ pub fn output_sensitive_colored_disk_with_stats(
     sites: &[ColoredSite<2>],
     radius: f64,
 ) -> (ColoredPlacement<2>, OutputSensitiveStats) {
+    output_sensitive_colored_disk_chunked(sites, radius, 1)
+}
+
+/// [`output_sensitive_colored_disk_with_stats`] bucketing its grids on up
+/// to `threads` workers (see [`max_colored_depth_output_sensitive`]): the
+/// placement and the statistics are the same at every thread budget.
+pub fn output_sensitive_colored_disk_chunked(
+    sites: &[ColoredSite<2>],
+    radius: f64,
+    threads: usize,
+) -> (ColoredPlacement<2>, OutputSensitiveStats) {
     assert!(radius.is_finite() && radius > 0.0, "query radius must be positive");
     if sites.is_empty() {
         return (ColoredPlacement::empty(), OutputSensitiveStats::default());
@@ -444,7 +597,7 @@ pub fn output_sensitive_colored_disk_with_stats(
     let inv = 1.0 / radius;
     let disks: Vec<Ball<2>> = sites.iter().map(|s| Ball::unit(s.point.scale(inv))).collect();
     let colors: Vec<usize> = sites.iter().map(|s| s.color).collect();
-    let (point, depth, stats) = max_colored_depth_output_sensitive(&disks, &colors);
+    let (point, depth, stats) = max_colored_depth_output_sensitive(&disks, &colors, threads);
     (ColoredPlacement { center: point.scale(radius), distinct: depth }, stats)
 }
 

@@ -29,7 +29,7 @@ use mrs_geom::union_disks::ExposedArc;
 use mrs_geom::{Ball, ColoredSite, GridQueryStats, HashGrid, Point2, TAU};
 
 use crate::engine::cancel;
-use crate::input::ColoredPlacement;
+use crate::input::{dense_colors, ColoredPlacement};
 
 /// An exposed arc of one color's union boundary, referencing the *global* disk
 /// index that carries it (the disk's color is recovered from the global color
@@ -124,9 +124,9 @@ pub struct DepthResult {
     pub grid_stats: GridQueryStats,
 }
 
-/// Exact maximum colored depth for a set of disks with colors in `0..m`
-/// (dual setting).  Disks may have arbitrary positive radii, although the
-/// paper's setting (and the output-sensitive wrapper) uses unit disks.
+/// Exact maximum colored depth for a set of colored disks (dual setting).
+/// Disks may have arbitrary positive radii, although the paper's setting
+/// (and the output-sensitive wrapper) uses unit disks.
 ///
 /// Convenience wrapper over [`max_colored_depth_union_with`] with a fresh
 /// scratch; batch callers keep one scratch per thread instead.
@@ -158,9 +158,17 @@ pub fn max_colored_depth_union_with(
             grid_stats,
         };
     }
-    let num_colors = colors.iter().copied().max().unwrap_or(0) + 1;
-    if scratch.stamp.len() < num_colors {
-        scratch.stamp.resize(num_colors, 0);
+    // The stamp array is indexed by color, so ids from `disks.len()` up are
+    // remapped first: it then never outgrows the input.
+    let remapped;
+    let colors = if colors.iter().any(|&c| c >= disks.len()) {
+        remapped = dense_colors(colors.iter().copied()).0;
+        remapped.as_slice()
+    } else {
+        colors
+    };
+    if scratch.stamp.len() < disks.len() {
+        scratch.stamp.resize(disks.len(), 0);
     }
     let max_radius = disks.iter().map(|d| d.radius).fold(0.0f64, f64::max);
 

@@ -316,33 +316,6 @@ pub fn filter_within_sieve<const D: usize, F: FnMut(usize)>(
     rejected
 }
 
-/// Branch-free band filter: visits every index `i` of `vals` (ascending)
-/// with `lo_val <= vals[i] <= hi_val` — the strip-materialization primitive
-/// of the rectangle sweep.  Laned mask-accumulate like the ball filters;
-/// the per-lane predicate is the exact scalar comparison.
-#[inline]
-pub fn filter_in_band<F: FnMut(usize)>(vals: &[f64], lo_val: f64, hi_val: f64, mut on_hit: F) {
-    let mut i = 0usize;
-    while i + LANES <= vals.len() {
-        let block = &vals[i..i + LANES];
-        let mut mask = 0u32;
-        for (l, &v) in block.iter().enumerate() {
-            mask |= u32::from(lo_val <= v && v <= hi_val) << l;
-        }
-        while mask != 0 {
-            on_hit(i + mask.trailing_zeros() as usize);
-            mask &= mask - 1;
-        }
-        i += LANES;
-    }
-    while i < vals.len() {
-        if lo_val <= vals[i] && vals[i] <= hi_val {
-            on_hit(i);
-        }
-        i += 1;
-    }
-}
-
 /// Coordinates compared per counted block by [`advance_lt`] and
 /// [`advance_le`].  Chosen by measurement on the 1-D sweep, where a pointer
 /// moves about one slot per step: over 200k clustered points (2 shared
@@ -468,21 +441,6 @@ mod tests {
             let mut got = Vec::new();
             filter_within_sieve(&coords, &coords32, n, 0, n, &q, &q32, r_sq, r32, |s| got.push(s));
             assert_eq!(got, want, "scale {scale}");
-        }
-    }
-
-    #[test]
-    fn band_filter_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..50 {
-            let n = rng.gen_range(0..60);
-            let vals: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-            let lo = rng.gen_range(-5.0..5.0);
-            let hi = lo + rng.gen_range(0.0..4.0);
-            let want: Vec<usize> = (0..n).filter(|&i| lo <= vals[i] && vals[i] <= hi).collect();
-            let mut got = Vec::new();
-            filter_in_band(&vals, lo, hi, |i| got.push(i));
-            assert_eq!(got, want);
         }
     }
 

@@ -5,14 +5,17 @@
 //! including coordinates snapped exactly onto the query boundary — they must
 //! produce bit-identical hit sequences, bit-identical solver placements, and
 //! identical work counters, with `sieve_rejected` as the only mode-dependent
-//! number.  These tests A/B the modes over the grid queries and over the two
-//! candidates-bound planar solvers; any rounding shortcut smuggled into a
-//! laned kernel fails here deterministically.
+//! number.  These tests A/B the modes over the grid queries and over the
+//! planar solvers, at one and at several threads; any rounding shortcut
+//! smuggled into a laned kernel, or any chunk merge that changes a
+//! tie-break, fails here deterministically.
 
 use std::sync::{Mutex, MutexGuard};
 
 use maxrs::core::exact::disk2d::{max_disk_placement_chunked, DiskSweepStats};
-use maxrs::core::technique2::output_sensitive_colored_disk_with_stats;
+use maxrs::core::exact::exact_colored_rect_chunked;
+use maxrs::core::input::parse_point_set_csv;
+use maxrs::core::technique2::output_sensitive_colored_disk_chunked;
 use maxrs::geom::kernels::{kernel_mode, set_kernel_mode, KernelMode};
 use maxrs::geom::{ColoredSite, GridQueryStats, HashGrid, Point2, WeightedPoint};
 use proptest::prelude::*;
@@ -107,9 +110,10 @@ proptest! {
     }
 }
 
-/// Solver-level invariance: the exact disk sweep (serial and chunked) and
-/// the output-sensitive colored solver return bit-identical placements and
-/// identical work counters modulo `sieve_rejected` under every mode.
+/// Solver-level invariance: the exact disk sweep and the output-sensitive
+/// colored solver return bit-identical placements and identical work
+/// counters modulo `sieve_rejected` under every mode and at thread budgets
+/// 1 and 3, and the colored rectangle sweep returns the same placement.
 #[test]
 fn planar_solvers_are_lane_width_invariant() {
     let _guard = ModeGuard::acquire();
@@ -146,6 +150,7 @@ fn planar_solvers_are_lane_width_invariant() {
 
         let mut disk_ref = None;
         let mut os_ref = None;
+        let mut rect_ref = None;
         for mode in MODES {
             set_kernel_mode(mode);
             for threads in [1usize, 3] {
@@ -162,16 +167,48 @@ fn planar_solvers_are_lane_width_invariant() {
                         "disk sweep differs under {mode:?} x{threads} (round {round})"
                     ),
                 }
+                let (placement, stats) =
+                    output_sensitive_colored_disk_chunked(&sites, radius, threads);
+                let mut counters = stats;
+                counters.grid_queries = modulo_sieve(counters.grid_queries);
+                let key = (placement, counters);
+                match &os_ref {
+                    None => os_ref = Some(key),
+                    Some(want) => assert_eq!(
+                        &key, want,
+                        "output-sensitive solver differs under {mode:?} x{threads} (round {round})"
+                    ),
+                }
+                let key = exact_colored_rect_chunked(&sites, radius, 2.0 * radius, threads);
+                match &rect_ref {
+                    None => rect_ref = Some(key),
+                    Some(want) => assert_eq!(
+                        &key, want,
+                        "colored rectangle sweep differs under {mode:?} x{threads} (round {round})"
+                    ),
+                }
             }
-            let (placement, stats) = output_sensitive_colored_disk_with_stats(&sites, radius);
-            let mut counters = stats;
-            counters.grid_queries = modulo_sieve(counters.grid_queries);
-            let key = (placement, counters);
-            match &os_ref {
-                None => os_ref = Some(key),
+        }
+    }
+
+    // The rounds above are too small for the colored sweeps to split their
+    // work; on the benchmark's 2,000-point planar set at its shapes, both
+    // split three ways at a budget of 3.
+    let csv = mrs_bench::serve::planar_csv(2_000, 2025);
+    let sites = parse_point_set_csv(&csv).expect("generated CSV parses").sites;
+    let mut reference = None;
+    for mode in MODES {
+        set_kernel_mode(mode);
+        for threads in [1usize, 3] {
+            let (placement, mut stats) =
+                output_sensitive_colored_disk_chunked(&sites, 0.2, threads);
+            stats.grid_queries = modulo_sieve(stats.grid_queries);
+            let key = (placement, stats, exact_colored_rect_chunked(&sites, 0.3, 0.6, threads));
+            match &reference {
+                None => reference = Some(key),
                 Some(want) => assert_eq!(
                     &key, want,
-                    "output-sensitive solver differs under {mode:?} (round {round})"
+                    "colored sweeps differ under {mode:?} x{threads} on the planar set"
                 ),
             }
         }
