@@ -218,9 +218,10 @@ impl<const D: usize> ColoredSolver<D> for ColoredBallSolver {
     }
 
     /// The colored Technique 1 sample set (dual balls inserted grouped by
-    /// color, Section 3.2) is built once per distinct radius in the shared
-    /// index; each query reads it through [`colored_placement`], which
-    /// certifies the chosen center with an exact distinct-color recount.
+    /// color, Section 3.2) is built once per distinct radius, and the shared
+    /// index keeps its answer; each query reads that answer through
+    /// [`colored_placement`], which certifies the chosen center with an
+    /// exact distinct-color recount.
     fn solve_all(
         &self,
         base: &ColoredInstance<D>,

@@ -25,7 +25,7 @@ use super::instance::Finite;
 use super::ProblemKind;
 use crate::config::SamplingConfig;
 use crate::exact::interval1d::{LinePoint, SortedLine};
-use crate::technique1::{self, SampleSet};
+use crate::technique1::{self, SampledBest};
 
 /// The 1-D view of the shared point set: the sorted event list the Section 5
 /// batched solver builds from, plus a Fenwick tree over the sorted weights
@@ -53,7 +53,10 @@ struct LineIndex {
 /// * [`Self::point_grid`] / [`Self::site_grid`] — hash grids for ball
 ///   queries, one per distinct radius;
 /// * [`Self::sorted_projection`] — per-axis point orders for the planar
-///   sweeps, and the Technique-1 sample sets of the samplers.
+///   sweeps;
+/// * [`Self::weighted_sample_set`] / [`Self::colored_sample_set`] — what the
+///   Technique-1 samplers report, one [`SampledBest`] per radius and
+///   config: the deepest sample and the set's size, not the set.
 ///
 /// A [`VersionedDataset`](super::VersionedDataset) keeps one per
 /// generation (amortization across every batch the dataset ever serves,
@@ -65,9 +68,11 @@ pub struct SharedIndex<const D: usize> {
     line: OnceLock<LineIndex>,
     point_grids: Cells<u64, Arc<HashGrid<D>>>,
     site_grids: Cells<u64, Arc<HashGrid<D>>>,
-    /// Technique-1 sample sets, built once per `(radius, config, kind)`
-    /// key and then read through [`SampleSet::best`], which takes `&self`.
-    sample_sets: Cells<(SamplingKey, ProblemKind), Arc<SampleSet<D>>>,
+    /// What each Technique-1 sample set reports, built once per
+    /// `(radius, config, kind)` key.  The samplers report only the deepest
+    /// sample, so no set is kept: about a hundred bytes a key, against the
+    /// 92 MiB one planar set of 2,000 points allocates at `r = 1`.
+    sample_sets: Cells<(SamplingKey, ProblemKind), Arc<SampledBest<D>>>,
     /// Point ids sorted by one coordinate (`(coordinate, id)` order), one
     /// array per axis — the shared substrate of the planar sweep solvers.
     projections: Cells<usize, Arc<[u32]>>,
@@ -85,8 +90,8 @@ type Cells<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 /// Cache key of one per-radius sampling structure: the query radius and
 /// every field of the [`SamplingConfig`] it was built with (bit-exact, so
 /// two configs that would sample differently never share a structure).
-/// A Technique-1 sample set keys on it plus its [`ProblemKind`]; a
-/// resident dynamic tracker keys on it alone.
+/// A Technique-1 sample set's answer keys on it plus its [`ProblemKind`];
+/// a resident dynamic tracker keys on it alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(super) struct SamplingKey {
     radius_bits: u64,
@@ -322,20 +327,21 @@ impl<const D: usize> SharedIndex<D> {
         })
     }
 
-    /// The Technique-1 *weighted* sample set for query radius `radius` under
-    /// `config` ([`technique1::weighted_sample_set`] over the indexed
-    /// points), built exactly once per `(radius, config)` and shared by every
-    /// query that asks for it.
-    pub fn weighted_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampleSet<D>> {
+    /// What the Technique-1 *weighted* sample set for query radius `radius`
+    /// under `config` reports ([`technique1::weighted_sample_set`] over the
+    /// indexed points), built exactly once per `(radius, config)` and shared
+    /// by every query that asks for it: `approx-static-ball`'s, and
+    /// `dynamic-ball`'s when it does not read a resident tracker.
+    pub fn weighted_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampledBest<D>> {
         self.sample_set(radius, ProblemKind::Weighted, config, || {
             technique1::weighted_sample_set(&self.points, radius, *config)
         })
     }
 
-    /// The Technique-1 *colored* sample set for query radius `radius` under
-    /// `config` ([`technique1::colored_sample_set`] over the indexed sites),
-    /// built exactly once per `(radius, config)`.
-    pub fn colored_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampleSet<D>> {
+    /// What the Technique-1 *colored* sample set for query radius `radius`
+    /// under `config` reports ([`technique1::colored_sample_set`] over the
+    /// indexed sites), built exactly once per `(radius, config)`.
+    pub fn colored_sample_set(&self, radius: f64, config: &SamplingConfig) -> Arc<SampledBest<D>> {
         self.sample_set(radius, ProblemKind::Colored, config, || {
             technique1::colored_sample_set(&self.sites, radius, *config)
         })
@@ -346,8 +352,8 @@ impl<const D: usize> SharedIndex<D> {
         radius: f64,
         kind: ProblemKind,
         config: &SamplingConfig,
-        build: impl FnOnce() -> SampleSet<D>,
-    ) -> Arc<SampleSet<D>> {
+        build: impl FnOnce() -> SampledBest<D>,
+    ) -> Arc<SampledBest<D>> {
         self.keyed(
             &self.sample_sets,
             (SamplingKey::new(radius, config), kind),
@@ -489,7 +495,7 @@ mod tests {
             }
         }
         keys.push((2.0, ProblemKind::Weighted, base));
-        let mut sets: Vec<Arc<SampleSet<1>>> = Vec::new();
+        let mut sets: Vec<Arc<SampledBest<1>>> = Vec::new();
         for (radius, kind, config) in &keys {
             let builds = index.builds();
             let built = set(*radius, *kind, config);

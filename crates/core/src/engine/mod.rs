@@ -225,7 +225,7 @@ pub trait WeightedSolver<const D: usize>: Send + Sync {
     /// is built over the same set.  Solvers whose descriptor declares
     /// [`BatchCapability::IndexShared`] amortize one build across the whole
     /// batch by reusing the index's structures (per-radius grids, sorted
-    /// projections, cached sample sets); the others answer each shape on its
+    /// projections, cached sample-set answers); the others answer each shape on its
     /// own through [`each_shape`].
     ///
     /// `threads` is the worker budget the executor grants this call for

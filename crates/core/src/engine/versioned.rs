@@ -983,8 +983,9 @@ impl<const D: usize> VersionedDataset<D> {
 
     /// The incrementally maintained `(1/2 − ε)`-approximate ball answer at
     /// the **current** version: the resident [`DynamicBallMaxRS`] tracker
-    /// for `(radius, config)` is created once (from the live snapshot),
-    /// updated by every later mutation, and read here with
+    /// for `(radius, config)` is created once, as one epoch over the live
+    /// snapshot ([`DynamicBallMaxRS::from_points`]), updated by every later
+    /// mutation, and read here with
     /// [`DynamicBallMaxRS::best`] — this path never rebuilds a sampling
     /// structure.  The reported value is the exact covered weight of the
     /// reported center, recounted through the delta overlay.
@@ -1038,12 +1039,15 @@ impl<const D: usize> VersionedDataset<D> {
         }
         let mut trackers = self.trackers.lock().expect("tracker lock poisoned");
         let entry = trackers.entry(SamplingKey::new(radius, config)).or_insert_with(|| {
-            let mut tracker = DynamicBallMaxRS::new(radius, *config);
-            let mut ids = HashMap::new();
+            let mut points = Vec::new();
+            let mut uids = Vec::new();
             current.overlay.for_each_live_point(&current.generation, |wp, uid| {
-                ids.insert(uid, tracker.insert(wp.point, wp.weight));
+                points.push(*wp);
+                uids.push(uid);
             });
-            TrackerEntry { tracker, ids }
+            // One epoch over the live set: point `i` gets handle `i`.
+            let tracker = DynamicBallMaxRS::from_points(radius, *config, &points);
+            TrackerEntry { tracker, ids: uids.into_iter().zip(0..).collect() }
         });
         Some(match entry.tracker.best() {
             None => Placement::empty(),

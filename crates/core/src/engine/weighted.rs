@@ -18,8 +18,8 @@ use crate::config::SamplingConfig;
 use crate::exact::disk2d::max_disk_placement_chunked;
 use crate::exact::interval1d::IntervalPlacement;
 use crate::exact::rect2d::max_rect_placement_presorted;
-use crate::input::{ball_coverage_weight, Placement};
-use crate::technique1::{weighted_placement, DynamicBallMaxRS};
+use crate::input::Placement;
+use crate::technique1::weighted_placement;
 
 pub(super) fn require_dim<const D: usize>(solver: &'static str, wanted: usize) -> EngineResult<()> {
     if D == wanted {
@@ -312,10 +312,11 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
         &Self::DESCRIPTOR
     }
 
-    /// The Technique 1 sample set is built once per distinct radius (cached
-    /// in the shared index for the point set's whole lifetime) and every
-    /// query reads it through [`weighted_placement`], which certifies the
-    /// chosen center by an exact recount.
+    /// The Technique 1 sample set is built once per distinct radius, and
+    /// the shared index keeps its answer for the point set's whole
+    /// lifetime; every query reads that answer through
+    /// [`weighted_placement`], which certifies the chosen center by an
+    /// exact recount.
     fn solve_all(
         &self,
         base: &WeightedInstance<D>,
@@ -337,7 +338,7 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
                 } else {
                     let set = index.weighted_sample_set(radius, &self.config);
                     let placement = weighted_placement(&set, base.points(), radius);
-                    (placement, Some((set.grid_count(), set.cell_count(), set.total_samples())))
+                    (placement, Some((set.grids, set.cells, set.samples)))
                 };
                 Ok(SolverReport {
                     solver: name,
@@ -360,10 +361,17 @@ impl<const D: usize> WeightedSolver<D> for StaticBallSolver {
 /// executor answers its ball queries from the dataset's resident tracker,
 /// which every write updates (see
 /// [`VersionedDataset::dynamic_ball_best`](super::VersionedDataset::dynamic_ball_best)).
-/// `solve_all` is the fallback for a read whose view a write has passed and
-/// for direct calls: it builds a whole new tracker over the instance, reads
-/// it once and recounts the answer.  For genuine update streams use
-/// [`DynamicBallMaxRS`] directly.
+/// `solve_all` is the fallback for a read whose view a write has passed, for
+/// `auto` and for direct calls: it reads the answer a fresh tracker over the
+/// instance would give ([`DynamicBallMaxRS::from_points`], then its best
+/// sample), which is the static [`weighted_sample_set`] of the same points,
+/// from the shared index's cache, and recounts it.  So it shares
+/// `approx-static-ball`'s cache entry and builds no tracker.  For genuine
+/// update streams use [`DynamicBallMaxRS`] directly.
+///
+/// [`DynamicBallMaxRS`]: crate::technique1::DynamicBallMaxRS
+/// [`DynamicBallMaxRS::from_points`]: crate::technique1::DynamicBallMaxRS::from_points
+/// [`weighted_sample_set`]: crate::technique1::weighted_sample_set
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicBallSolver {
     config: SamplingConfig,
@@ -409,24 +417,22 @@ impl<const D: usize> WeightedSolver<D> for DynamicBallSolver {
         &self,
         base: &WeightedInstance<D>,
         shapes: &[RangeShape<D>],
-        _index: &SharedIndex<D>,
+        index: &SharedIndex<D>,
         _threads: usize,
     ) -> Vec<EngineResult<SolverReport<Placement<D>>>> {
         let name = Self::DESCRIPTOR.name;
         each_shape(shapes, |shape| {
             let radius = require_ball(name, shape)?;
             require_nonnegative(name, base)?;
-            let mut tracker = DynamicBallMaxRS::<D>::new(radius, self.config);
-            for wp in base.points() {
-                tracker.insert(wp.point, wp.weight);
-            }
-            let mut placement = tracker.best().unwrap_or_else(Placement::empty);
-            if !base.is_empty() {
-                // Certify the report: the tracker's sampled depth matches the
-                // center's true coverage only up to floating-point boundary
-                // ties (see `weighted_placement`).
-                placement.value = ball_coverage_weight(base.points(), &placement.center, radius);
-            }
+            let placement = if base.is_empty() {
+                Placement::empty()
+            } else {
+                weighted_placement(
+                    &index.weighted_sample_set(radius, &self.config),
+                    base.points(),
+                    radius,
+                )
+            };
             Ok(SolverReport {
                 solver: name,
                 placement,

@@ -5,39 +5,47 @@
 //! depth computation differs: the dual balls are processed grouped by color
 //! and every sample point carries a "last color seen" flag, so each color
 //! contributes at most one unit to a sample's colored depth (Section 3.2).
+//!
+//! As in the weighted case, the build goes cell by cell and keeps only a
+//! [`SampledBest`]: each cell applies its balls in the grouped order, so its
+//! colored depths, and the answer, are bit for bit those of inserting the
+//! grouped balls into a colored [`SampleSet`](crate::technique1::SampleSet).
 
-use mrs_geom::{Ball, ColoredSite};
+use mrs_geom::ColoredSite;
 
 use crate::config::SamplingConfig;
 use crate::input::{ball_distinct_colors, ColoredPlacement};
-use crate::technique1::sample_set::SampleSet;
+use crate::technique1::sample_set::{static_best, Mark, SampledBest};
 
-/// The Technique 1 sample set of colored ball MaxRS at query radius
-/// `radius`: every site's dual unit ball (its center scaled by `1/radius`),
-/// inserted grouped by color.  The one builder behind
-/// [`approx_colored_ball`] and the engine's shared index, which caches one
-/// set per radius.
+/// What the Technique 1 sample set of colored ball MaxRS at query radius
+/// `radius` reports: every site's dual unit ball (its center scaled by
+/// `1/radius`), inserted grouped by color, reduced to its deepest sample
+/// and its size.  The one builder behind [`approx_colored_ball`] and the
+/// engine's shared index, which caches one answer per radius.
 pub fn colored_sample_set<const D: usize>(
     sites: &[ColoredSite<D>],
     radius: f64,
     config: SamplingConfig,
-) -> SampleSet<D> {
+) -> SampledBest<D> {
     let inv = 1.0 / radius;
-    let mut dual: Vec<(Ball<D>, usize)> =
-        sites.iter().map(|s| (Ball::unit(s.point.scale(inv)), s.color)).collect();
-    // Group by color (any order within a group works; sorting is the paper's
-    // "order the set B by color index" step).
+    let mut dual: Vec<_> = sites.iter().map(|s| (s.point.scale(inv), s.color)).collect();
+    // Group by color (any order within a group works; the stable sort is
+    // the paper's "order the set B by color index" step).
     dual.sort_by_key(|(_, color)| *color);
-    let mut set = SampleSet::new(config, sites.len());
     // The per-sample flag only tells one color group from the next, so each
     // group goes in under its ordinal: an id of `usize::MAX` would otherwise
     // collide with the flag's "no color yet" sentinel.
     let mut group = 0;
-    for (k, (ball, color)) in dual.iter().enumerate() {
-        group += usize::from(k > 0 && *color != dual[k - 1].1);
-        set.insert_colored_ball(ball, group);
-    }
-    set
+    let balls: Vec<_> = dual
+        .iter()
+        .enumerate()
+        .map(|(k, (center, color))| {
+            group += u32::from(k > 0 && *color != dual[k - 1].1);
+            (*center, Mark::Group(group))
+        })
+        .collect();
+    drop(dual);
+    static_best(config, &balls)
 }
 
 /// The certified placement `set`, the [`colored_sample_set`] of `sites` at
@@ -46,11 +54,11 @@ pub fn colored_sample_set<const D: usize>(
 /// one read behind [`approx_colored_ball`] and the engine's
 /// `approx-colored-ball` solver.
 pub fn colored_placement<const D: usize>(
-    set: &SampleSet<D>,
+    set: &SampledBest<D>,
     sites: &[ColoredSite<D>],
     radius: f64,
 ) -> ColoredPlacement<D> {
-    let Some((scaled_center, _sampled_depth)) = set.best() else {
+    let Some((scaled_center, _sampled_depth)) = set.best else {
         return ColoredPlacement::empty();
     };
     let center = scaled_center.scale(radius);

@@ -7,8 +7,27 @@
 //! current ball set `B_j`; the epoch ends when the number of live balls leaves
 //! the window `[|B_j|/2, 2|B_j|]`, and the rebuild cost is charged to the at
 //! least `|B_j|/2` updates that must have happened in between.
+//!
+//! A tracker over a known set starts with [`DynamicBallMaxRS::from_points`]:
+//! one epoch whose base is the whole set, its balls inserted ball by ball
+//! into one flat [`SampleSet`] (the tracker's build order; see
+//! [`crate::technique1::sample_set`]).  Inserting the same points one by one
+//! would rebuild at every doubling of the live count, 14 epochs for 20,000
+//! points.  The two agree bit for bit wherever `samples_per_cell` is equal
+//! at `n` and at the last doubling base: under
+//! [`SamplingConfig::practical`] at `ε = 0.25`, from 63 points up, where
+//! both clamp at 64.  Smaller sets get the `t` of `n`, which is still a
+//! valid Theorem 1.1 epoch.  And the one epoch is bit for bit
+//! the static [`weighted_sample_set`](crate::technique1::weighted_sample_set)
+//! of the same points, which is what lets the engine's `dynamic-ball`
+//! solver answer a one-off query from the shared index's cached answer.
+//!
+//! The resident set is the flat one of [`SampleSet`]: `t` samples of `D`
+//! coordinates and one depth per non-empty cell, so the tracker holds about
+//! `(D + 1)·8·t` bytes per cell, and nothing grows under updates that stay
+//! inside the covered extent.
 
-use mrs_geom::{Ball, Point};
+use mrs_geom::{Ball, Point, WeightedPoint};
 
 use crate::config::SamplingConfig;
 use crate::input::Placement;
@@ -55,15 +74,40 @@ impl<const D: usize> DynamicBallMaxRS<D> {
     /// # Panics
     /// Panics if `radius` is not strictly positive.
     pub fn new(radius: f64, config: SamplingConfig) -> Self {
+        Self::from_points(radius, config, &[])
+    }
+
+    /// A structure holding `points` in one epoch whose base is the whole
+    /// set: their dual balls go into one sample set, in order, and point
+    /// `i` gets the handle `i`.
+    ///
+    /// # Panics
+    /// Panics if `radius` is not strictly positive, or if any weight is
+    /// negative or not finite.
+    pub fn from_points(radius: f64, config: SamplingConfig, points: &[WeightedPoint<D>]) -> Self {
         assert!(radius.is_finite() && radius > 0.0, "query radius must be positive");
+        let inv = 1.0 / radius;
+        let mut samples = SampleSet::new(config, points.len());
+        let entries = points
+            .iter()
+            .map(|wp| {
+                assert!(
+                    wp.weight.is_finite() && wp.weight >= 0.0,
+                    "weights must be finite and non-negative"
+                );
+                let scaled = wp.point.scale(inv);
+                samples.insert_ball(&Ball::unit(scaled), wp.weight);
+                Some((scaled, wp.weight))
+            })
+            .collect();
         Self {
             config,
             radius,
-            entries: Vec::new(),
+            entries,
             free_ids: Vec::new(),
-            live: 0,
-            samples: SampleSet::new(config, 2),
-            epoch_base: 1,
+            live: points.len(),
+            samples,
+            epoch_base: points.len().max(1),
             epochs: 1,
         }
     }
@@ -263,6 +307,33 @@ mod tests {
         // ...and comparable to what a static run of the same technique finds.
         let static_best = approx_static_ball(&points, 1.0, cfg(5));
         assert!(dyn_best.value >= (0.5 - 0.25) * static_best.value - 1e-9);
+    }
+
+    #[test]
+    fn from_points_is_one_epoch_of_the_static_build() {
+        let mut rng = StdRng::seed_from_u64(57);
+        let points: Vec<WeightedPoint<2>> = (0..300)
+            .map(|_| {
+                let p = Point2::xy(rng.gen_range(0.0..6.0), rng.gen_range(0.0..6.0));
+                WeightedPoint::new(p, rng.gen_range(0.5..2.0))
+            })
+            .collect();
+        let tracker = DynamicBallMaxRS::from_points(1.5, cfg(7), &points);
+        assert_eq!((tracker.len(), tracker.epochs()), (300, 1));
+        let static_best = crate::technique1::weighted_sample_set(&points, 1.5, cfg(7)).best;
+        let (center, value) = static_best.expect("a non-empty set has a best sample");
+        let best = tracker.best().unwrap();
+        assert_eq!(best.value.to_bits(), value.to_bits());
+        assert_eq!(best.center, center.scale(1.5));
+        // The one-by-one tracker doubles its way there and lands on the
+        // same answer: at 300 points its last base (255) also draws 64
+        // samples a cell.
+        let mut grown = DynamicBallMaxRS::<2>::new(1.5, cfg(7));
+        for wp in &points {
+            grown.insert(wp.point, wp.weight);
+        }
+        assert!(grown.epochs() > 1);
+        assert_eq!(grown.best(), tracker.best());
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub mod static_ball;
 
 pub use colored_ball::{approx_colored_ball, colored_placement, colored_sample_set};
 pub use dynamic_ball::{DynamicBallMaxRS, PointId};
-pub use sample_set::SampleSet;
+pub use sample_set::{SampleSet, SampledBest};
 pub use static_ball::{approx_static_ball, weighted_placement, weighted_sample_set};

@@ -1,44 +1,53 @@
 //! Static MaxRS with a `d`-ball via point sampling (Theorem 1.2).
 //!
 //! A randomized `(1/2 − ε)`-approximation running in `O(ε^{-2d-2} n log n)`
-//! time: build the sampling structure once, insert every dual unit ball, and
-//! report the deepest sample.  Unlike the `(1 − ε)` schemes based on sampling
-//! *input objects*, the running time has no `log^{Θ(d)} n` factor.
+//! time: sample every non-empty cell of the dual unit balls, sum each
+//! sample's depth, and report the deepest sample.  Unlike the `(1 − ε)`
+//! schemes based on sampling *input objects*, the running time has no
+//! `log^{Θ(d)} n` factor.
+//!
+//! The theorem reports one thing, the deepest sample, so the build keeps
+//! nothing else: [`weighted_sample_set`] goes cell by cell and returns a
+//! [`SampledBest`] of about a hundred bytes.  Its answer is bit for bit
+//! the one inserting every ball into a
+//! [`SampleSet`](crate::technique1::SampleSet) gives (see
+//! [`crate::technique1::sample_set`] for the two build orders and their
+//! transient memory).
 
-use mrs_geom::{Ball, WeightedPoint};
+use mrs_geom::WeightedPoint;
 
 use crate::config::SamplingConfig;
 use crate::input::{ball_coverage_weight, Placement};
-use crate::technique1::sample_set::SampleSet;
+use crate::technique1::sample_set::{static_best, Mark, SampledBest};
 
-/// The Technique 1 sample set of weighted ball MaxRS at query radius
-/// `radius`: every point's dual unit ball (Section 1.4: its center scaled by
-/// `1/radius`) inserted in input order with the point's weight.  The one
-/// builder behind [`approx_static_ball`] and the engine's shared index,
-/// which caches one set per radius.
+/// What the Technique 1 sample set of weighted ball MaxRS at query radius
+/// `radius` reports: every point's dual unit ball (Section 1.4: its center
+/// scaled by `1/radius`) inserted in input order with the point's weight,
+/// reduced to its deepest sample and its size.  The one builder behind
+/// [`approx_static_ball`] and the engine's shared index, which caches one
+/// answer per radius.
 pub fn weighted_sample_set<const D: usize>(
     points: &[WeightedPoint<D>],
     radius: f64,
     config: SamplingConfig,
-) -> SampleSet<D> {
+) -> SampledBest<D> {
     let inv = 1.0 / radius;
-    let mut set = SampleSet::new(config, points.len());
-    for wp in points {
-        set.insert_ball(&Ball::unit(wp.point.scale(inv)), wp.weight);
-    }
-    set
+    let balls: Vec<_> =
+        points.iter().map(|wp| (wp.point.scale(inv), Mark::Weight(wp.weight))).collect();
+    static_best(config, &balls)
 }
 
 /// The certified placement `set`, the [`weighted_sample_set`] of `points` at
 /// `radius`, reports: its deepest sample scaled back to input coordinates,
 /// valued at the exact weight of `points` it covers.  The one read behind
-/// [`approx_static_ball`] and the engine's `approx-static-ball` solver.
+/// [`approx_static_ball`] and the engine's `approx-static-ball` and
+/// `dynamic-ball` solvers.
 pub fn weighted_placement<const D: usize>(
-    set: &SampleSet<D>,
+    set: &SampledBest<D>,
     points: &[WeightedPoint<D>],
     radius: f64,
 ) -> Placement<D> {
-    let Some((scaled_center, _sampled_depth)) = set.best() else {
+    let Some((scaled_center, _sampled_depth)) = set.best else {
         return Placement::empty();
     };
     let center = scaled_center.scale(radius);
@@ -187,8 +196,8 @@ mod tests {
     fn sample_set_counts_are_populated() {
         let pts = vec![WeightedPoint::unit(Point2::xy(0.0, 0.0))];
         let set = weighted_sample_set(&pts, 1.0, cfg(0.25, 4));
-        assert!(set.grid_count() >= 1);
-        assert!(set.cell_count() >= 1);
-        assert_eq!(set.total_samples(), set.cell_count() * set.samples_per_cell());
+        assert!(set.grids >= 1);
+        assert!(set.cells >= 1);
+        assert_eq!(set.samples, set.cells * cfg(0.25, 4).samples_per_cell(1));
     }
 }
